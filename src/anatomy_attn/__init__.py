@@ -6,9 +6,10 @@ classification model with Grad-CAM and ten-crop inference, and experiment
 drivers for ablation and mask-corruption robustness studies.
 """
 
-from .tensor import NonFiniteError, Tensor, concat
+from .tensor import DivergenceError, NonFiniteError, Tensor, concat
 from .gradcheck import grad_check
 
-__all__ = ["Tensor", "NonFiniteError", "concat", "grad_check"]
+__all__ = ["Tensor", "NonFiniteError", "DivergenceError", "concat",
+           "grad_check"]
 
 __version__ = "0.1.0"

@@ -276,8 +276,6 @@ def train_condition(config: ModelConfig, spec: SyntheticSpec, seed: int,
     if train_kwargs:
         kwargs.update(train_kwargs)
     data = gen_synthetic(dc_replace(spec, image_size=config.image_size))
-    data = {**data,
-            "val_lung": data["val_lung"], "val_heart": data["val_heart"]}
     model = ToyModel(config, seed=seed)
     model, _ = train(model, data, kwargs["epochs"], kwargs["lr"],
                      kwargs["batch"], seed)

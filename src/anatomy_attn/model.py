@@ -15,7 +15,7 @@ import numpy as np
 from .attention import AaaParams, AnatomyMasks, PwapParams, aaa_forward, pwap
 from .ops import LinearParams, conv3x3, fully_connected, resize
 from .serialize import load_tensors, save_tensors
-from .tensor import NonFiniteError, Tensor, concat
+from .tensor import DivergenceError, NonFiniteError, Tensor, concat
 
 ATTENTION_LEVELS = ("L0", "L1", "L2", "L3")
 POOLING_TYPES = ("pwap", "average", "max", "gem")
@@ -24,10 +24,6 @@ FUSION_TYPES = ("aaa", "hardmask", "none")
 # head stages (0-based into the 4 backbone stages) per attention level;
 # L0 is the no-attention baseline reading only the final stage
 _HEAD_STAGES = {"L0": (3,), "L1": (3,), "L2": (2, 3), "L3": (1, 2, 3)}
-
-
-class DivergenceError(RuntimeError):
-    """Training produced a non-finite loss."""
 
 
 @dataclass

@@ -2,7 +2,8 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -151,66 +152,60 @@ def conv3x3(x: Tensor, weight: Tensor, bias: Tensor, stride: int = 1) -> Tensor:
     return Tensor._from_op(out_data, (x, weight, bias), bwd, "conv3x3")
 
 
-def _axis_coords(src: int, dst: int):
-    """align-corners-off bilinear coordinates for one axis."""
-    scale = src / dst
-    coords = (np.arange(dst) + 0.5) * scale - 0.5
-    coords = np.clip(coords, 0.0, src - 1)
-    i0 = np.floor(coords).astype(int)
-    i1 = np.minimum(i0 + 1, src - 1)
-    frac = coords - i0
-    return i0, i1, frac
+@lru_cache(maxsize=64)
+def _interp_matrix(src: int, dst: int, method: str) -> np.ndarray:
+    """[dst, src] matrix that resamples one axis of length src to dst.
+
+    Nearest rows hold a single 1 at floor(i * src / dst); bilinear rows
+    hold the two align-corners-off taps, which coincide (and sum to 1) at
+    the clamped border.
+    """
+    rows = np.arange(dst)
+    m = np.zeros((dst, src))
+    if method == "nearest":
+        m[rows, np.minimum((rows * (src / dst)).astype(int), src - 1)] = 1.0
+    elif method == "bilinear":
+        coords = np.clip((rows + 0.5) * (src / dst) - 0.5, 0.0, src - 1)
+        i0 = np.floor(coords).astype(int)
+        frac = coords - i0
+        m[rows, i0] = 1 - frac
+        m[rows, np.minimum(i0 + 1, src - 1)] += frac
+    else:
+        raise ValueError(f"unknown resize method {method!r}")
+    m.flags.writeable = False
+    return m
 
 
 def resize(x: Tensor, target: tuple, method: str = "bilinear") -> Tensor:
     """Resize x[N,C,H,W] to target (H',W').
 
-    Bilinear uses the align-corners-off convention; nearest uses
-    floor(dst * scale) source indexing and preserves the value set.
+    Computed as R @ x @ C.T with per-axis [dst, src] interpolation
+    matrices, so the backward is R.T @ g @ C. Bilinear uses the
+    align-corners-off convention; nearest uses floor(dst * scale) source
+    indexing with 0/1 rows, so it preserves the value set exactly.
     """
     th, tw = target
     if th < 1 or tw < 1:
         raise ValueError(f"resize target must be >= 1, got {target}")
-    n, c, h, w = x.shape
-
-    if method == "nearest":
-        ri = np.minimum((np.arange(th) * (h / th)).astype(int), h - 1)
-        cj = np.minimum((np.arange(tw) * (w / tw)).astype(int), w - 1)
-        out_data = x.data[:, :, ri[:, None], cj[None, :]]
-
-        def bwd(g):
-            gx = np.zeros_like(x.data)
-            np.add.at(gx, (slice(None), slice(None), ri[:, None], cj[None, :]), g)
-            return [(x, gx)]
-
-        return Tensor._from_op(out_data, (x,), bwd, "resize_nearest")
-
-    if method != "bilinear":
-        raise ValueError(f"unknown resize method {method!r}")
-
-    i0, i1, fi = _axis_coords(h, th)
-    j0, j1, fj = _axis_coords(w, tw)
-    wi0, wi1 = (1 - fi)[:, None], fi[:, None]
-    wj0, wj1 = (1 - fj)[None, :], fj[None, :]
-    taps = [(i0, j0, wi0 * wj0), (i0, j1, wi0 * wj1),
-            (i1, j0, wi1 * wj0), (i1, j1, wi1 * wj1)]
-
-    out_data = np.zeros((n, c, th, tw))
-    for ri, cj, wt in taps:
-        out_data += x.data[:, :, ri[:, None], cj[None, :]] * wt
+    _, _, h, w = x.shape
+    rm = _interp_matrix(h, th, method)
+    cm = _interp_matrix(w, tw, method)
 
     def bwd(g):
-        gx = np.zeros_like(x.data)
-        for ri, cj, wt in taps:
-            np.add.at(gx, (slice(None), slice(None), ri[:, None], cj[None, :]),
-                      g * wt)
-        return [(x, gx)]
+        return [(x, rm.T @ g @ cm)]
 
-    return Tensor._from_op(out_data, (x,), bwd, "resize_bilinear")
+    return Tensor._from_op(rm @ x.data @ cm.T, (x,), bwd, f"resize_{method}")
 
 
 def batch_norm(x: Tensor, s: BatchNormState) -> Tensor:
-    """Batch normalization over [N] (rank-2 input) or [N,H,W] (rank-4)."""
+    """Batch normalization over [N] (rank-2 input) or [N,H,W] (rank-4).
+
+    One graph node with parents x, gamma and beta. Train mode
+    differentiates through the batch statistics in closed form
+    (Ioffe & Szegedy 2015): with g_hat = g * gamma,
+    dx = (g_hat - mean(g_hat) - x_hat * mean(g_hat * x_hat)) / std.
+    Eval mode treats the running statistics as constants: dx = g_hat / std.
+    """
     if x.data.ndim == 2:
         axes, param_shape = (0,), (1, s.channels)
     elif x.data.ndim == 4:
@@ -224,26 +219,45 @@ def batch_norm(x: Tensor, s: BatchNormState) -> Tensor:
     if count < 1:
         raise ValueError("batch_norm needs at least one element per channel")
 
-    gamma = s.gamma.reshape(param_shape)
-    beta = s.beta.reshape(param_shape)
+    gamma = s.gamma.data.reshape(param_shape)
+    beta = s.beta.data.reshape(param_shape)
 
     if s.mode == "train":
         if count < 2:
             raise ValueError("train-mode batch_norm needs >= 2 elements "
                              "per channel for the variance")
-        mu = x.mean(axis=axes, keepdims=True)
-        xm = x - mu
+        mu = x.data.mean(axis=axes, keepdims=True)
+        xm = x.data - mu
         var = (xm * xm).mean(axis=axes, keepdims=True)
-        y = xm / (var + s.epsilon).sqrt() * gamma + beta
-        m = s.momentum
-        s.running_mean = (1 - m) * s.running_mean + m * mu.data.reshape(-1)
-        s.running_var = (1 - m) * s.running_var + m * var.data.reshape(-1)
-        return y
-    if s.mode == "eval":
+        std = np.sqrt(var + s.epsilon)
+        x_hat = xm / std
+
+        def dx(g_hat):
+            return (g_hat - g_hat.mean(axis=axes, keepdims=True)
+                    - x_hat * (g_hat * x_hat).mean(axis=axes, keepdims=True)
+                    ) / std
+    elif s.mode == "eval":
         rm = s.running_mean.reshape(param_shape)
-        rstd = np.sqrt(s.running_var + s.epsilon).reshape(param_shape)
-        return (x - Tensor(rm)) / Tensor(rstd) * gamma + beta
-    raise ValueError(f"unknown batch_norm mode {s.mode!r}")
+        std = np.sqrt(s.running_var + s.epsilon).reshape(param_shape)
+        x_hat = (x.data - rm) / std
+
+        def dx(g_hat):
+            return g_hat / std
+    else:
+        raise ValueError(f"unknown batch_norm mode {s.mode!r}")
+
+    def bwd(g):
+        return [(x, dx(g * gamma)),
+                (s.gamma, (g * x_hat).sum(axis=axes).reshape(s.gamma.shape)),
+                (s.beta, g.sum(axis=axes).reshape(s.beta.shape))]
+
+    out = Tensor._from_op(x_hat * gamma + beta, (x, s.gamma, s.beta), bwd,
+                          "batch_norm")
+    if s.mode == "train":
+        m = s.momentum
+        s.running_mean = (1 - m) * s.running_mean + m * mu.reshape(-1)
+        s.running_var = (1 - m) * s.running_var + m * var.reshape(-1)
+    return out
 
 
 def softmax_pair(a: Tensor, b: Tensor):

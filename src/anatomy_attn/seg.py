@@ -7,20 +7,16 @@ Mask class channels are ordered (background, lung, heart) throughout.
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .attention import AnatomyMasks
 from .ops import conv3x3, softmax_channels
-from .tensor import NonFiniteError, Tensor
+from .tensor import DivergenceError, NonFiniteError, Tensor
 
 LOG_CLAMP = 1e-12
 CLASS_NAMES = ("background", "lung", "heart")
-
-
-class DivergenceError(RuntimeError):
-    """Training produced a non-finite loss."""
 
 
 @dataclass

@@ -35,6 +35,10 @@ def read_array(fh) -> np.ndarray:
     magic, rank, *extents = _HEADER.unpack(header)
     if magic != MAGIC:
         raise ValueError(f"bad magic {magic!r}")
+    if rank > 4:
+        raise ValueError(f"tensor header rank {rank} > 4")
+    if any(extents[rank:]):
+        raise ValueError("nonzero extent in an unused header slot")
     shape = tuple(extents[:rank])
     count = int(np.prod(shape)) if rank else 1
     payload = fh.read(8 * count)
@@ -66,6 +70,9 @@ def load_tensors(path) -> dict:
     with open(path, "rb") as fh:
         for name in names:
             out[name] = read_array(fh)
+        if fh.read(1):
+            raise ValueError(f"trailing bytes after the last of {len(names)} "
+                             f"tensors in {path}")
     return out
 
 

@@ -14,6 +14,10 @@ class NonFiniteError(ArithmeticError):
     """An op produced NaN or Inf."""
 
 
+class DivergenceError(RuntimeError):
+    """Training produced a non-finite loss."""
+
+
 def _check_finite(data: np.ndarray, op: str) -> None:
     if not np.all(np.isfinite(data)):
         raise NonFiniteError(f"non-finite values produced by op '{op}'")

@@ -1,5 +1,9 @@
 """Finite-difference gradient verification machinery."""
 
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
@@ -95,3 +99,18 @@ class TestSuite:
                                       inject_fault=True)
         by_name = {r.name: r for r in reports}
         assert not by_name["injected_sign_flip"].passed
+
+    def test_reports_do_not_depend_on_hash_seed(self):
+        # coordinate sampling must not follow the interpreter's str-hash salt
+        script = ("from anatomy_attn.suite import run_gradcheck_suite\n"
+                  "for r in run_gradcheck_suite(include_models=False):\n"
+                  "    print(r)\n")
+        outputs = []
+        for hash_seed in ("1", "2"):
+            env = dict(os.environ, PYTHONHASHSEED=hash_seed,
+                       PYTHONPATH=os.pathsep.join(sys.path))
+            outputs.append(subprocess.run(
+                [sys.executable, "-c", script], env=env, check=True,
+                capture_output=True, text=True).stdout)
+        assert outputs[0] == outputs[1]
+        assert "gen_losses" in outputs[0]

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from anatomy_attn.gradcheck import grad_check
 from anatomy_attn.tensor import Tensor
 from anatomy_attn.ops import (BatchNormState, LinearParams, batch_norm,
                               conv3x3, conv_1x1, fully_connected, resize,
@@ -102,8 +103,101 @@ class TestResize:
         with pytest.raises(ValueError):
             resize(Tensor(np.zeros((1, 1, 2, 2))), (4, 4), "bicubic")
 
+    def test_nonpositive_target_rejected(self):
+        with pytest.raises(ValueError):
+            resize(Tensor(np.zeros((1, 1, 2, 2))), (0, 4))
+
+    @pytest.mark.parametrize("method", ["bilinear", "nearest"])
+    @pytest.mark.parametrize("src,dst", [((4, 4), (7, 5)), ((8, 6), (3, 2)),
+                                         ((5, 3), (5, 9)), ((1, 4), (3, 1))])
+    def test_backward_is_adjoint(self, rng, method, src, dst):
+        # <resize(x), g> == <x, d resize(x) . g> for a linear map
+        x = Tensor(rng.normal(size=(2, 3) + src))
+        x.requires_grad = True
+        g = rng.normal(size=(2, 3) + dst)
+        out = resize(x, dst, method)
+        out.backward(g)
+        np.testing.assert_allclose(np.vdot(out.data, g),
+                                   np.vdot(x.data, x.grad),
+                                   rtol=1e-12, atol=1e-12)
+
+    @pytest.mark.parametrize("target", [(3, 3), (7, 5), (16, 16)])
+    def test_nearest_binary_mask_stays_exact(self, rng, target):
+        mask = rng.integers(0, 2, size=(2, 1, 6, 6)).astype(float)
+        out = resize(Tensor(mask), target, "nearest").data
+        assert set(np.unique(out)) <= {0.0, 1.0}
+        ri = np.minimum((np.arange(target[0]) * 6 / target[0]).astype(int), 5)
+        cj = np.minimum((np.arange(target[1]) * 6 / target[1]).astype(int), 5)
+        np.testing.assert_array_equal(out, mask[:, :, ri[:, None], cj])
+
+
+def _composite_batch_norm(x, s):
+    """Batch norm assembled from primitive tensor ops (the unfused form)."""
+    axes = (0,) if x.data.ndim == 2 else (0, 2, 3)
+    shape = (1, s.channels) + (1,) * (x.data.ndim - 2)
+    gamma, beta = s.gamma.reshape(shape), s.beta.reshape(shape)
+    if s.mode == "train":
+        xm = x - x.mean(axis=axes, keepdims=True)
+        var = (xm * xm).mean(axis=axes, keepdims=True)
+        return xm / (var + s.epsilon).sqrt() * gamma + beta
+    rm = Tensor(s.running_mean.reshape(shape))
+    rstd = Tensor(np.sqrt(s.running_var + s.epsilon).reshape(shape))
+    return (x - rm) / rstd * gamma + beta
+
+
+def _bn_state(rng, channels, mode):
+    return BatchNormState(Tensor(rng.normal(size=channels)),
+                          Tensor(rng.normal(size=channels)),
+                          rng.normal(size=channels),
+                          rng.uniform(0.5, 2.0, size=channels), mode=mode)
+
 
 class TestBatchNorm:
+    @pytest.mark.parametrize("mode", ["train", "eval"])
+    @pytest.mark.parametrize("shape", [(5, 3), (4, 3, 3, 2)])
+    def test_matches_composite_formula(self, rng, mode, shape):
+        x_data = rng.normal(size=shape) * 2 + 1
+        g = rng.normal(size=shape)
+        results = []
+        for fn in (batch_norm, _composite_batch_norm):
+            s = _bn_state(np.random.default_rng(5), 3, mode)
+            x = Tensor(x_data.copy())
+            for t in (x, s.gamma, s.beta):
+                t.requires_grad = True
+            out = fn(x, s)
+            out.backward(g)
+            results.append((out.data, x.grad, s.gamma.grad, s.beta.grad))
+        for fused, composite in zip(*results):
+            np.testing.assert_allclose(fused, composite, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("mode", ["train", "eval"])
+    def test_single_graph_node(self, rng, mode):
+        s = _bn_state(rng, 3, mode)
+        x = Tensor(rng.normal(size=(4, 3)))
+        assert batch_norm(x, s)._parents == (x, s.gamma, s.beta)
+
+    @pytest.mark.parametrize("shape", [(5, 3), (2, 3, 3, 3)])
+    def test_eval_mode_gradcheck(self, rng, shape):
+        s = _bn_state(rng, 3, "eval")
+
+        def target(x, gamma, beta):
+            t = BatchNormState(gamma, beta, s.running_mean, s.running_var,
+                               mode="eval")
+            return (batch_norm(x, t) * batch_norm(x, t).sigmoid()).sum()
+
+        report = grad_check(target, [Tensor(rng.normal(size=shape)),
+                                     s.gamma, s.beta])
+        assert report.passed, report
+
+    def test_unknown_mode_rejected(self):
+        s = BatchNormState.init(1, mode="bogus")
+        with pytest.raises(ValueError):
+            batch_norm(Tensor([[1.0], [2.0]]), s)
+
+    def test_rank3_rejected(self):
+        with pytest.raises(ValueError):
+            batch_norm(Tensor(np.zeros((2, 1, 3))), BatchNormState.init(1))
+
     def test_two_point_normalization(self):
         # values [1, 3]: mean 2, biased std 1 -> normalized [-1, 1]
         s = BatchNormState.init(1)

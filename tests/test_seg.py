@@ -9,6 +9,7 @@ from anatomy_attn.seg import (CURVE_HEADER, CycleNets, SegBatch, adv_losses,
                               cycle_losses, gen_losses, pixel_ce,
                               sample_cutout_windows, total_loss,
                               train_cyclegan_toy, write_curves)
+from anatomy_attn import model
 from anatomy_attn.harness import gen_seg_batches
 from anatomy_attn.ops import softmax_channels
 from anatomy_attn.tensor import Tensor
@@ -144,6 +145,15 @@ class TestTrainingLoop:
                                    seed=0)
         _, curves2 = train_cyclegan_toy(batches2, nets2, steps=3, lr=0.0)
         assert curves == curves2
+
+    def test_divergence_is_the_model_error(self):
+        # one DivergenceError class: a model-side handler catches seg's too
+        nets = CycleNets.init(width=4, seed=0)
+        nets.g_mc.layers[0][0].data[:] = 1e200
+        batches = gen_seg_batches(size=8, n_annotated=2, n_unannotated=2,
+                                  seed=0)
+        with pytest.raises(model.DivergenceError), np.errstate(over="ignore"):
+            train_cyclegan_toy(batches, nets, steps=1, lr=1e-3)
 
     def test_steps_are_one_indexed(self):
         nets = CycleNets.init(width=4, seed=0)
