@@ -10,16 +10,13 @@ import sys
 from dataclasses import replace as dc_replace
 from pathlib import Path
 
-import numpy as np
-
 from .attention import AnatomyMasks
 from .config import (ConfigError, echo_config, load_config, model_config,
                      parse_int_list, synthetic_spec)
-from .harness import (CLASS_NAMES, MetricsTable, ablation_sweep,
-                      gen_seg_batches, gen_synthetic, robustness_experiment,
-                      train_condition)
+from .harness import (ablation_sweep, gen_seg_batches, gen_synthetic,
+                      robustness_experiment)
 from .model import (ToyModel, gradcam, load_checkpoint, save_checkpoint,
-                    write_history, predict, train)
+                    write_history, train)
 from .seg import CycleNets, train_cyclegan_toy, write_curves
 from .serialize import write_pgm
 from .suite import run_gradcheck_suite

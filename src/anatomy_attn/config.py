@@ -8,9 +8,10 @@ provenance.
 from __future__ import annotations
 
 import configparser
+from dataclasses import asdict
 from pathlib import Path
 
-from .harness import SyntheticSpec
+from .harness import DEFAULT_TRAIN, SyntheticSpec
 from .model import ModelConfig
 
 
@@ -24,12 +25,8 @@ DEFAULTS = {
         "pooling": "pwap", "r": 0.5, "backbone_widths": "8,16,16,32",
         "n_classes": 3, "fusion": "aaa",
     },
-    "synthetic": {
-        "image_size": 32, "n_train": 480, "n_val": 64, "n_test": 128,
-        "noise": 0.25, "anatomy_contrast": 0.02, "lesion_amplitude": 1.0,
-        "lesion_radius": 2, "mask_jitter": 1, "seed": 0,
-    },
-    "train": {"epochs": 12, "lr": 3e-3, "batch": 16},
+    "synthetic": asdict(SyntheticSpec()),
+    "train": dict(DEFAULT_TRAIN),
     "seg": {"size": 16, "steps": 500, "lr": 3e-3, "width": 8,
             "n_annotated": 8, "n_unannotated": 8, "data_seed": 0},
     "robustness": {"windows": "0,2,4,6,8,10,12", "trials": 3},
@@ -75,6 +72,14 @@ def load_config(path=None, overrides=()) -> dict:
         dotted, raw = item.split("=", 1)
         section, key = dotted.split(".", 1)
         apply(section.strip(), key.strip(), raw.strip(), "--set")
+
+    for section, build in (("model", model_config),
+                           ("synthetic", synthetic_spec)):
+        try:
+            build(merged)
+        except ValueError as exc:
+            raise ConfigError(f"bad value in config section '{section}': "
+                              f"{exc}") from exc
     return merged
 
 
@@ -90,7 +95,11 @@ def echo_config(cfg: dict, out_dir) -> None:
 
 def model_config(cfg: dict) -> ModelConfig:
     m = cfg["model"]
-    widths = tuple(int(x) for x in str(m["backbone_widths"]).split(","))
+    try:
+        widths = tuple(int(x) for x in str(m["backbone_widths"]).split(","))
+    except ValueError:
+        raise ValueError(f"backbone_widths must be comma-separated integers, "
+                         f"got {m['backbone_widths']!r}") from None
     return ModelConfig(image_size=m["image_size"], mask_size=m["mask_size"],
                        attention_level=m["attention_level"],
                        pooling=m["pooling"], r=m["r"],
@@ -98,11 +107,8 @@ def model_config(cfg: dict) -> ModelConfig:
                        fusion=m["fusion"])
 
 
-def synthetic_spec(cfg: dict, seed: int | None = None) -> SyntheticSpec:
-    s = dict(cfg["synthetic"])
-    if seed is not None:
-        s["seed"] = seed
-    return SyntheticSpec(**s)
+def synthetic_spec(cfg: dict) -> SyntheticSpec:
+    return SyntheticSpec(**cfg["synthetic"])
 
 
 def parse_int_list(raw: str):

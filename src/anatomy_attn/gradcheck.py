@@ -6,8 +6,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .tensor import Tensor
-
 
 @dataclass
 class GradCheckReport:

@@ -1,81 +1,23 @@
-"""Synthetic lesion/anatomy data, ROC-AUC, and the experiment drivers:
+"""Synthetic lesion/anatomy data and the experiments run on it:
 attention-level / pooling / mask-size / image-size ablations and the
 cutout robustness sweep."""
 
 from __future__ import annotations
 
-import csv
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace as dc_replace
-from pathlib import Path
 
 import numpy as np
 from scipy import ndimage
-from scipy.stats import rankdata
 
 from .attention import AnatomyMasks
+from .metrics import MetricsTable, auc
 from .model import ModelConfig, ToyModel, predict, train
 from .seg import SegBatch, apply_cutout, sample_cutout_windows
 from .tensor import Tensor
 
 CLASS_NAMES = ("lung_lesion", "heart_lesion", "outside_lesion")
-
-
-# -- metric -------------------------------------------------------------------
-
-
-def auc(scores, labels) -> float:
-    """Percent area under the ROC curve via the Mann-Whitney statistic:
-    (#concordant + 0.5 * #ties) / (P * N) * 100."""
-    scores = np.asarray(scores, dtype=np.float64)
-    labels = np.asarray(labels)
-    if scores.shape != labels.shape or scores.ndim != 1:
-        raise ValueError("auc expects matching 1-D scores and labels")
-    pos = int(labels.sum())
-    neg = len(labels) - pos
-    if pos == 0 or neg == 0:
-        raise ValueError("auc needs at least one positive and one negative")
-    ranks = rankdata(scores)  # average ranks handle ties
-    u = ranks[labels == 1].sum() - pos * (pos + 1) / 2.0
-    return float(u / (pos * neg) * 100.0)
-
-
-# -- metrics table ------------------------------------------------------------
-
-
-class MetricsTable:
-    """Rows of (condition, class_name, auc_percent) plus mean rows."""
-
-    HEADER = ["condition", "class_name", "auc_percent"]
-
-    def __init__(self):
-        self.rows = []
-
-    def add(self, condition: str, class_name: str, auc_percent: float) -> None:
-        if not 0.0 <= auc_percent <= 100.0:
-            raise ValueError(f"auc_percent {auc_percent} outside [0,100]")
-        self.rows.append((condition, class_name, float(auc_percent)))
-
-    def add_mean(self, condition: str) -> float:
-        vals = [a for c, n, a in self.rows
-                if c == condition and n != "mean"]
-        mean = float(np.mean(vals))
-        self.add(condition, "mean", mean)
-        return mean
-
-    def value(self, condition: str, class_name: str = "mean") -> float:
-        for c, n, a in self.rows:
-            if c == condition and n == class_name:
-                return a
-        raise KeyError((condition, class_name))
-
-    def write_csv(self, path) -> None:
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(self.HEADER)
-            for condition, class_name, val in self.rows:
-                writer.writerow([condition, class_name, f"{val:.6f}"])
 
 
 # -- synthetic classification data -------------------------------------------
@@ -255,11 +197,18 @@ ABLATION_AXES = {
 DEFAULT_TRAIN = {"epochs": 12, "lr": 3e-3, "batch": 16}
 
 
-def _sweep_threads() -> int:
+def parallel_map(fn, items) -> list:
+    """`[fn(x) for x in items]`, on ANATOMY_ATTN_THREADS threads (1 when
+    unset or invalid). Threads, not processes, so `process_time()` around a
+    call still counts all of its CPU."""
     try:
-        return max(1, int(os.environ.get("ANATOMY_ATTN_THREADS", "1")))
+        threads = max(1, int(os.environ.get("ANATOMY_ATTN_THREADS", "1")))
     except ValueError:
-        return 1
+        threads = 1
+    if threads == 1:
+        return [fn(x) for x in items]
+    with ThreadPoolExecutor(max_workers=threads) as pool:
+        return list(pool.map(fn, items))
 
 
 def _test_aucs(model: ToyModel, data: dict) -> list:
@@ -298,13 +247,7 @@ def ablation_sweep(axis: str, base_config: ModelConfig, spec: SyntheticSpec,
         model, data = train_condition(cfg, spec, seed, train_kwargs)
         return value, seed, _test_aucs(model, data)
 
-    cells = [(v, s) for v in values for s in seeds]
-    threads = _sweep_threads()
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(run_cell, cells))
-    else:
-        results = [run_cell(c) for c in cells]
+    results = parallel_map(run_cell, [(v, s) for v in values for s in seeds])
 
     table = MetricsTable()
     for value in values:
@@ -324,21 +267,18 @@ def evaluate_with_cutout(model: ToyModel, data: dict, window: int,
     noisy masks. `shared_windows[(window, trial)]`, when supplied, pins the
     window locations so competing models see identical corruption."""
     masks = AnatomyMasks(Tensor(data["test_lung"]), Tensor(data["test_heart"]))
+    if shared_windows is None:
+        shared_windows = {}
     vals = []
     for t in range(trials):
         if window == 0:
             cut = masks
         else:
-            if shared_windows is not None:
-                key = (window, t)
-                if key not in shared_windows:
-                    shared_windows[key] = sample_cutout_windows(
-                        masks, window, base_seed + 1000 * window + t)
-                wins = shared_windows[key]
-            else:
-                wins = sample_cutout_windows(
+            key = (window, t)
+            if key not in shared_windows:
+                shared_windows[key] = sample_cutout_windows(
                     masks, window, base_seed + 1000 * window + t)
-            cut = apply_cutout(masks, wins, window)
+            cut = apply_cutout(masks, shared_windows[key], window)
         probs = predict(model, data["test_images"], cut.lung.data,
                         cut.heart.data)
         vals.append(np.mean([auc(probs[:, k], data["test_labels"][:, k])

@@ -7,13 +7,15 @@ from __future__ import annotations
 
 import csv
 import json
-from dataclasses import dataclass, asdict, replace
+from dataclasses import dataclass, asdict, fields, replace
 from pathlib import Path
 
 import numpy as np
 
 from .attention import AaaParams, AnatomyMasks, PwapParams, aaa_forward, pwap
+from .metrics import auc
 from .ops import LinearParams, conv3x3, fully_connected, resize
+from .optim import Adam
 from .serialize import load_tensors, save_tensors
 from .tensor import DivergenceError, NonFiniteError, Tensor, concat
 
@@ -224,8 +226,6 @@ def predict(model: ToyModel, images: np.ndarray, lung: np.ndarray | None,
 
 
 def _mean_val_auc(model: ToyModel, data: dict) -> float:
-    from .harness import auc
-
     probs = predict(model, data["val_images"], data.get("val_lung"),
                     data.get("val_heart"))
     labels = data["val_labels"]
@@ -245,11 +245,13 @@ def train(model: ToyModel, data: dict, epochs: int, lr: float,
     `data` holds train_/val_ images, (noisy) lung/heart masks, and binary
     label matrices. Returns (model-with-best-weights, history rows).
     """
-    from .optim import Adam
-
+    n = len(data["train_images"])
+    if batch < 2 or n < 2:
+        raise ValueError(f"train-mode batch norm needs batches of >= 2 "
+                         f"images; got batch={batch} with {n} training "
+                         f"images")
     rng = np.random.default_rng(seed)
     opt = Adam([t for _, t in model.parameters()], lr)
-    n = len(data["train_images"])
     history = []
     best = (-1.0, model.snapshot())
     for epoch in range(epochs):
@@ -398,6 +400,9 @@ def save_checkpoint(model: ToyModel, out_dir) -> None:
 def load_checkpoint(out_dir) -> ToyModel:
     out_dir = Path(out_dir)
     cfg = json.loads((out_dir / "config.json").read_text())
+    unknown = sorted(set(cfg) - {f.name for f in fields(ModelConfig)})
+    if unknown:
+        raise ValueError(f"unknown config keys in checkpoint: {unknown}")
     model = ToyModel(ModelConfig(**cfg))
     model.load_state(load_tensors(out_dir / "weights.bin"))
     model.set_mode("eval")

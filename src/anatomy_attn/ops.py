@@ -263,16 +263,13 @@ def batch_norm(x: Tensor, s: BatchNormState) -> Tensor:
 def softmax_pair(a: Tensor, b: Tensor):
     """Two-way channelwise softmax: sigma(a), sigma(b) summing to 1.
 
-    Stabilized by shifting both logits by their elementwise max; the shift
-    is constant w.r.t. the gradient, which softmax makes exact.
+    A two-way softmax is the logistic of the logit difference, so this
+    reuses the overflow-safe `Tensor.sigmoid`.
     """
     if a.shape != b.shape:
         raise ValueError(f"softmax_pair shape mismatch: {a.shape} vs {b.shape}")
-    shift = Tensor(np.maximum(a.data, b.data))
-    ea = (a - shift).exp()
-    eb = (b - shift).exp()
-    denom = ea + eb
-    return ea / denom, eb / denom
+    d = a - b
+    return d.sigmoid(), (-d).sigmoid()
 
 
 def softmax_channels(x: Tensor) -> Tensor:

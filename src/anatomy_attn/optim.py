@@ -4,8 +4,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from .tensor import Tensor
-
 
 class Adam:
     """Adam with (beta1, beta2) = (0.9, 0.99) by default and a fixed lr."""

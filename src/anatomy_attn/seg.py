@@ -13,6 +13,7 @@ import numpy as np
 
 from .attention import AnatomyMasks
 from .ops import conv3x3, softmax_channels
+from .optim import Adam
 from .tensor import DivergenceError, NonFiniteError, Tensor
 
 LOG_CLAMP = 1e-12
@@ -191,8 +192,6 @@ def train_cyclegan_toy(batches, nets: CycleNets, steps: int, lr: float):
 
     Returns (nets, curves) with one curve row per step.
     """
-    from .optim import Adam
-
     gen_params = [t for _, t in nets.generator_parameters()]
     disc_params = [t for _, t in nets.discriminator_parameters()]
     opt_g = Adam(gen_params, lr)
@@ -301,10 +300,3 @@ def apply_cutout(masks: AnatomyMasks, windows, window: int) -> AnatomyMasks:
             lung[s, 0, i0c:i1c, j0c:j1c] = 0.0
             heart[s, 0, i0c:i1c, j0c:j1c] = 0.0
     return AnatomyMasks(Tensor(lung), Tensor(heart))
-
-
-def cutout(masks: AnatomyMasks, window: int, rng_seed: int) -> AnatomyMasks:
-    """Corrupt masks with one randomly placed square window per sample;
-    deterministic given rng_seed."""
-    windows = sample_cutout_windows(masks, window, rng_seed)
-    return apply_cutout(masks, windows, window)

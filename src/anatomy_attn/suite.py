@@ -8,11 +8,12 @@ import zlib
 
 import numpy as np
 
-from .attention import AaaParams, AnatomyMasks, aaa_forward, couple_attention, pwap
-from .gradcheck import GradCheckReport, grad_check
+from .attention import (AaaParams, AnatomyMasks, PwapParams, aaa_forward,
+                        couple_attention, pwap)
+from .gradcheck import grad_check
 from .model import ModelConfig, ToyModel, bce_loss
 from .ops import (BatchNormState, LinearParams, batch_norm, conv3x3, conv_1x1,
-                  fully_connected, resize, softmax_pair)
+                  fully_connected, resize, softmax_channels, softmax_pair)
 from .seg import CycleNets, SegBatch, adv_losses, cycle_losses, gen_losses, pixel_ce
 from .tensor import Tensor
 
@@ -96,7 +97,6 @@ def _attention_targets(rng):
     kbias = _rand(rng, 1)
 
     def pwap_target(f, k, b):
-        from .attention import PwapParams
         v, p = pwap(f, PwapParams(k, b))
         return (v ** 2).sum() + p.sum() * 0.1
 
@@ -148,18 +148,13 @@ def _seg_targets(rng):
 
     onehot = Tensor(_onehot_masks(rng, 1, 4, 4))
     targets = [("pixel_ce",
-                lambda x: pixel_ce(onehot, _softmax4(x)),
+                lambda x: pixel_ce(onehot, softmax_channels(x)),
                 [Tensor(np.random.default_rng(11).normal(size=(1, 3, 4, 4)))])]
     for name, fn in (("gen_losses", gen_losses),
                      ("adv_losses", adv_losses),
                      ("cycle_losses", cycle_losses)):
         targets.append((name, make(fn), net_tensors))
     return targets
-
-
-def _softmax4(x):
-    from .ops import softmax_channels
-    return softmax_channels(x)
 
 
 def _onehot_masks(rng, n, h, w):

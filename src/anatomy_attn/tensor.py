@@ -18,6 +18,12 @@ class DivergenceError(RuntimeError):
     """Training produced a non-finite loss."""
 
 
+# Ops that can overflow run with numpy's floating-point warnings off:
+# _from_op raises NonFiniteError naming the op instead. One shared errstate
+# decorator costs less per call than a `with` block and is thread-safe.
+_ignore_fp_errors = np.errstate(all="ignore")
+
+
 def _check_finite(data: np.ndarray, op: str) -> None:
     if not np.all(np.isfinite(data)):
         raise NonFiniteError(f"non-finite values produced by op '{op}'")
@@ -77,9 +83,6 @@ class Tensor:
     def detach(self) -> "Tensor":
         return Tensor(self.data.copy())
 
-    def zero_grad(self) -> None:
-        self.grad = None
-
     def __repr__(self):
         return f"Tensor(shape={self.shape}, requires_grad={self.requires_grad})"
 
@@ -125,6 +128,7 @@ class Tensor:
 
     # -- elementwise ops ------------------------------------------------------
 
+    @_ignore_fp_errors
     def __add__(self, other):
         other = _as_tensor(other)
         out_data = self.data + other.data
@@ -146,6 +150,7 @@ class Tensor:
     def __rsub__(self, other):
         return _as_tensor(other) + (-self)
 
+    @_ignore_fp_errors
     def __mul__(self, other):
         other = _as_tensor(other)
         out_data = self.data * other.data
@@ -158,10 +163,10 @@ class Tensor:
 
     __rmul__ = __mul__
 
+    @_ignore_fp_errors
     def __truediv__(self, other):
         other = _as_tensor(other)
-        with np.errstate(all="ignore"):  # finiteness checked in _from_op
-            out_data = self.data / other.data
+        out_data = self.data / other.data
 
         def bwd(g):
             return [(self, _unbroadcast(g / other.data, self.shape)),
@@ -173,36 +178,36 @@ class Tensor:
     def __rtruediv__(self, other):
         return _as_tensor(other) / self
 
+    @_ignore_fp_errors
     def __pow__(self, exponent: float):
-        with np.errstate(all="ignore"):
-            out_data = self.data ** exponent
+        out_data = self.data ** exponent
 
         def bwd(g):
             return [(self, g * exponent * self.data ** (exponent - 1))]
 
         return Tensor._from_op(out_data, (self,), bwd, "pow")
 
+    @_ignore_fp_errors
     def exp(self):
-        with np.errstate(all="ignore"):
-            out_data = np.exp(self.data)
+        out_data = np.exp(self.data)
 
         def bwd(g):
             return [(self, g * out_data)]
 
         return Tensor._from_op(out_data, (self,), bwd, "exp")
 
+    @_ignore_fp_errors
     def log(self):
-        with np.errstate(all="ignore"):
-            out_data = np.log(self.data)
+        out_data = np.log(self.data)
 
         def bwd(g):
             return [(self, g / self.data)]
 
         return Tensor._from_op(out_data, (self,), bwd, "log")
 
+    @_ignore_fp_errors
     def sqrt(self):
-        with np.errstate(all="ignore"):
-            out_data = np.sqrt(self.data)
+        out_data = np.sqrt(self.data)
 
         def bwd(g):
             return [(self, g * 0.5 / out_data)]
@@ -296,6 +301,7 @@ class Tensor:
 
         return Tensor._from_op(self.data.reshape(shape), (self,), bwd, "reshape")
 
+    @_ignore_fp_errors
     def __matmul__(self, other):
         other = _as_tensor(other)
         out_data = self.data @ other.data
@@ -326,14 +332,3 @@ def concat(tensors, axis: int) -> Tensor:
         return pieces
 
     return Tensor._from_op(out_data, tensors, bwd, "concat")
-
-
-def stack_rows(tensors) -> Tensor:
-    """Stack same-shape tensors along a new leading axis."""
-    tensors = [_as_tensor(t) for t in tensors]
-    out_data = np.stack([t.data for t in tensors], axis=0)
-
-    def bwd(g):
-        return [(t, g[i]) for i, t in enumerate(tensors)]
-
-    return Tensor._from_op(out_data, tensors, bwd, "stack")

@@ -15,8 +15,8 @@ import pytest
 
 from anatomy_attn.harness import (CLASS_NAMES, SyntheticSpec, auc,
                                   evaluate_with_cutout, gen_seg_batches,
-                                  robustness_sweep, train_condition,
-                                  _test_aucs)
+                                  parallel_map, robustness_sweep,
+                                  train_condition, _test_aucs)
 from anatomy_attn.model import ModelConfig, bce_loss
 from anatomy_attn.seg import (CycleNets, binarize_masks, pixel_ce,
                               train_cyclegan_toy)
@@ -34,15 +34,6 @@ def _line(num, desc, ok, detail=""):
     print(f"{status}  criterion {num}: {desc}{suffix}",
           file=sys.__stdout__, flush=True)
     assert ok, f"criterion {num}: {desc}{suffix}"
-
-
-def _parallel(fn, cells):
-    from concurrent.futures import ThreadPoolExecutor
-    threads = int(os.environ["ANATOMY_ATTN_THREADS"])
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            return list(pool.map(fn, cells))
-    return [fn(c) for c in cells]
 
 
 @pytest.fixture(scope="session")
@@ -73,9 +64,9 @@ def trained(spec):
     # threads and is immune to other load on the host.
     level_cells = [(n, s) for n in ("L0", "L1", "L2") for s in SEEDS]
     t0 = time.process_time()
-    results = dict(_parallel(run, level_cells))
+    results = dict(parallel_map(run, level_cells))
     results["elapsed"] = time.process_time() - t0
-    results.update(_parallel(run, [("hardmask", s) for s in SEEDS]))
+    results.update(parallel_map(run, [("hardmask", s) for s in SEEDS]))
     return results
 
 
@@ -179,7 +170,7 @@ class TestAcceptance:
             _, curves = train_cyclegan_toy(batches, nets, steps=500, lr=3e-3)
             by_step = {row[0]: row[1] for row in curves}
             return by_step[500] / by_step[10]
-        ratios = _parallel(run, list(SEEDS))
+        ratios = parallel_map(run, list(SEEDS))
         med = float(np.median(ratios))
         _line(6, "supervised mask loss at step 500 is <= 50% of step 10 "
                  "(median of 3 seeds)", med <= 0.5, f"ratio={med:.3f}")

@@ -1,10 +1,13 @@
 """Command-line interface: exit codes, config handling, artifacts."""
 
+from dataclasses import asdict
+
 import numpy as np
 import pytest
 
 from anatomy_attn.cli import main
 from anatomy_attn.config import ConfigError, DEFAULTS, load_config
+from anatomy_attn.harness import SyntheticSpec
 
 
 # small overrides so CLI tests stay fast
@@ -53,11 +56,21 @@ class TestConfig:
         with pytest.raises(ConfigError):
             load_config(None, ["no-equals-sign"])
 
+    def test_synthetic_defaults_are_the_spec_defaults(self):
+        assert DEFAULTS["synthetic"] == asdict(SyntheticSpec())
+
 
 class TestExitCodes:
     def test_unknown_config_key_exits_2(self, capsys):
         assert main(["--set", "train.warmup=1", "seg-toy"]) == 2
         assert "warmup" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("override, key", [
+        ("model.attention_level=L9", "attention_level"),
+        ("model.backbone_widths=8,x", "backbone_widths")])
+    def test_invalid_config_value_exits_2(self, capsys, override, key):
+        assert main(["--set", override, "train"]) == 2
+        assert key in capsys.readouterr().err
 
     def test_unknown_subcommand_exits_2(self):
         with pytest.raises(SystemExit) as exc:

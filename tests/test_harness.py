@@ -1,13 +1,20 @@
 """Evaluation harness: AUC, metrics tables, synthetic data, sweeps."""
 
+import os
+import subprocess
+import sys
+import threading
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from scipy.stats import rankdata
 
 from anatomy_attn.harness import (ABLATION_AXES, CLASS_NAMES, MetricsTable,
                                   SyntheticSpec, auc, evaluate_with_cutout,
-                                  gen_seg_batches, gen_synthetic)
+                                  gen_seg_batches, gen_synthetic,
+                                  parallel_map)
 
 
 def _brute_force_auc(scores, labels):
@@ -58,6 +65,36 @@ class TestAuc:
     def test_shape_mismatch_rejected(self):
         with pytest.raises(ValueError):
             auc([1.0, 2.0, 3.0], [1, 0])
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_scores_rejected(self, bad):
+        with pytest.raises(ValueError, match="finite"):
+            auc([0.5, bad, 0.1], [1, 0, 0])
+
+    @given(st.lists(st.tuples(
+        st.one_of(st.sampled_from([-2.5, 0.0, 1e-300, 0.1, 0.3, 7.0]),
+                  st.floats(-1e6, 1e6, allow_nan=False)),
+        st.booleans()), min_size=2, max_size=40))
+    @settings(max_examples=200, deadline=None)
+    def test_equals_scipy_rankdata_formula(self, pairs):
+        # reference: the scipy average-rank formulation, bit for bit
+        scores = np.array([s for s, _ in pairs])
+        labels = np.array([float(y) for _, y in pairs])
+        pos = int(labels.sum())
+        neg = len(labels) - pos
+        assume(pos > 0 and neg > 0)
+        u = rankdata(scores)[labels == 1].sum() - pos * (pos + 1) / 2.0
+        assert auc(scores, labels) == float(u / (pos * neg) * 100.0)
+
+    def test_suite_import_leaves_scipy_out(self):
+        # the model and gradcheck suite reach auc without importing scipy
+        script = ("import sys, anatomy_attn.suite\n"
+                  "print(sorted(m for m in sys.modules if m == 'scipy'"
+                  " or m.startswith('scipy.')))\n")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+        out = subprocess.run([sys.executable, "-c", script], env=env,
+                             check=True, capture_output=True, text=True)
+        assert out.stdout.strip() == "[]"
 
     @given(st.lists(st.integers(-100, 100), min_size=4, max_size=12))
     @settings(max_examples=50, deadline=None)
@@ -159,6 +196,29 @@ class TestSyntheticData:
 
 
 class TestSweeps:
+    def test_parallel_map_same_on_one_and_two_threads(self, monkeypatch):
+        def work(x):
+            return x * x, threading.get_ident()
+
+        items = list(range(40))
+        runs = {}
+        for threads in ("1", "2"):
+            monkeypatch.setenv("ANATOMY_ATTN_THREADS", threads)
+            runs[threads] = parallel_map(work, items)
+        assert [r[0] for r in runs["1"]] == [x * x for x in items]
+        assert [r[0] for r in runs["2"]] == [r[0] for r in runs["1"]]
+        assert {r[1] for r in runs["1"]} == {threading.get_ident()}
+
+    @pytest.mark.parametrize("raw", [None, "zero", "0", "-3"])
+    def test_parallel_map_unset_or_invalid_threads_is_serial(self, raw,
+                                                             monkeypatch):
+        if raw is None:
+            monkeypatch.delenv("ANATOMY_ATTN_THREADS", raising=False)
+        else:
+            monkeypatch.setenv("ANATOMY_ATTN_THREADS", raw)
+        idents = parallel_map(lambda _: threading.get_ident(), range(4))
+        assert set(idents) == {threading.get_ident()}
+
     def test_ablation_axes_registry(self):
         assert set(ABLATION_AXES) == {"attention_level", "pooling",
                                       "mask_size", "image_size"}

@@ -1,5 +1,7 @@
 """Classifier model: wiring, losses, training, inference helpers."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -167,6 +169,19 @@ class TestTraining:
         best_logged = max(h[2] for h in history)
         np.testing.assert_allclose(final_auc, best_logged, atol=1e-9)
 
+    @pytest.mark.parametrize("n, batch", [(24, 1), (1, 8)])
+    def test_no_runnable_step_rejected_before_training(self, rng, n, batch):
+        # train-mode batch norm needs >= 2 samples, so no step could run
+        data = self._data(rng)
+        data = {k: v[:n] if k.startswith("train_") else v
+                for k, v in data.items()}
+        model = ToyModel(_cfg(attention_level="L0", fusion="none"), seed=0)
+        before = model.snapshot()
+        with pytest.raises(ValueError, match="batch"):
+            train(model, data, epochs=1, lr=1e-3, batch=batch, seed=0)
+        for name, arr in model.snapshot().items():
+            np.testing.assert_array_equal(arr, before[name])
+
 
 class TestTenCrop:
     def test_full_size_crop_equals_flip_average(self, rng):
@@ -249,3 +264,12 @@ class TestCheckpoint:
         after = restored.forward(Tensor(img), masks).data
         np.testing.assert_array_equal(before, after)
         assert restored.config == model.config
+
+    def test_unknown_config_key_named(self, tmp_path):
+        save_checkpoint(ToyModel(_cfg(), seed=0), tmp_path / "ckpt")
+        path = tmp_path / "ckpt" / "config.json"
+        cfg = json.loads(path.read_text())
+        cfg["bogus"] = 1
+        path.write_text(json.dumps(cfg))
+        with pytest.raises(ValueError, match="bogus"):
+            load_checkpoint(tmp_path / "ckpt")

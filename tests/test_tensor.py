@@ -1,12 +1,13 @@
 """Tensor core: forward values, reverse-mode gradients, error handling."""
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from anatomy_attn import NonFiniteError, Tensor, concat
-from anatomy_attn.tensor import stack_rows
 
 
 def _grad_of(f, x_data):
@@ -66,8 +67,6 @@ class TestForward:
         assert a.reshape((3, 2)).shape == (3, 2)
         c = concat([a, a], axis=0)
         assert c.shape == (4, 3)
-        s = stack_rows([Tensor([1.0, 2.0]), Tensor([3.0, 4.0])])
-        np.testing.assert_array_equal(s.data, [[1, 2], [3, 4]])
 
     def test_rank_limit(self):
         with pytest.raises(ValueError):
@@ -173,6 +172,15 @@ class TestNonFinite:
     def test_nan_construction_raises(self):
         with pytest.raises(NonFiniteError):
             Tensor([np.nan])
+
+    @pytest.mark.parametrize("op", [lambda a, b: a + b, lambda a, b: a * b,
+                                    lambda a, b: a @ b],
+                             ids=["add", "mul", "matmul"])
+    def test_overflow_raises_without_numpy_warning(self, op):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NonFiniteError):
+                op(Tensor([[1.7e308]]), Tensor([[1.7e308]]))
 
 
 finite_arrays = st.lists(
