@@ -39,9 +39,6 @@ class PwapParams:
         return cls(Tensor(np.zeros((1, channels)), requires_grad=True),
                    Tensor(np.zeros(1), requires_grad=True))
 
-    def tensors(self, prefix: str):
-        return [(f"{prefix}.kernel", self.kernel), (f"{prefix}.bias", self.bias)]
-
 
 @dataclass
 class AttentionEncoderParams:
@@ -55,7 +52,6 @@ class AttentionEncoderParams:
     bn1: BatchNormState
     fc2: LinearParams
     bn2: BatchNormState
-    r: float = 0.5
 
     @classmethod
     def init(cls, channels: int, r: float, rng: np.random.Generator):
@@ -65,20 +61,11 @@ class AttentionEncoderParams:
         return cls(LinearParams.init(channels, hidden, rng),
                    BatchNormState.init(hidden),
                    LinearParams.init(hidden, channels, rng),
-                   BatchNormState.init(channels), r=r)
+                   BatchNormState.init(channels))
 
     def apply(self, v: Tensor) -> Tensor:
         h = batch_norm(fully_connected(v, self.fc1).relu(), self.bn1)
         return batch_norm(fully_connected(h, self.fc2).relu(), self.bn2)
-
-    def tensors(self, prefix: str):
-        return (self.fc1.tensors(f"{prefix}.fc1")
-                + self.bn1.tensors(f"{prefix}.bn1")
-                + self.fc2.tensors(f"{prefix}.fc2")
-                + self.bn2.tensors(f"{prefix}.bn2"))
-
-    def bn_states(self):
-        return [self.bn1, self.bn2]
 
 
 @dataclass
@@ -135,22 +122,6 @@ class AaaParams:
                    PwapParams.init(channels),
                    BatchNormState.init(channels), BatchNormState.init(channels),
                    BatchNormState.init(channels), BatchNormState.init(channels))
-
-    def tensors(self, prefix: str):
-        out = []
-        for name, enc in (("enc1", self.enc1), ("enc2", self.enc2),
-                          ("enc3", self.enc3)):
-            out += enc.tensors(f"{prefix}.{name}")
-        out += self.intra_pwap.tensors(f"{prefix}.intra_pwap")
-        for name, bn in (("bn_le", self.bn_le), ("bn_he", self.bn_he),
-                         ("bn_bks", self.bn_bks), ("bn_fuse", self.bn_fuse)):
-            out += bn.tensors(f"{prefix}.{name}")
-        return out
-
-    def bn_states(self):
-        return (self.enc1.bn_states() + self.enc2.bn_states()
-                + self.enc3.bn_states()
-                + [self.bn_le, self.bn_he, self.bn_bks, self.bn_fuse])
 
 
 def pwap(feat: Tensor, p: PwapParams):

@@ -37,12 +37,16 @@ def cmd_gradcheck(args, cfg) -> int:
     for r in reports:
         status = "PASS" if r.passed else "FAIL"
         print(f"{status}  {r.name:28s} max_rel_err={r.max_rel_err:.3e} "
-              f"(tol {r.tol:g})")
+              f"(tol {r.tol:g}) margin={r.margin:.3g} "
+              f"skipped_kinks={r.skipped_kinks}")
+    worst = min(reports, key=lambda r: r.margin)
+    summary = (f"worst {worst.name} margin={worst.margin:.3g}, "
+               f"{sum(r.skipped_kinks for r in reports)} kinks skipped")
     if failed:
         print(f"gradcheck: {len(failed)} target(s) failed: "
-              + ", ".join(r.name for r in failed))
+              + ", ".join(r.name for r in failed) + f"; {summary}")
         return 1
-    print(f"gradcheck: all {len(reports)} targets passed")
+    print(f"gradcheck: all {len(reports)} targets passed; {summary}")
     return 0
 
 

@@ -12,20 +12,19 @@ from dataclasses import asdict
 from pathlib import Path
 
 from .harness import DEFAULT_TRAIN, SyntheticSpec
-from .model import ModelConfig
+from .model import ModelConfig, check_train_args
 
 
 class ConfigError(ValueError):
     pass
 
 
+# synthetic.image_size is left out: every command generates its data at
+# the model's image size
 DEFAULTS = {
-    "model": {
-        "image_size": 32, "mask_size": 16, "attention_level": "L2",
-        "pooling": "pwap", "r": 0.5, "backbone_widths": "8,16,16,32",
-        "n_classes": 3, "fusion": "aaa",
-    },
-    "synthetic": asdict(SyntheticSpec()),
+    "model": asdict(ModelConfig()),
+    "synthetic": {k: v for k, v in asdict(SyntheticSpec()).items()
+                  if k != "image_size"},
     "train": dict(DEFAULT_TRAIN),
     "seg": {"size": 16, "steps": 500, "lr": 3e-3, "width": 8,
             "n_annotated": 8, "n_unannotated": 8, "data_seed": 0},
@@ -35,6 +34,8 @@ DEFAULTS = {
 
 def _convert(section: str, key: str, raw: str):
     ref = DEFAULTS[section][key]
+    if isinstance(ref, tuple):
+        return tuple(parse_int_list(raw))
     if isinstance(ref, int) and not isinstance(ref, bool):
         return int(raw)
     if isinstance(ref, float):
@@ -73,20 +74,21 @@ def load_config(path=None, overrides=()) -> dict:
         section, key = dotted.split(".", 1)
         apply(section.strip(), key.strip(), raw.strip(), "--set")
 
-    for section, build in (("model", model_config),
-                           ("synthetic", synthetic_spec)):
-        try:
-            build(merged)
-        except ValueError as exc:
-            raise ConfigError(f"bad value in config section '{section}': "
-                              f"{exc}") from exc
+    s, t = merged["synthetic"], merged["train"]
+    try:
+        model_config(merged)
+        check_train_args(s["n_train"], s["n_val"], t["epochs"], t["batch"])
+    except ValueError as exc:
+        raise ConfigError(f"bad config value: {exc}") from exc
     return merged
 
 
 def echo_config(cfg: dict, out_dir) -> None:
     parser = configparser.ConfigParser()
     for section in sorted(cfg):
-        parser[section] = {k: str(v) for k, v in sorted(cfg[section].items())}
+        parser[section] = {
+            k: ",".join(map(str, v)) if isinstance(v, tuple) else str(v)
+            for k, v in sorted(cfg[section].items())}
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     with open(out_dir / "config.ini", "w") as fh:
@@ -94,17 +96,7 @@ def echo_config(cfg: dict, out_dir) -> None:
 
 
 def model_config(cfg: dict) -> ModelConfig:
-    m = cfg["model"]
-    try:
-        widths = tuple(int(x) for x in str(m["backbone_widths"]).split(","))
-    except ValueError:
-        raise ValueError(f"backbone_widths must be comma-separated integers, "
-                         f"got {m['backbone_widths']!r}") from None
-    return ModelConfig(image_size=m["image_size"], mask_size=m["mask_size"],
-                       attention_level=m["attention_level"],
-                       pooling=m["pooling"], r=m["r"],
-                       backbone_widths=widths, n_classes=m["n_classes"],
-                       fusion=m["fusion"])
+    return ModelConfig(**cfg["model"])
 
 
 def synthetic_spec(cfg: dict) -> SyntheticSpec:

@@ -19,6 +19,11 @@ class GradCheckReport:
     def passed(self) -> bool:
         return self.max_rel_err <= self.tol
 
+    @property
+    def margin(self) -> float:
+        """tol / max_rel_err: > 1 passes, and larger is safer (inf at 0)."""
+        return self.tol / self.max_rel_err if self.max_rel_err else np.inf
+
 
 # Relative disagreement between two finite-difference estimates above which
 # a coordinate is treated as sitting on a kink (ReLU/max/clamp): independent

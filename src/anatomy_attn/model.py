@@ -14,7 +14,8 @@ import numpy as np
 
 from .attention import AaaParams, AnatomyMasks, PwapParams, aaa_forward, pwap
 from .metrics import auc
-from .ops import LinearParams, conv3x3, fully_connected, resize
+from .ops import (ConvParams, LinearParams, bn_states, conv3x3,
+                  fully_connected, named_tensors, resize)
 from .optim import Adam
 from .serialize import load_tensors, save_tensors
 from .tensor import DivergenceError, NonFiniteError, Tensor, concat
@@ -30,7 +31,7 @@ _HEAD_STAGES = {"L0": (3,), "L1": (3,), "L2": (2, 3), "L3": (1, 2, 3)}
 
 @dataclass
 class ModelConfig:
-    image_size: int = 64
+    image_size: int = 32
     mask_size: int = 16
     attention_level: str = "L2"
     pooling: str = "pwap"
@@ -50,7 +51,10 @@ class ModelConfig:
         if len(self.backbone_widths) != 4:
             raise ValueError("backbone_widths must list 4 stage widths")
         if self.r <= 0:
-            raise ValueError("reduction ratio must be > 0")
+            raise ValueError("reduction ratio r must be > 0")
+        for key in ("image_size", "mask_size", "n_classes"):
+            if getattr(self, key) < 1:
+                raise ValueError(f"{key} must be >= 1")
 
     @property
     def head_stages(self) -> tuple:
@@ -68,13 +72,8 @@ class ToyModel:
         self.config = config
         rng = np.random.default_rng(seed)
         widths = (1,) + config.backbone_widths
-        self.stages = []
-        for cin, cout in zip(widths[:-1], widths[1:]):
-            bound = 1.0 / np.sqrt(cin * 9)
-            w = Tensor(rng.uniform(-bound, bound, size=(cout, cin, 3, 3)),
-                       requires_grad=True)
-            b = Tensor(np.zeros(cout), requires_grad=True)
-            self.stages.append((w, b))
+        self.stages = [ConvParams.init(cin, cout, rng)
+                       for cin, cout in zip(widths[:-1], widths[1:])]
 
         self.aaa = {}
         self.pool_pwap = {}
@@ -101,40 +100,40 @@ class ToyModel:
         for bn in self.bn_states():
             bn.mode = mode
 
+    def _blocks(self):
+        """(checkpoint prefix, parameter block) pairs in checkpoint order."""
+        return ([(f"stage{i}", p) for i, p in enumerate(self.stages)]
+                + [(f"aaa{si}", p) for si, p in sorted(self.aaa.items())]
+                + [(f"pool{si}", p) for si, p in sorted(self.pool_pwap.items())]
+                + [(f"pool{si}.gem_p", p)
+                   for si, p in sorted(self.pool_gem_p.items())]
+                + [("classifier", self.classifier)])
+
+    def _running_stats(self):
+        """(checkpoint name, BatchNormState, attribute) per running array."""
+        return [(f"{prefix}.bnstate{j}.{attr}", bn, attr)
+                for prefix, block in self._blocks()
+                for j, bn in enumerate(bn_states(block))
+                for attr in ("running_mean", "running_var")]
+
     def bn_states(self):
-        out = []
-        for p in self.aaa.values():
-            out += p.bn_states()
-        return out
+        return [bn for _, block in self._blocks() for bn in bn_states(block)]
 
     def parameters(self):
-        out = []
-        for i, (w, b) in enumerate(self.stages):
-            out += [(f"stage{i}.weight", w), (f"stage{i}.bias", b)]
-        for si, p in sorted(self.aaa.items()):
-            out += p.tensors(f"aaa{si}")
-        for si, p in sorted(self.pool_pwap.items()):
-            out += p.tensors(f"pool{si}")
-        for si, p in sorted(self.pool_gem_p.items()):
-            out.append((f"pool{si}.gem_p", p))
-        out += self.classifier.tensors("classifier")
-        return out
+        return [nt for prefix, block in self._blocks()
+                for nt in named_tensors(block, prefix)]
 
     def state_arrays(self):
         """Learnable tensors plus BN running statistics, fixed order."""
-        out = [(name, t.data) for name, t in self.parameters()]
-        for si, p in sorted(self.aaa.items()):
-            for j, bn in enumerate(p.bn_states()):
-                out += bn.state_arrays(f"aaa{si}.bnstate{j}")
-        return out
+        return ([(name, t.data) for name, t in self.parameters()]
+                + [(name, getattr(bn, attr))
+                   for name, bn, attr in self._running_stats()])
 
     def load_state(self, arrays: dict) -> None:
         for name, t in self.parameters():
             t.data = np.array(arrays[name], dtype=np.float64)
-        for si, p in sorted(self.aaa.items()):
-            for j, bn in enumerate(p.bn_states()):
-                bn.running_mean = np.array(arrays[f"aaa{si}.bnstate{j}.running_mean"])
-                bn.running_var = np.array(arrays[f"aaa{si}.bnstate{j}.running_var"])
+        for name, bn, attr in self._running_stats():
+            setattr(bn, attr, np.array(arrays[name]))
 
     def snapshot(self) -> dict:
         return {name: arr.copy() for name, arr in self.state_arrays()}
@@ -174,8 +173,8 @@ class ToyModel:
 
         feats = []
         x = image
-        for w, b in self.stages:
-            x = conv3x3(x, w, b, stride=2).relu()
+        for stage in self.stages:
+            x = conv3x3(x, stage.weight, stage.bias, stride=2).relu()
             feats.append(x)
 
         pooled = []
@@ -238,6 +237,19 @@ def _mean_val_auc(model: ToyModel, data: dict) -> float:
     return float(np.mean(scores)) if scores else 50.0
 
 
+def check_train_args(n_train: int, n_val: int, epochs: int,
+                     batch: int) -> None:
+    """Raise ValueError naming the argument unless every epoch can take a
+    step (train-mode batch norm needs >= 2 images) and be validated."""
+    if batch < 2 or n_train < 2:
+        raise ValueError(f"batch norm needs >= 2 images per batch; got "
+                         f"batch={batch}, n_train={n_train}")
+    if epochs < 1:
+        raise ValueError(f"epochs must be >= 1, got {epochs}")
+    if n_val < 1:
+        raise ValueError(f"n_val must be >= 1, got {n_val}")
+
+
 def train(model: ToyModel, data: dict, epochs: int, lr: float,
           batch: int, seed: int):
     """Adam training with best-validation-AUC checkpointing.
@@ -246,10 +258,7 @@ def train(model: ToyModel, data: dict, epochs: int, lr: float,
     label matrices. Returns (model-with-best-weights, history rows).
     """
     n = len(data["train_images"])
-    if batch < 2 or n < 2:
-        raise ValueError(f"train-mode batch norm needs batches of >= 2 "
-                         f"images; got batch={batch} with {n} training "
-                         f"images")
+    check_train_args(n, len(data["val_images"]), epochs, batch)
     rng = np.random.default_rng(seed)
     opt = Adam([t for _, t in model.parameters()], lr)
     history = []
@@ -392,7 +401,6 @@ def save_checkpoint(model: ToyModel, out_dir) -> None:
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     cfg = asdict(model.config)
-    cfg["backbone_widths"] = list(cfg["backbone_widths"])
     (out_dir / "config.json").write_text(json.dumps(cfg, indent=1) + "\n")
     save_tensors(out_dir / "weights.bin", model.state_arrays())
 

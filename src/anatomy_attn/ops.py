@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields, is_dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -27,8 +27,20 @@ class LinearParams:
         return cls(Tensor(w, requires_grad=True),
                    Tensor(np.zeros(out_dim), requires_grad=True))
 
-    def tensors(self, prefix: str):
-        return [(f"{prefix}.weight", self.weight), (f"{prefix}.bias", self.bias)]
+
+@dataclass
+class ConvParams:
+    """3x3 convolution parameters: out x in x 3 x 3 weight plus out bias."""
+
+    weight: Tensor
+    bias: Tensor
+
+    @classmethod
+    def init(cls, cin: int, cout: int, rng: np.random.Generator):
+        bound = 1.0 / np.sqrt(cin * 9)
+        w = rng.uniform(-bound, bound, size=(cout, cin, 3, 3))
+        return cls(Tensor(w, requires_grad=True),
+                   Tensor(np.zeros(cout), requires_grad=True))
 
 
 @dataclass
@@ -66,12 +78,26 @@ class BatchNormState:
     def channels(self) -> int:
         return self.gamma.size
 
-    def tensors(self, prefix: str):
-        return [(f"{prefix}.gamma", self.gamma), (f"{prefix}.beta", self.beta)]
 
-    def state_arrays(self, prefix: str):
-        return [(f"{prefix}.running_mean", self.running_mean),
-                (f"{prefix}.running_var", self.running_var)]
+def _walk(block, prefix: str, kind: type):
+    """(name, value) for every `kind` in a parameter block: a dataclass
+    recurses over its fields in declaration order as `prefix.field`, and
+    anything else that is not a `kind` yields nothing."""
+    if isinstance(block, kind):
+        yield prefix, block
+    elif is_dataclass(block):
+        for f in fields(block):
+            yield from _walk(getattr(block, f.name), f"{prefix}.{f.name}", kind)
+
+
+def named_tensors(block, prefix: str):
+    """(checkpoint name, Tensor) for every learnable tensor in `block`."""
+    return _walk(block, prefix, Tensor)
+
+
+def bn_states(block) -> list:
+    """Every BatchNormState in `block`, in field order."""
+    return [s for _, s in _walk(block, "", BatchNormState)]
 
 
 # -- ops ----------------------------------------------------------------------

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .attention import AnatomyMasks
-from .ops import conv3x3, softmax_channels
+from .ops import ConvParams, conv3x3, named_tensors, softmax_channels
 from .optim import Adam
 from .tensor import DivergenceError, NonFiniteError, Tensor
 
@@ -46,28 +46,20 @@ class ConvStack:
     """Stride-1 stack of 3x3 convs with ReLU between layers."""
 
     def __init__(self, widths, rng: np.random.Generator, prefix: str):
-        self.layers = []
+        self.layers = [ConvParams.init(cin, cout, rng)
+                       for cin, cout in zip(widths[:-1], widths[1:])]
         self.prefix = prefix
-        for li, (cin, cout) in enumerate(zip(widths[:-1], widths[1:])):
-            bound = 1.0 / np.sqrt(cin * 9)
-            w = Tensor(rng.uniform(-bound, bound, size=(cout, cin, 3, 3)),
-                       requires_grad=True)
-            b = Tensor(np.zeros(cout), requires_grad=True)
-            self.layers.append((w, b))
 
     def apply(self, x: Tensor) -> Tensor:
-        for i, (w, b) in enumerate(self.layers):
-            x = conv3x3(x, w, b)
+        for i, layer in enumerate(self.layers):
+            x = conv3x3(x, layer.weight, layer.bias)
             if i < len(self.layers) - 1:
                 x = x.relu()
         return x
 
     def parameters(self):
-        out = []
-        for li, (w, b) in enumerate(self.layers):
-            out += [(f"{self.prefix}.conv{li}.weight", w),
-                    (f"{self.prefix}.conv{li}.bias", b)]
-        return out
+        return [nt for li, layer in enumerate(self.layers)
+                for nt in named_tensors(layer, f"{self.prefix}.conv{li}")]
 
 
 class MaskGenerator(ConvStack):

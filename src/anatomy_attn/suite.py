@@ -13,7 +13,8 @@ from .attention import (AaaParams, AnatomyMasks, PwapParams, aaa_forward,
 from .gradcheck import grad_check
 from .model import ModelConfig, ToyModel, bce_loss
 from .ops import (BatchNormState, LinearParams, batch_norm, conv3x3, conv_1x1,
-                  fully_connected, resize, softmax_channels, softmax_pair)
+                  fully_connected, named_tensors, resize, softmax_channels,
+                  softmax_pair)
 from .seg import CycleNets, SegBatch, adv_losses, cycle_losses, gen_losses, pixel_ce
 from .tensor import Tensor
 
@@ -108,14 +109,13 @@ def _attention_targets(rng):
 
     params = AaaParams.init(4, 0.5, rng)
     masks = _binary_masks(rng, 2, 5, 5)
-    named = params.tensors("aaa")
     f_us = _rand(rng, 2, 4, 5, 5)
 
     def aaa_target(f, *tensors):
         return (aaa_forward(f, masks, params) ** 2).sum()
 
     targets.append(("aaa_forward", aaa_target,
-                    [f_us] + [t for _, t in named]))
+                    [f_us] + [t for _, t in named_tensors(params, "aaa")]))
     return targets
 
 

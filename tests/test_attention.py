@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from anatomy_attn.attention import (AaaParams, AnatomyMasks, PwapParams,
                                     aaa_forward, couple_attention, pwap)
+from anatomy_attn.ops import named_tensors
 from anatomy_attn.tensor import Tensor
 
 
@@ -169,7 +170,7 @@ class TestAaaForward:
         feat = Tensor(rng.normal(size=(n, c, h, w)))
         masks = _masks(rng, n, h, w)
         params = AaaParams.init(c, 0.5, rng)
-        for t in [t for _, t in params.tensors("p")]:
+        for t in [t for _, t in named_tensors(params, "p")]:
             t.data = t.data + 0.1 * rng.normal(size=t.data.shape)
         out = aaa_forward(feat, masks, params).data.copy()
 

@@ -6,14 +6,15 @@ import numpy as np
 import pytest
 
 from anatomy_attn.cli import main
-from anatomy_attn.config import ConfigError, DEFAULTS, load_config
+from anatomy_attn.config import ConfigError, DEFAULTS, echo_config, load_config
 from anatomy_attn.harness import SyntheticSpec
+from anatomy_attn.model import ModelConfig
 
 
 # small overrides so CLI tests stay fast
 FAST = ["--set", "model.image_size=16", "--set", "model.mask_size=4",
         "--set", "model.backbone_widths=2,3,3,4",
-        "--set", "synthetic.image_size=16", "--set", "synthetic.n_train=24",
+        "--set", "synthetic.n_train=24",
         "--set", "synthetic.n_val=12", "--set", "synthetic.n_test=32",
         "--set", "train.epochs=1", "--set", "train.batch=8"]
 
@@ -57,7 +58,23 @@ class TestConfig:
             load_config(None, ["no-equals-sign"])
 
     def test_synthetic_defaults_are_the_spec_defaults(self):
-        assert DEFAULTS["synthetic"] == asdict(SyntheticSpec())
+        spec = asdict(SyntheticSpec())
+        del spec["image_size"]  # data always takes the model's image size
+        assert DEFAULTS["synthetic"] == spec
+
+    def test_model_defaults_are_the_model_config_defaults(self):
+        assert DEFAULTS["model"] == asdict(ModelConfig())
+
+    def test_synthetic_image_size_is_not_a_key(self):
+        with pytest.raises(ConfigError, match="synthetic.image_size"):
+            load_config(None, ["synthetic.image_size=48"])
+
+    def test_echoed_config_loads_back_unchanged(self, tmp_path):
+        cfg = load_config(None, ["model.backbone_widths=2,3,3,4",
+                                 "model.r=0.25", "train.epochs=3"])
+        echo_config(cfg, tmp_path)
+        assert load_config(str(tmp_path / "config.ini")) == cfg
+        assert cfg["model"]["backbone_widths"] == (2, 3, 3, 4)
 
 
 class TestExitCodes:
@@ -67,10 +84,24 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("override, key", [
         ("model.attention_level=L9", "attention_level"),
-        ("model.backbone_widths=8,x", "backbone_widths")])
+        ("model.backbone_widths=8,x", "backbone_widths"),
+        ("model.image_size=0", "image_size"),
+        ("model.mask_size=0", "mask_size"),
+        ("model.n_classes=0", "n_classes")])
     def test_invalid_config_value_exits_2(self, capsys, override, key):
         assert main(["--set", override, "train"]) == 2
         assert key in capsys.readouterr().err
+
+    @pytest.mark.parametrize("override, key", [
+        ("synthetic.n_val=0", "n_val"),
+        ("train.epochs=0", "epochs"),
+        ("synthetic.n_train=-1", "n_train")])
+    def test_untrainable_run_exits_2_before_any_work(self, tmp_path, capsys,
+                                                     override, key):
+        out = tmp_path / "run"
+        assert main(["--out", str(out), "--set", override, "train"]) == 2
+        assert key in capsys.readouterr().err
+        assert not (out / "history.csv").exists()
 
     def test_unknown_subcommand_exits_2(self):
         with pytest.raises(SystemExit) as exc:
@@ -88,6 +119,22 @@ class TestExitCodes:
         code = main(["gradcheck", "--tol", "1e-12", "--skip-models"])
         assert code == 1
         assert "FAIL" in capsys.readouterr().out
+
+    def test_gradcheck_reports_margins_and_kinks(self, capsys):
+        assert main(["gradcheck", "--skip-models"]) == 0
+        *lines, summary = capsys.readouterr().out.splitlines()
+        margins, kinks = {}, 0
+        for line in lines:
+            status, name, *fields = line.split()
+            values = dict(f.split("=") for f in fields if "=" in f)
+            margins[name] = float(values["margin"])
+            assert margins[name] == pytest.approx(
+                1e-4 / float(values["max_rel_err"]), rel=1e-2)
+            kinks += int(values["skipped_kinks"])
+        worst = min(margins, key=margins.get)
+        assert len(margins) == 19 and margins[worst] > 1
+        assert f"worst {worst} margin=" in summary
+        assert f"{kinks} kinks skipped" in summary
 
 
 class TestArtifacts:

@@ -1,5 +1,6 @@
 """Classifier model: wiring, losses, training, inference helpers."""
 
+import hashlib
 import json
 
 import numpy as np
@@ -253,6 +254,24 @@ class TestGradCam:
 
 
 class TestCheckpoint:
+    @pytest.mark.parametrize("level, pool, fusion, n, names_sha, weights_sha", [
+        ("L2", "pwap", "aaa", 122, "cc5390d6b9eb6e27", "76fb2c22ea3124ed"),
+        ("L3", "gem", "aaa", 175, "996469f2fe3b84c5", "a129566997154c19"),
+        ("L0", "max", "none", 10, "fe38ab4e0ec10bb2", "65a0f2645a93c42c")])
+    def test_layout_and_bytes_are_pinned(self, tmp_path, level, pool, fusion,
+                                         n, names_sha, weights_sha):
+        # pins tensor names, their order and the initial weights
+        model = ToyModel(ModelConfig(image_size=16, mask_size=4,
+                                     backbone_widths=(2, 3, 3, 4),
+                                     attention_level=level, pooling=pool,
+                                     fusion=fusion), seed=0)
+        names = [name for name, _ in model.state_arrays()]
+        save_checkpoint(model, tmp_path)
+        sha = lambda b: hashlib.sha256(b).hexdigest()[:16]
+        assert len(names) == n
+        assert sha("\n".join(names).encode()) == names_sha
+        assert sha((tmp_path / "weights.bin").read_bytes()) == weights_sha
+
     def test_round_trip_preserves_predictions(self, rng, tmp_path):
         model = ToyModel(_cfg(attention_level="L2", pooling="gem"), seed=0)
         model.set_mode("eval")

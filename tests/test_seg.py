@@ -149,7 +149,7 @@ class TestTrainingLoop:
     def test_divergence_is_the_model_error(self):
         # one DivergenceError class: a model-side handler catches seg's too
         nets = CycleNets.init(width=4, seed=0)
-        nets.g_mc.layers[0][0].data[:] = 1e200
+        nets.g_mc.layers[0].weight.data[:] = 1e200
         batches = gen_seg_batches(size=8, n_annotated=2, n_unannotated=2,
                                   seed=0)
         with pytest.raises(model.DivergenceError):
