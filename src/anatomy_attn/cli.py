@@ -13,14 +13,22 @@ from pathlib import Path
 from .attention import AnatomyMasks
 from .config import (ConfigError, echo_config, load_config, model_config,
                      parse_int_list, synthetic_spec)
-from .harness import (ablation_sweep, gen_seg_batches, gen_synthetic,
-                      robustness_experiment)
+from .harness import (ABLATION_AXES, ablation_sweep, gen_seg_batches,
+                      gen_synthetic, robustness_experiment)
 from .model import (ToyModel, gradcam, load_checkpoint, save_checkpoint,
                     write_history, train)
 from .seg import CycleNets, train_cyclegan_toy, write_curves
 from .serialize import write_pgm
 from .suite import run_gradcheck_suite
 from .tensor import Tensor
+
+
+def _seed_list(raw: str) -> list:
+    """argparse type of --seeds: a non-empty comma-separated int list."""
+    seeds = parse_int_list(raw)
+    if not seeds:
+        raise argparse.ArgumentTypeError(f"no seeds in {raw!r}")
+    return seeds
 
 
 def _out_dir(args) -> Path:
@@ -77,9 +85,8 @@ def cmd_train(args, cfg) -> int:
 def cmd_ablate(args, cfg) -> int:
     out = _out_dir(args)
     echo_config(cfg, out)
-    seeds = parse_int_list(args.seeds)
     table = ablation_sweep(args.axis, model_config(cfg),
-                           synthetic_spec(cfg), seeds,
+                           synthetic_spec(cfg), args.seeds,
                            train_kwargs=cfg["train"])
     path = out / f"ablation_{args.axis}.csv"
     table.write_csv(path)
@@ -90,12 +97,10 @@ def cmd_ablate(args, cfg) -> int:
 def cmd_robustness(args, cfg) -> int:
     out = _out_dir(args)
     echo_config(cfg, out)
-    seeds = parse_int_list(args.seeds)
-    windows = parse_int_list(args.windows if args.windows is not None
-                             else cfg["robustness"]["windows"])
-    table = robustness_experiment(synthetic_spec(cfg), seeds, windows,
+    table = robustness_experiment(synthetic_spec(cfg), args.seeds,
+                                  cfg["robustness"]["windows"],
+                                  model_config(cfg),
                                   trials=cfg["robustness"]["trials"],
-                                  base_config=model_config(cfg),
                                   train_kwargs=cfg["train"])
     path = out / "robustness.csv"
     table.write_csv(path)
@@ -167,15 +172,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("ablate", help="run one ablation axis")
-    p.add_argument("--axis", required=True,
-                   choices=("attention_level", "pooling", "mask_size",
-                            "image_size"))
-    p.add_argument("--seeds", default="0,1,2")
+    p.add_argument("--axis", required=True, choices=tuple(ABLATION_AXES))
+    p.add_argument("--seeds", type=_seed_list, default="0,1,2")
     p.set_defaults(func=cmd_ablate)
 
     p = sub.add_parser("robustness", help="cutout robustness sweep")
-    p.add_argument("--seeds", default="0,1,2")
-    p.add_argument("--windows", default=None)
+    p.add_argument("--seeds", type=_seed_list, default="0,1,2")
     p.set_defaults(func=cmd_robustness)
 
     p = sub.add_parser("seg-toy", help="alternating cycle-consistency "

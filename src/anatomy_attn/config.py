@@ -28,7 +28,7 @@ DEFAULTS = {
     "train": dict(DEFAULT_TRAIN),
     "seg": {"size": 16, "steps": 500, "lr": 3e-3, "width": 8,
             "n_annotated": 8, "n_unannotated": 8, "data_seed": 0},
-    "robustness": {"windows": "0,2,4,6,8,10,12", "trials": 3},
+    "robustness": {"windows": (0, 2, 4, 6, 8, 10, 12), "trials": 3},
 }
 
 
@@ -74,10 +74,18 @@ def load_config(path=None, overrides=()) -> dict:
         section, key = dotted.split(".", 1)
         apply(section.strip(), key.strip(), raw.strip(), "--set")
 
-    s, t = merged["synthetic"], merged["train"]
+    s, t, r = merged["synthetic"], merged["train"], merged["robustness"]
     try:
         model_config(merged)
         check_train_args(s["n_train"], s["n_val"], t["epochs"], t["batch"])
+        # the sweep reads its degradation rows against the window-0 reference
+        if 0 not in r["windows"] or min(r["windows"]) < 0:
+            raise ValueError(f"robustness.windows must be >= 0 and include "
+                             f"0, got {r['windows']}")
+        for key, value in (("robustness.trials", r["trials"]),
+                           ("seg.steps", merged["seg"]["steps"])):
+            if value < 1:
+                raise ValueError(f"{key} must be >= 1, got {value}")
     except ValueError as exc:
         raise ConfigError(f"bad config value: {exc}") from exc
     return merged

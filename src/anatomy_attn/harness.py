@@ -242,8 +242,6 @@ def ablation_sweep(axis: str, base_config: ModelConfig, spec: SyntheticSpec,
     def run_cell(cell):
         value, seed = cell
         cfg = dc_replace(base_config, **{axis: value})
-        if axis == "attention_level" and value == "L0":
-            cfg = dc_replace(cfg, fusion="none")
         model, data = train_condition(cfg, spec, seed, train_kwargs)
         return value, seed, _test_aucs(model, data)
 
@@ -261,24 +259,20 @@ def ablation_sweep(axis: str, base_config: ModelConfig, spec: SyntheticSpec,
 
 
 def evaluate_with_cutout(model: ToyModel, data: dict, window: int,
-                         trials: int, base_seed: int,
-                         shared_windows: dict | None = None) -> float:
+                         trials: int, base_seed: int) -> float:
     """Mean test AUC over `trials` independent cutout corruptions of the
-    noisy masks. `shared_windows[(window, trial)]`, when supplied, pins the
-    window locations so competing models see identical corruption."""
+    noisy masks. Window locations depend only on the test masks and the
+    seed `base_seed + 1000 * window + trial`, so every model evaluated on
+    the same data and `base_seed` sees identical corruption."""
     masks = AnatomyMasks(Tensor(data["test_lung"]), Tensor(data["test_heart"]))
-    if shared_windows is None:
-        shared_windows = {}
     vals = []
     for t in range(trials):
         if window == 0:
             cut = masks
         else:
-            key = (window, t)
-            if key not in shared_windows:
-                shared_windows[key] = sample_cutout_windows(
-                    masks, window, base_seed + 1000 * window + t)
-            cut = apply_cutout(masks, shared_windows[key], window)
+            boxes = sample_cutout_windows(masks, window,
+                                          base_seed + 1000 * window + t)
+            cut = apply_cutout(masks, boxes, window)
         probs = predict(model, data["test_images"], cut.lung.data,
                         cut.heart.data)
         vals.append(np.mean([auc(probs[:, k], data["test_labels"][:, k])
@@ -296,11 +290,9 @@ def robustness_sweep(models: dict, data: dict, windows, trials: int = 3,
     rows are the uncorrupted reference.
     """
     table = MetricsTable()
-    shared = {}
     for name, model in models.items():
         for window in windows:
-            val = evaluate_with_cutout(model, data, window, trials,
-                                       base_seed, shared_windows=shared)
+            val = evaluate_with_cutout(model, data, window, trials, base_seed)
             table.add(f"{name}_window={window}", "mean", val)
     for name in models:
         w0 = table.value(f"{name}_window=0")
@@ -311,13 +303,10 @@ def robustness_sweep(models: dict, data: dict, windows, trials: int = 3,
 
 
 def robustness_experiment(spec: SyntheticSpec, seeds, windows,
-                          trials: int = 3,
-                          base_config: ModelConfig | None = None,
+                          base_config: ModelConfig, trials: int = 3,
                           train_kwargs: dict | None = None) -> MetricsTable:
     """Train attention and hard-mask models per seed, sweep cutout windows,
     and report the median AUC over seeds per (model, window)."""
-    if base_config is None:
-        base_config = ModelConfig(image_size=spec.image_size)
     per_seed_tables = []
     for seed in seeds:
         aaa_model, data = train_condition(

@@ -50,6 +50,8 @@ class ModelConfig:
             raise ValueError(f"unknown fusion {self.fusion!r}")
         if len(self.backbone_widths) != 4:
             raise ValueError("backbone_widths must list 4 stage widths")
+        if min(self.backbone_widths) < 1:
+            raise ValueError("backbone_widths must be >= 1")
         if self.r <= 0:
             raise ValueError("reduction ratio r must be > 0")
         for key in ("image_size", "mask_size", "n_classes"):

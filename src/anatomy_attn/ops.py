@@ -118,26 +118,22 @@ def _transpose2d(t: Tensor) -> Tensor:
     return Tensor._from_op(t.data.T, (t,), bwd, "transpose")
 
 
-def conv_1x1(x: Tensor, weight: Tensor, bias: Tensor | None = None) -> Tensor:
+def conv_1x1(x: Tensor, weight: Tensor, bias: Tensor) -> Tensor:
     """Pointwise channel mix: x[N,C,H,W], weight[C_out,C] -> [N,C_out,H,W]."""
     if x.data.ndim != 4:
         raise ValueError("conv_1x1 expects a rank-4 input")
     if weight.shape[1] != x.shape[1]:
         raise ValueError(f"conv_1x1: weight in-channels {weight.shape[1]} != "
                          f"input channels {x.shape[1]}")
-    out_data = np.einsum("oc,nchw->nohw", weight.data, x.data)
-    if bias is not None:
-        out_data = out_data + bias.data.reshape(1, -1, 1, 1)
+    out_data = (np.einsum("oc,nchw->nohw", weight.data, x.data)
+                + bias.data.reshape(1, -1, 1, 1))
 
     def bwd(g):
-        grads = [(x, np.einsum("oc,nohw->nchw", weight.data, g)),
-                 (weight, np.einsum("nohw,nchw->oc", g, x.data))]
-        if bias is not None:
-            grads.append((bias, g.sum(axis=(0, 2, 3)).reshape(bias.shape)))
-        return grads
+        return [(x, np.einsum("oc,nohw->nchw", weight.data, g)),
+                (weight, np.einsum("nohw,nchw->oc", g, x.data)),
+                (bias, g.sum(axis=(0, 2, 3)).reshape(bias.shape))]
 
-    parents = (x, weight) if bias is None else (x, weight, bias)
-    return Tensor._from_op(out_data, parents, bwd, "conv_1x1")
+    return Tensor._from_op(out_data, (x, weight, bias), bwd, "conv_1x1")
 
 
 def conv3x3(x: Tensor, weight: Tensor, bias: Tensor, stride: int = 1) -> Tensor:

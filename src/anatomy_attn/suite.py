@@ -170,8 +170,7 @@ def _model_targets(rng):
         for pool in ("pwap", "average", "max", "gem"):
             cfg = ModelConfig(image_size=8, mask_size=4,
                               attention_level=level, pooling=pool,
-                              backbone_widths=(2, 3, 3, 4), n_classes=2,
-                              fusion="none" if level == "L0" else "aaa")
+                              backbone_widths=(2, 3, 3, 4), n_classes=2)
             model = ToyModel(cfg, seed=5)
             model.set_mode("train")
             tensors = [t for _, t in model.parameters()]

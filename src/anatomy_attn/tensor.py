@@ -80,9 +80,6 @@ class Tensor:
     def size(self) -> int:
         return self.data.size
 
-    def detach(self) -> "Tensor":
-        return Tensor(self.data.copy())
-
     def __repr__(self):
         return f"Tensor(shape={self.shape}, requires_grad={self.requires_grad})"
 
@@ -204,15 +201,6 @@ class Tensor:
             return [(self, g / self.data)]
 
         return Tensor._from_op(out_data, (self,), bwd, "log")
-
-    @_ignore_fp_errors
-    def sqrt(self):
-        out_data = np.sqrt(self.data)
-
-        def bwd(g):
-            return [(self, g * 0.5 / out_data)]
-
-        return Tensor._from_op(out_data, (self,), bwd, "sqrt")
 
     def relu(self):
         mask = self.data > 0.0

@@ -193,12 +193,11 @@ class TestAcceptance:
         for seed in SEEDS:
             l2_model, data = trained[("L2", seed)]
             hard_model, _ = trained[("hardmask", seed)]
-            shared = {}
             per = {}
             for name, model in (("aaa", l2_model), ("hardmask", hard_model)):
                 per[name] = {w: evaluate_with_cutout(
-                    model, data, w, trials=3, base_seed=seed,
-                    shared_windows=shared) for w in windows}
+                    model, data, w, trials=3, base_seed=seed)
+                    for w in windows}
                 # window 0 must reproduce the uncorrupted evaluation exactly
                 ref = evaluate_with_cutout(model, data, 0, trials=1,
                                            base_seed=seed)

@@ -87,7 +87,8 @@ class TestExitCodes:
         ("model.backbone_widths=8,x", "backbone_widths"),
         ("model.image_size=0", "image_size"),
         ("model.mask_size=0", "mask_size"),
-        ("model.n_classes=0", "n_classes")])
+        ("model.n_classes=0", "n_classes"),
+        ("model.backbone_widths=0,1,1,1", "backbone_widths")])
     def test_invalid_config_value_exits_2(self, capsys, override, key):
         assert main(["--set", override, "train"]) == 2
         assert key in capsys.readouterr().err
@@ -102,6 +103,37 @@ class TestExitCodes:
         assert main(["--out", str(out), "--set", override, "train"]) == 2
         assert key in capsys.readouterr().err
         assert not (out / "history.csv").exists()
+
+    @pytest.mark.parametrize("override", [
+        "robustness.windows=", "robustness.windows=0,-4",
+        "robustness.windows=4,8", "robustness.trials=0"],
+        ids=["empty", "negative", "no 0", "no trial"])
+    def test_bad_robustness_sweep_exits_2_before_training(self, tmp_path,
+                                                          capsys, override):
+        out = tmp_path / "rob"
+        key = override.split("=")[0]
+        assert main(["--out", str(out), "--set", override,
+                     "robustness"]) == 2
+        assert key in capsys.readouterr().err
+        assert not list(tmp_path.rglob("*.csv"))
+
+    def test_no_seg_steps_exits_2(self, tmp_path, capsys):
+        out = tmp_path / "seg"
+        assert main(["--out", str(out), "--set", "seg.steps=0",
+                     "seg-toy"]) == 2
+        assert "seg.steps" in capsys.readouterr().err
+        assert not list(tmp_path.rglob("*.csv"))
+
+    @pytest.mark.parametrize("command", [["ablate", "--axis", "pooling"],
+                                         ["robustness"]])
+    @pytest.mark.parametrize("seeds", ["", ",", "0,x"])
+    def test_bad_seed_list_exits_2(self, tmp_path, capsys, command, seeds):
+        with pytest.raises(SystemExit) as exc:
+            main(["--out", str(tmp_path / "run")] + command
+                 + ["--seeds", seeds])
+        assert exc.value.code == 2
+        assert "--seeds" in capsys.readouterr().err
+        assert not list(tmp_path.rglob("*"))
 
     def test_unknown_subcommand_exits_2(self):
         with pytest.raises(SystemExit) as exc:
@@ -172,6 +204,21 @@ class TestArtifacts:
         csv2 = (out2 / "ablation_mask_size.csv").read_bytes()
         assert csv1 == csv2
         assert csv1.startswith(b"condition,class_name,auc_percent")
+
+    def test_robustness_writes_table_and_reruns_identically(self, tmp_path):
+        args = FAST + ["--set", "robustness.windows=0,4", "robustness",
+                       "--seeds", "0"]
+        out1, out2 = tmp_path / "a", tmp_path / "b"
+        assert main(["--out", str(out1)] + args) == 0
+        assert main(["--out", str(out2)] + args) == 0
+        assert "windows = 0,4\n" in (out1 / "config.ini").read_text()
+        csv1 = (out1 / "robustness.csv").read_bytes()
+        assert csv1 == (out2 / "robustness.csv").read_bytes()
+        conditions = [line.split(",")[0]
+                      for line in csv1.decode().splitlines()[1:]]
+        assert conditions == ["aaa_window=0", "aaa_window=4",
+                              "hardmask_window=0", "hardmask_window=4",
+                              "aaa_degradation", "hardmask_degradation"]
 
     def test_gradcam_writes_heatmaps(self, tmp_path):
         run = tmp_path / "run"

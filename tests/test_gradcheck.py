@@ -1,14 +1,39 @@
 """Finite-difference gradient verification machinery."""
 
+import ast
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import anatomy_attn
+from anatomy_attn import suite
 from anatomy_attn.gradcheck import grad_check
 from anatomy_attn.tensor import Tensor
+
+# op names built by an f-string, expanded to every value the package uses
+_OP_NAME_EXPANSIONS = {"f'resize_{method}'": ("resize_bilinear",
+                                              "resize_nearest")}
+
+
+def _core_op_names() -> set:
+    """Every op name passed to `_from_op` in tensor.py and ops.py."""
+    names = set()
+    for module in ("tensor.py", "ops.py"):
+        path = Path(anatomy_attn.__file__).parent / module
+        for node in ast.walk(ast.parse(path.read_text())):
+            if (isinstance(node, ast.Call)
+                    and isinstance(node.func, ast.Attribute)
+                    and node.func.attr == "_from_op"):
+                op = node.args[-1]
+                if isinstance(op, ast.Constant):
+                    names.add(op.value)
+                else:
+                    names.update(_OP_NAME_EXPANSIONS[ast.unparse(op)])
+    return names
 
 
 class TestGradCheck:
@@ -114,3 +139,21 @@ class TestSuite:
                 capture_output=True, text=True).stdout)
         assert outputs[0] == outputs[1]
         assert "gen_losses" in outputs[0]
+
+    def test_every_core_op_is_built_by_the_suite(self, monkeypatch):
+        built = set()
+        from_op = Tensor.__dict__["_from_op"].__func__
+
+        def recording_from_op(cls, data, parents, backward_fn, op):
+            built.add(op)
+            return from_op(cls, data, parents, backward_fn, op)
+
+        monkeypatch.setattr(Tensor, "_from_op",
+                            classmethod(recording_from_op))
+        # one forward evaluation per target is enough to build its graph
+        monkeypatch.setattr(suite, "grad_check",
+                            lambda f, inputs, **kw: f(*inputs))
+        suite.run_gradcheck_suite()
+        core = _core_op_names()
+        assert len(core) > 20
+        assert core - built == set()

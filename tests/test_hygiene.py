@@ -1,0 +1,51 @@
+"""Import hygiene of the package source: no unused imports and no imports
+inside function bodies."""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+import anatomy_attn
+
+MODULES = sorted(Path(anatomy_attn.__file__).parent.glob("*.py"))
+
+
+def _tree(path):
+    return ast.parse(path.read_text(), filename=str(path))
+
+
+def _bound_names(node):
+    """Names an import statement binds in its module."""
+    if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+        return []
+    return [alias.asname or alias.name.split(".")[0] for alias in node.names]
+
+
+def _exported(tree):
+    for node in tree.body:
+        if (isinstance(node, ast.Assign)
+                and any(isinstance(t, ast.Name) and t.id == "__all__"
+                        for t in node.targets)):
+            return set(ast.literal_eval(node.value))
+    return set()
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_every_import_is_used(path):
+    tree = _tree(path)
+    imported = {name for node in ast.walk(tree)
+                if isinstance(node, (ast.Import, ast.ImportFrom))
+                for name in _bound_names(node)}
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    assert imported - used - _exported(tree) == set()
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_import_inside_a_function(path):
+    nested = [f"{fn.name}:{node.lineno}"
+              for fn in ast.walk(_tree(path))
+              if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))
+              for node in ast.walk(fn)
+              if isinstance(node, (ast.Import, ast.ImportFrom))]
+    assert nested == []

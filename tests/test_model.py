@@ -67,6 +67,18 @@ class TestForward:
         out = model.forward(Tensor(rng.normal(size=(2, 1, 16, 16))), None)
         np.testing.assert_allclose(out.data, 0.5, atol=1e-12)
 
+    def test_l0_ignores_fusion(self, rng):
+        img = Tensor(rng.normal(size=(2, 1, 16, 16)))
+        masks = _masks(rng, 2, 16)
+        states, outputs = set(), set()
+        for fusion in ("aaa", "hardmask", "none"):
+            model = ToyModel(_cfg(attention_level="L0", fusion=fusion), seed=0)
+            assert not model.config.uses_masks
+            states.add(b"".join(name.encode() + arr.tobytes()
+                                for name, arr in model.state_arrays()))
+            outputs.add(model.forward(img, masks).data.tobytes())
+        assert len(states) == 1 and len(outputs) == 1
+
     def test_l0_is_mask_independent(self, rng):
         model = ToyModel(_cfg(attention_level="L0", fusion="none"), seed=0)
         img = Tensor(rng.normal(size=(2, 1, 16, 16)))

@@ -35,11 +35,6 @@ class TestConv1x1:
             + b.data.reshape(1, 5, 1, 1)
         np.testing.assert_allclose(out.data, expected, atol=1e-12)
 
-    def test_no_bias(self, rng):
-        x = Tensor(rng.normal(size=(1, 2, 3, 3)))
-        w = Tensor(np.eye(2))
-        np.testing.assert_allclose(conv_1x1(x, w).data, x.data)
-
 
 class TestConv3x3:
     def test_identity_kernel(self, rng):
@@ -139,7 +134,7 @@ def _composite_batch_norm(x, s):
     if s.mode == "train":
         xm = x - x.mean(axis=axes, keepdims=True)
         var = (xm * xm).mean(axis=axes, keepdims=True)
-        return xm / (var + s.epsilon).sqrt() * gamma + beta
+        return xm / (var + s.epsilon) ** 0.5 * gamma + beta
     rm = Tensor(s.running_mean.reshape(shape))
     rstd = Tensor(np.sqrt(s.running_var + s.epsilon).reshape(shape))
     return (x - rm) / rstd * gamma + beta
