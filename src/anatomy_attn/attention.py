@@ -15,7 +15,7 @@ import numpy as np
 
 from .ops import (BatchNormState, LinearParams, batch_norm, conv_1x1,
                   fully_connected, resize, softmax_pair)
-from .tensor import Tensor
+from .tensor import Tensor, _ignore_fp_errors
 
 
 @dataclass
@@ -152,11 +152,21 @@ def couple_attention(a1: Tensor, a2: Tensor, a3: Tensor):
     return a_le, a_he, a_bks
 
 
+# Region mask of each branch over the pixel partition (lung, heart, rest):
+# the enhancers see one region each, the background suppressor all three.
+_BRANCH_REGIONS = np.array([[1.0, 0.0, 0.0],
+                            [0.0, 1.0, 0.0],
+                            [1.0, 1.0, 1.0]])
+
+
 def aaa_forward(feat_us: Tensor, masks: AnatomyMasks, p: AaaParams) -> Tensor:
     """Recalibrate feat_us[N,C,H,W] with mask-gated channel attention.
 
     The caller resizes masks to the feature resolution. Attention vectors
-    broadcast over space; masks broadcast over channels.
+    broadcast over space; masks broadcast over channels. The gate and
+    batch-norm tail is the single node `_gated_fuse`, which factors over
+    the pixel regions lung, heart and rest; that is exact only because
+    the masks are binary and disjoint, as `AnatomyMasks` enforces.
     """
     n, c, h, w = feat_us.shape
     if masks.spatial != (h, w):
@@ -166,12 +176,135 @@ def aaa_forward(feat_us: Tensor, masks: AnatomyMasks, p: AaaParams) -> Tensor:
     a2 = p.enc2.apply(pooled)
     a3 = p.enc3.apply(pooled)
     a_le, a_he, a_bks = couple_attention(a1, a2, a3)
-    a_le = a_le.reshape((n, c, 1, 1))
-    a_he = a_he.reshape((n, c, 1, 1))
-    a_bks = a_bks.reshape((n, c, 1, 1))
-    r_le = a_le * masks.lung * feat_us
-    r_he = a_he * masks.heart * feat_us
-    r_bks = a_bks * feat_us
-    fused = (batch_norm(r_le, p.bn_le) + batch_norm(r_he, p.bn_he)
-             + batch_norm(r_bks, p.bn_bks))
-    return batch_norm(fused, p.bn_fuse)
+    return _gated_fuse(feat_us, a_le, a_he, a_bks, masks, p)
+
+
+def _bn_centre(s: BatchNormState, mean, var):
+    """(centre, variance) that state `s` normalizes with: the batch
+    statistics in train mode, the running statistics in eval mode."""
+    if s.mode == "train":
+        return mean, var
+    if s.mode == "eval":
+        return s.running_mean, s.running_var
+    raise ValueError(f"unknown batch_norm mode {s.mode!r}")
+
+
+@_ignore_fp_errors
+def _gated_fuse(feat: Tensor, a_le: Tensor, a_he: Tensor, a_bks: Tensor,
+                masks: AnatomyMasks, p: AaaParams) -> Tensor:
+    """bn_fuse(bn_le(a_le*lung*f) + bn_he(a_he*heart*f) + bn_bks(a_bks*f))
+    as one graph node with parents feat, the three [N,C] attention vectors
+    and the eight batch-norm gammas and betas.
+
+    Relies on the masks being binary and disjoint, which `AnatomyMasks`
+    enforces: the pixels split into regions R = (lung, heart, rest), each
+    branch is f times a per-(n, c, region) coefficient, and every batch
+    statistic follows from the [N,C,3] region sums Q1 = f @ R.T and
+    Q2 = (f*f) @ R.T (one-pass variance, clamped at 0). The output is
+    f * (G @ R) + const[c]. The backward applies the closed-form
+    batch-norm gradient (Ioffe & Szegedy 2015) to bn_fuse and then to each
+    branch in the same region algebra, from Vg = g @ R.T and
+    Ug = (f*g) @ R.T, and expands dfeat = c1*g + c2*f + c3 with each
+    [N,C,3] coefficient taken through @ R. Eval-mode states use their
+    running statistics as constants. Running statistics are updated in
+    the order le, he, bks, fuse once the output has passed the finiteness
+    check.
+    """
+    n, c, h, w = feat.shape
+    branches = (p.bn_le, p.bn_he, p.bn_bks)
+    fuse = p.bn_fuse
+    states = branches + (fuse,)
+    for s in states:
+        if s.channels != c:
+            raise ValueError(f"_gated_fuse: {c} channels vs batch-norm state "
+                             f"with {s.channels}")
+    count = n * h * w
+    if count < 2:
+        raise ValueError("_gated_fuse needs >= 2 elements per channel")
+
+    f = feat.data.reshape(n, c, h * w)
+    lung = masks.lung.data.reshape(n, 1, h * w)
+    heart = masks.heart.data.reshape(n, 1, h * w)
+    region = np.concatenate((lung, heart, 1.0 - lung - heart), axis=1)
+    region_t = region.transpose(0, 2, 1)                      # [N,P,3]
+    q1 = f @ region_t                                         # [N,C,3]
+    q2 = (f * f) @ region_t
+
+    # branch k is f * (A[k] @ R), A[k] of shape [N,C,3]
+    a = (np.stack((a_le.data, a_he.data, a_bks.data))[..., None]
+         * _BRANCH_REGIONS[:, None, None, :])
+    batch_mean = (a * q1).sum(axis=(1, 3)) / count            # [3,C]
+    batch_var = np.maximum((a * a * q2).sum(axis=(1, 3)) / count
+                           - batch_mean ** 2, 0.0)
+    stats = [_bn_centre(s, m, v)
+             for s, m, v in zip(branches, batch_mean, batch_var)]
+    centre = np.stack([m for m, _ in stats])
+    var = np.stack([v for _, v in stats])
+    std = np.sqrt(var + np.array([[s.epsilon] for s in branches]))
+    gamma = np.stack([s.gamma.data for s in branches])
+    beta = np.stack([s.beta.data for s in branches])
+    scale = gamma / std
+    train = np.array([[s.mode == "train"] for s in branches], dtype=float)
+
+    # fused = f * (B @ R) + shift[c]; bn_fuse sees z = f * (B @ R)
+    b = (scale[:, None, :, None] * a).sum(axis=0)             # [N,C,3]
+    shift = (beta - scale * centre).sum(axis=0)
+    z_mean = (b * q1).sum(axis=(0, 2)) / count
+    z_var = np.maximum((b * b * q2).sum(axis=(0, 2)) / count
+                       - z_mean ** 2, 0.0)
+    fuse_centre, fuse_var = _bn_centre(fuse, z_mean + shift, z_var)
+    z_centre = fuse_centre - shift
+    fuse_std = np.sqrt(fuse_var + fuse.epsilon)
+    alpha = fuse.gamma.data / fuse_std
+    fuse_train = float(fuse.mode == "train")
+    gate = alpha[:, None] * b                                 # G, [N,C,3]
+    const = fuse.beta.data - alpha * z_centre
+    out_data = f * (gate @ region) + const[:, None]
+
+    def bwd(g):
+        cnt = region.sum(axis=2)[:, None, :]                  # [N,1,3]
+        gf = g.reshape(n, c, h * w)
+        vg = gf @ region_t
+        ug = (f * gf) @ region_t
+        sum_g = vg.sum(axis=(0, 2))
+        d_fuse_gamma = ((b * ug).sum(axis=(0, 2))
+                        - z_centre * sum_g) / fuse_std
+        # d fused = alpha*g + e0[c] + (e1 @ R) * f
+        mean_g = fuse_train * sum_g / count
+        mean_gz = fuse_train * d_fuse_gamma / count
+        e0 = alpha * (mean_gz * z_centre / fuse_std - mean_g)
+        e1 = -(alpha * mean_gz / fuse_std)[:, None] * b
+        # region sums of d fused and of d fused * f
+        s0 = alpha[:, None] * vg + e0[:, None] * cnt + e1 * q1
+        s1 = alpha[:, None] * ug + e0[:, None] * q1 + e1 * q2
+        sum_s0 = s0.sum(axis=(0, 2))
+        d_gamma = ((a * s1).sum(axis=(1, 3)) - centre * sum_s0) / std
+        mean_d = train * sum_s0 / count                       # [3,C]
+        mean_dx = train * d_gamma / count
+        k4 = (slice(None), None, slice(None), None)           # [3,C] -> 4-D
+        d_a = scale[k4] * (s1 - mean_d[k4] * q1
+                           - (a * q2 - centre[k4] * q1) * (mean_dx / std)[k4])
+        c1 = gate
+        c2 = (scale[k4] * a * (e1 - a * (mean_dx / std)[k4])).sum(axis=0)
+        c3 = (scale[k4] * a * (e0 - mean_d + centre * mean_dx / std)[k4]
+              ).sum(axis=0)
+        d_feat = (c1 @ region) * gf + (c2 @ region) * f + c3 @ region
+        return [(feat, d_feat.reshape(n, c, h, w)),
+                (a_le, d_a[0, :, :, 0]),
+                (a_he, d_a[1, :, :, 1]),
+                (a_bks, d_a[2].sum(axis=2)),
+                (p.bn_le.gamma, d_gamma[0]), (p.bn_le.beta, sum_s0),
+                (p.bn_he.gamma, d_gamma[1]), (p.bn_he.beta, sum_s0),
+                (p.bn_bks.gamma, d_gamma[2]), (p.bn_bks.beta, sum_s0),
+                (fuse.gamma, d_fuse_gamma), (fuse.beta, sum_g)]
+
+    out = Tensor._from_op(
+        out_data.reshape(n, c, h, w),
+        (feat, a_le, a_he, a_bks) + tuple(t for s in states
+                                          for t in (s.gamma, s.beta)),
+        bwd, "gated_fuse")
+    for s, m, v in zip(states, (*batch_mean, z_mean + shift),
+                       (*batch_var, z_var)):
+        if s.mode == "train":
+            s.track(m, v)
+    return out

@@ -12,11 +12,11 @@ from pathlib import Path
 
 from .attention import AnatomyMasks
 from .config import (ConfigError, echo_config, load_config, model_config,
-                     parse_int_list, synthetic_spec)
+                     parse_int_list, repeated_value, synthetic_spec)
 from .harness import (ABLATION_AXES, ablation_sweep, gen_seg_batches,
                       gen_synthetic, robustness_experiment)
-from .model import (ToyModel, gradcam, load_checkpoint, save_checkpoint,
-                    write_history, train)
+from .model import (ToyModel, gradcam, gradcam_stage, load_checkpoint,
+                    save_checkpoint, write_history, train)
 from .seg import CycleNets, train_cyclegan_toy, write_curves
 from .serialize import write_pgm
 from .suite import run_gradcheck_suite
@@ -24,10 +24,15 @@ from .tensor import Tensor
 
 
 def _seed_list(raw: str) -> list:
-    """argparse type of --seeds: a non-empty comma-separated int list."""
+    """argparse type of --seeds: a non-empty comma-separated list of
+    distinct ints."""
     seeds = parse_int_list(raw)
     if not seeds:
         raise argparse.ArgumentTypeError(f"no seeds in {raw!r}")
+    repeated = repeated_value(seeds)
+    if repeated is not None:
+        raise argparse.ArgumentTypeError(f"seed {repeated} is repeated in "
+                                         f"{raw!r}")
     return seeds
 
 
@@ -124,9 +129,14 @@ def cmd_seg_toy(args, cfg) -> int:
 
 
 def cmd_gradcam(args, cfg) -> int:
+    try:
+        model = load_checkpoint(args.checkpoint)
+        gradcam_stage(model.config, args.class_index, args.stage)
+    except (OSError, ValueError) as exc:
+        print(f"gradcam: {exc}", file=sys.stderr)
+        return 2
     out = _out_dir(args)
     echo_config(cfg, out)
-    model = load_checkpoint(args.checkpoint)
     spec = synthetic_spec(cfg)
     data = gen_synthetic(dc_replace(spec,
                                     image_size=model.config.image_size))

@@ -82,6 +82,10 @@ def load_config(path=None, overrides=()) -> dict:
         if 0 not in r["windows"] or min(r["windows"]) < 0:
             raise ValueError(f"robustness.windows must be >= 0 and include "
                              f"0, got {r['windows']}")
+        repeated = repeated_value(r["windows"])
+        if repeated is not None:
+            raise ValueError(f"robustness.windows repeats window {repeated}, "
+                             f"got {r['windows']}")
         for key, value in (("robustness.trials", r["trials"]),
                            ("seg.steps", merged["seg"]["steps"])):
             if value < 1:
@@ -113,3 +117,8 @@ def synthetic_spec(cfg: dict) -> SyntheticSpec:
 
 def parse_int_list(raw: str):
     return [int(x) for x in str(raw).split(",") if x.strip() != ""]
+
+
+def repeated_value(values):
+    """The first value that also occurs earlier in `values`, else None."""
+    return next((v for i, v in enumerate(values) if v in values[:i]), None)

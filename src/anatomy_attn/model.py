@@ -353,6 +353,25 @@ def clone_for_image_size(model: ToyModel, image_size: int) -> ToyModel:
     return clone
 
 
+def gradcam_stage(cfg: ModelConfig, class_index: int, stage: str) -> int:
+    """Backbone stage whose head `gradcam` reads: the last head for
+    "last", else the head stage index `stage` names. Rejects a class or a
+    stage that `cfg` does not have."""
+    if not 0 <= class_index < cfg.n_classes:
+        raise ValueError(f"class_index {class_index} out of range for "
+                         f"{cfg.n_classes} classes")
+    if stage == "last":
+        return cfg.head_stages[-1]
+    try:
+        si = int(stage)
+    except ValueError:
+        si = None
+    if si not in cfg.head_stages:
+        raise ValueError(f"stage {stage!r} is neither 'last' nor a head "
+                         f"stage {cfg.head_stages}")
+    return si
+
+
 def gradcam(model: ToyModel, image: Tensor, masks: AnatomyMasks | None,
             class_index: int, stage: str = "last") -> Tensor:
     """Gradient-weighted class activation map from a head feature map.
@@ -361,15 +380,7 @@ def gradcam(model: ToyModel, image: Tensor, masks: AnatomyMasks | None,
     gradients; the map is ReLU(weighted sum), bilinearly upsampled to the
     image size and min-max normalized to [0,1] (constant maps go to 0).
     """
-    cfg = model.config
-    if not 0 <= class_index < cfg.n_classes:
-        raise ValueError(f"class_index {class_index} out of range")
-    if stage == "last":
-        si = cfg.head_stages[-1]
-    else:
-        si = int(stage)
-        if si not in cfg.head_stages:
-            raise ValueError(f"stage {si} has no head in this configuration")
+    si = gradcam_stage(model.config, class_index, stage)
     model.set_mode("eval")
     cache = {}
     model.forward(image, masks, cache=cache)

@@ -78,6 +78,12 @@ class BatchNormState:
     def channels(self) -> int:
         return self.gamma.size
 
+    def track(self, mean: np.ndarray, var: np.ndarray) -> None:
+        """Fold one batch's per-channel statistics into the running ones."""
+        m = self.momentum
+        self.running_mean = (1 - m) * self.running_mean + m * mean
+        self.running_var = (1 - m) * self.running_var + m * var
+
 
 def _walk(block, prefix: str, kind: type):
     """(name, value) for every `kind` in a parameter block: a dataclass
@@ -276,9 +282,7 @@ def batch_norm(x: Tensor, s: BatchNormState) -> Tensor:
     out = Tensor._from_op(x_hat * gamma + beta, (x, s.gamma, s.beta), bwd,
                           "batch_norm")
     if s.mode == "train":
-        m = s.momentum
-        s.running_mean = (1 - m) * s.running_mean + m * mu.reshape(-1)
-        s.running_var = (1 - m) * s.running_var + m * var.reshape(-1)
+        s.track(mu.reshape(-1), var.reshape(-1))
     return out
 
 

@@ -40,7 +40,7 @@ def _op_targets(rng):
          + (a * a + 0.5).log() + (a * 0.1).exp()).sum()), [x, y]))
 
     targets.append(("reductions", lambda a: (
-        a.mean(axis=(2, 3)).sum() + a.max(axis=(2, 3)).sum()
+        a.mean(axis=(2, 3)).reshape((6,)).sum() + a.max(axis=(2, 3)).sum()
         + a.clamp(lo=-0.5, hi=0.5).sum()), [_rand(rng, 2, 3, 4, 4)]))
 
     w11 = _rand(rng, 5, 3)

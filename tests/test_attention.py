@@ -6,9 +6,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from anatomy_attn.attention import (AaaParams, AnatomyMasks, PwapParams,
-                                    aaa_forward, couple_attention, pwap)
-from anatomy_attn.ops import named_tensors
-from anatomy_attn.tensor import Tensor
+                                    _gated_fuse, aaa_forward,
+                                    couple_attention, pwap)
+from anatomy_attn.ops import batch_norm, named_tensors
+from anatomy_attn.tensor import NonFiniteError, Tensor
 
 
 def _masks(rng, n, h, w):
@@ -189,3 +190,102 @@ class TestAaaForward:
         params2 = AaaParams.init(4, 0.5, np.random.default_rng(1))
         b = aaa_forward(feat, masks, params2).data
         np.testing.assert_array_equal(a, b)
+
+
+def _composite_gated_fuse(feat, a_le, a_he, a_bks, masks, p):
+    """The AAA tail assembled from primitive ops (the unfused form)."""
+    n, c, _, _ = feat.shape
+    r_le = a_le.reshape((n, c, 1, 1)) * masks.lung * feat
+    r_he = a_he.reshape((n, c, 1, 1)) * masks.heart * feat
+    r_bks = a_bks.reshape((n, c, 1, 1)) * feat
+    fused = (batch_norm(r_le, p.bn_le) + batch_norm(r_he, p.bn_he)
+             + batch_norm(r_bks, p.bn_bks))
+    return batch_norm(fused, p.bn_fuse)
+
+
+def _bn_tail(p):
+    return (p.bn_le, p.bn_he, p.bn_bks, p.bn_fuse)
+
+
+def _tail_case(shape, modes, empty_masks):
+    """Fresh (feat, a_le, a_he, a_bks, masks, params) with random gammas,
+    betas and running statistics, the same for every call; `modes` are
+    those of bn_le, bn_he, bn_bks and bn_fuse."""
+    rng = np.random.default_rng(3)
+    n, c, h, w = shape
+    params = AaaParams.init(c, 0.5, rng)
+    for s, mode in zip(_bn_tail(params), modes):
+        s.gamma.data = rng.normal(size=c)
+        s.beta.data = rng.normal(size=c)
+        s.running_mean = rng.normal(size=c)
+        s.running_var = rng.uniform(0.5, 2.0, size=c)
+        s.mode = mode
+    masks = _masks(rng, n, h, w)
+    if empty_masks:
+        masks = AnatomyMasks(Tensor(np.zeros((n, 1, h, w))),
+                             Tensor(np.zeros((n, 1, h, w))))
+    feat = Tensor(rng.normal(size=shape) * 2 + 1)
+    attn = [Tensor(rng.uniform(size=(n, c))) for _ in range(3)]
+    return (feat, *attn, masks, params)
+
+
+class TestGatedFuse:
+    @pytest.mark.parametrize("empty_masks", [False, True],
+                             ids=["masks", "empty masks"])
+    # each state follows its own mode, as ops.batch_norm does; the mixed
+    # cases exercise the terms that vanish when all four modes agree
+    @pytest.mark.parametrize("modes", [
+        ("train",) * 4, ("eval",) * 4, ("train",) * 3 + ("eval",),
+        ("eval",) * 3 + ("train",)],
+        ids=["train", "eval", "fuse eval", "fuse train"])
+    @pytest.mark.parametrize("shape", [(2, 4, 5, 5), (16, 32, 16, 16)])
+    def test_matches_composite_tail(self, shape, modes, empty_masks):
+        g = np.random.default_rng(4).normal(size=shape)
+        results = []
+        for fn in (_gated_fuse, _composite_gated_fuse):
+            feat, a_le, a_he, a_bks, masks, p = _tail_case(shape, modes,
+                                                           empty_masks)
+            leaves = [feat, a_le, a_he, a_bks] + [
+                t for s in _bn_tail(p) for t in (s.gamma, s.beta)]
+            for t in leaves:
+                t.requires_grad = True
+            out = fn(feat, a_le, a_he, a_bks, masks, p)
+            out.backward(g)
+            results.append(([out.data], [t.grad for t in leaves],
+                            [a for s in _bn_tail(p)
+                             for a in (s.running_mean, s.running_var)]))
+        # each group agrees to 1e-12 of its largest reference magnitude:
+        # the branch betas' gradients are zero up to rounding when bn_fuse
+        # is in train mode
+        for fused, composite in zip(*results):
+            assert len(fused) == len(composite)
+            scale = max(np.abs(a).max() for a in composite)
+            for x, y in zip(fused, composite):
+                np.testing.assert_allclose(x, y, rtol=0, atol=1e-12 * scale)
+
+    @pytest.mark.parametrize("mode", ["train", "eval"])
+    def test_tail_is_one_graph_node(self, rng, mode):
+        feat = Tensor(rng.normal(size=(2, 4, 5, 5)))
+        params = AaaParams.init(4, 0.5, rng)
+        for s in _bn_tail(params):
+            s.mode = mode
+        out = aaa_forward(feat, _masks(rng, 2, 5, 5), params)
+        assert out._parents[0] is feat
+        assert out._parents[4:] == tuple(
+            t for s in _bn_tail(params) for t in (s.gamma, s.beta))
+        # the attention vectors come straight from couple_attention
+        assert all(a.shape == (2, 4) for a in out._parents[1:4])
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_input_names_op_and_keeps_running_stats(self, bad):
+        feat, a_le, a_he, a_bks, masks, p = _tail_case(
+            (2, 4, 5, 5), ("train",) * 4, False)
+        before = [a.copy() for s in _bn_tail(p)
+                  for a in (s.running_mean, s.running_var)]
+        feat.data[1, 2, 3, 4] = bad
+        with pytest.raises(NonFiniteError, match="gated_fuse"):
+            _gated_fuse(feat, a_le, a_he, a_bks, masks, p)
+        after = [a for s in _bn_tail(p)
+                 for a in (s.running_mean, s.running_var)]
+        for x, y in zip(after, before):
+            np.testing.assert_array_equal(x, y)

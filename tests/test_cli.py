@@ -8,7 +8,7 @@ import pytest
 from anatomy_attn.cli import main
 from anatomy_attn.config import ConfigError, DEFAULTS, echo_config, load_config
 from anatomy_attn.harness import SyntheticSpec
-from anatomy_attn.model import ModelConfig
+from anatomy_attn.model import ModelConfig, ToyModel, save_checkpoint
 
 
 # small overrides so CLI tests stay fast
@@ -134,6 +134,45 @@ class TestExitCodes:
         assert exc.value.code == 2
         assert "--seeds" in capsys.readouterr().err
         assert not list(tmp_path.rglob("*"))
+
+    @pytest.mark.parametrize("command", [["ablate", "--axis", "pooling"],
+                                         ["robustness"]])
+    def test_repeated_seed_exits_2(self, tmp_path, capsys, command):
+        with pytest.raises(SystemExit) as exc:
+            main(["--out", str(tmp_path / "run")] + command
+                 + ["--seeds", "3,0,3"])
+        assert exc.value.code == 2
+        assert "seed 3 is repeated" in capsys.readouterr().err
+        assert not list(tmp_path.rglob("*"))
+
+    def test_repeated_window_exits_2(self, tmp_path, capsys):
+        assert main(["--out", str(tmp_path / "rob"), "--set",
+                     "robustness.windows=0,4,4", "robustness"]) == 2
+        err = capsys.readouterr().err
+        assert "robustness.windows repeats window 4" in err
+        assert not list(tmp_path.rglob("*"))
+
+    @pytest.mark.parametrize("argument, message", [
+        (["--class-index", "5"], "class_index 5"),
+        (["--stage", "bogus"], "stage 'bogus'"),
+        (["--stage", "1"], "stage '1'")])
+    def test_bad_gradcam_argument_exits_2_before_output(
+            self, tmp_path, capsys, argument, message):
+        ckpt = tmp_path / "ckpt"
+        save_checkpoint(ToyModel(ModelConfig(
+            image_size=16, mask_size=4, backbone_widths=(2, 3, 3, 4))), ckpt)
+        out = tmp_path / "cam"
+        assert main(["--out", str(out), "gradcam", "--checkpoint", str(ckpt)]
+                    + argument) == 2
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_missing_checkpoint_exits_2_before_output(self, tmp_path, capsys):
+        out = tmp_path / "cam"
+        assert main(["--out", str(out), "gradcam", "--checkpoint",
+                     str(tmp_path / "nowhere")]) == 2
+        assert "nowhere" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_unknown_subcommand_exits_2(self):
         with pytest.raises(SystemExit) as exc:

@@ -20,9 +20,10 @@ _OP_NAME_EXPANSIONS = {"f'resize_{method}'": ("resize_bilinear",
 
 
 def _core_op_names() -> set:
-    """Every op name passed to `_from_op` in tensor.py and ops.py."""
+    """Every op name passed to `_from_op` in tensor.py, ops.py and
+    attention.py."""
     names = set()
-    for module in ("tensor.py", "ops.py"):
+    for module in ("tensor.py", "ops.py", "attention.py"):
         path = Path(anatomy_attn.__file__).parent / module
         for node in ast.walk(ast.parse(path.read_text())):
             if (isinstance(node, ast.Call)
