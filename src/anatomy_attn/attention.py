@@ -13,14 +13,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ops import (BatchNormState, LinearParams, batch_norm, conv_1x1,
-                  fully_connected, resize, softmax_pair)
+from .ops import (BN_EPSILON, BatchNormState, LinearParams, batch_norm,
+                  conv_1x1, fully_connected, resize, softmax_pair)
 from .tensor import Tensor, _ignore_fp_errors
+
+PWAP_EPSILON = 1e-8
 
 
 @dataclass
 class PwapParams:
-    """1x1 pooling-weight filter K plus bias and a denominator guard.
+    """1x1 pooling-weight filter K plus bias.
 
     K and bias init to zero, so freshly built pooling starts as plain
     mean pooling (weights all 0.5, which cancel in the normalization).
@@ -28,11 +30,6 @@ class PwapParams:
 
     kernel: Tensor
     bias: Tensor
-    epsilon_denom: float = 1e-8
-
-    def __post_init__(self):
-        if self.epsilon_denom <= 0:
-            raise ValueError("epsilon_denom must be > 0")
 
     @classmethod
     def init(cls, channels: int):
@@ -55,8 +52,6 @@ class AttentionEncoderParams:
 
     @classmethod
     def init(cls, channels: int, r: float, rng: np.random.Generator):
-        if r <= 0:
-            raise ValueError("reduction ratio must be > 0")
         hidden = max(1, round(channels / r))
         return cls(LinearParams.init(channels, hidden, rng),
                    BatchNormState.init(hidden),
@@ -128,13 +123,13 @@ def pwap(feat: Tensor, p: PwapParams):
     """Probability-weighted spatial pooling.
 
     Returns (V, P): per-pixel weights P = sigmoid(K * F + b) in (0,1), and
-    V_c = sum_ij(F_c * P) / (sum_ij P + epsilon). The intra-block and
+    V_c = sum_ij(F_c * P) / (sum_ij P + PWAP_EPSILON). The intra-block and
     post-block uses share this one code path.
     """
     prob = conv_1x1(feat, p.kernel, p.bias).sigmoid()          # [N,1,H,W]
     weighted = feat * prob                                     # broadcast C
     pooled = weighted.sum(axis=(2, 3)) / (prob.sum(axis=(2, 3))
-                                          + p.epsilon_denom)   # [N,C]/[N,1]
+                                          + PWAP_EPSILON)      # [N,C]/[N,1]
     return pooled, prob
 
 
@@ -240,7 +235,7 @@ def _gated_fuse(feat: Tensor, a_le: Tensor, a_he: Tensor, a_bks: Tensor,
              for s, m, v in zip(branches, batch_mean, batch_var)]
     centre = np.stack([m for m, _ in stats])
     var = np.stack([v for _, v in stats])
-    std = np.sqrt(var + np.array([[s.epsilon] for s in branches]))
+    std = np.sqrt(var + BN_EPSILON)
     gamma = np.stack([s.gamma.data for s in branches])
     beta = np.stack([s.beta.data for s in branches])
     scale = gamma / std
@@ -254,7 +249,7 @@ def _gated_fuse(feat: Tensor, a_le: Tensor, a_he: Tensor, a_bks: Tensor,
                        - z_mean ** 2, 0.0)
     fuse_centre, fuse_var = _bn_centre(fuse, z_mean + shift, z_var)
     z_centre = fuse_centre - shift
-    fuse_std = np.sqrt(fuse_var + fuse.epsilon)
+    fuse_std = np.sqrt(fuse_var + BN_EPSILON)
     alpha = fuse.gamma.data / fuse_std
     fuse_train = float(fuse.mode == "train")
     gate = alpha[:, None] * b                                 # G, [N,C,3]

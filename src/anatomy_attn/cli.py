@@ -130,6 +130,9 @@ def cmd_seg_toy(args, cfg) -> int:
 
 def cmd_gradcam(args, cfg) -> int:
     try:
+        if args.num_images < 1:
+            raise ValueError(f"--num-images must be >= 1, got "
+                             f"{args.num_images}")
         model = load_checkpoint(args.checkpoint)
         gradcam_stage(model.config, args.class_index, args.stage)
     except (OSError, ValueError) as exc:

@@ -18,6 +18,7 @@ from .seg import SegBatch, apply_cutout, sample_cutout_windows
 from .tensor import Tensor
 
 CLASS_NAMES = ("lung_lesion", "heart_lesion", "outside_lesion")
+SEG_NOISE = 0.1  # pixel noise std of the toy segmentation images
 
 
 # -- synthetic classification data -------------------------------------------
@@ -161,11 +162,10 @@ def gen_synthetic(spec: SyntheticSpec) -> dict:
 # -- synthetic segmentation data (for the cycle-consistency trainer) ----------
 
 
-def gen_seg_batches(size: int = 16, n_annotated: int = 8,
-                    n_unannotated: int = 8, seed: int = 0,
-                    noise: float = 0.1):
+def gen_seg_batches(size: int, n_annotated: int, n_unannotated: int,
+                    seed: int):
     """Endless stream of SegBatch pairs on a toy anatomy distribution where
-    images are a deterministic shading of the masks plus noise."""
+    images are a deterministic shading of the masks plus SEG_NOISE."""
     rng = np.random.default_rng(seed)
 
     def make(n):
@@ -176,7 +176,7 @@ def gen_seg_batches(size: int = 16, n_annotated: int = 8,
             bg = 1.0 - np.maximum(lung, heart)
             masks[s] = np.stack([bg, lung, heart])
             cxr[s, 0] = (0.2 * bg + 0.8 * lung + 0.5 * heart
-                         + rng.normal(0.0, noise, size=(size, size)))
+                         + rng.normal(0.0, SEG_NOISE, size=(size, size)))
         return cxr, masks
 
     while True:
@@ -221,9 +221,7 @@ def _test_aucs(model: ToyModel, data: dict) -> list:
 def train_condition(config: ModelConfig, spec: SyntheticSpec, seed: int,
                     train_kwargs: dict | None = None):
     """Train one model on the spec's dataset; returns (model, data)."""
-    kwargs = dict(DEFAULT_TRAIN)
-    if train_kwargs:
-        kwargs.update(train_kwargs)
+    kwargs = {**DEFAULT_TRAIN, **(train_kwargs or {})}
     data = gen_synthetic(dc_replace(spec, image_size=config.image_size))
     model = ToyModel(config, seed=seed)
     model, _ = train(model, data, kwargs["epochs"], kwargs["lr"],
@@ -266,24 +264,20 @@ def evaluate_with_cutout(model: ToyModel, data: dict, window: int,
     the same data and `base_seed` sees identical corruption."""
     masks = AnatomyMasks(Tensor(data["test_lung"]), Tensor(data["test_heart"]))
     vals = []
-    for t in range(trials):
-        if window == 0:
-            cut = masks
-        else:
-            boxes = sample_cutout_windows(masks, window,
-                                          base_seed + 1000 * window + t)
-            cut = apply_cutout(masks, boxes, window)
+    # window 0 is the uncorrupted reference: no randomness, one evaluation
+    for t in range(trials if window else 1):
+        boxes = sample_cutout_windows(masks, window,
+                                      base_seed + 1000 * window + t)
+        cut = apply_cutout(masks, boxes, window)
         probs = predict(model, data["test_images"], cut.lung.data,
                         cut.heart.data)
         vals.append(np.mean([auc(probs[:, k], data["test_labels"][:, k])
                              for k in range(len(CLASS_NAMES))]))
-        if window == 0:
-            break  # reference row: no randomness, one evaluation
     return float(np.mean(vals))
 
 
-def robustness_sweep(models: dict, data: dict, windows, trials: int = 3,
-                     base_seed: int = 0) -> MetricsTable:
+def robustness_sweep(models: dict, data: dict, windows, trials: int,
+                     base_seed: int) -> MetricsTable:
     """Frozen-model AUC vs cutout window size, averaged over trials.
 
     The same window locations are applied across all models; the window=0
@@ -303,7 +297,7 @@ def robustness_sweep(models: dict, data: dict, windows, trials: int = 3,
 
 
 def robustness_experiment(spec: SyntheticSpec, seeds, windows,
-                          base_config: ModelConfig, trials: int = 3,
+                          base_config: ModelConfig, trials: int,
                           train_kwargs: dict | None = None) -> MetricsTable:
     """Train attention and hard-mask models per seed, sweep cutout windows,
     and report the median AUC over seeds per (model, window)."""

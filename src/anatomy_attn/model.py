@@ -63,8 +63,13 @@ class ModelConfig:
         return _HEAD_STAGES[self.attention_level]
 
     @property
+    def head_fusion(self) -> str:
+        """The fusion the heads apply: `fusion`, but none at L0."""
+        return "none" if self.attention_level == "L0" else self.fusion
+
+    @property
     def uses_masks(self) -> bool:
-        return self.attention_level != "L0" and self.fusion != "none"
+        return self.head_fusion != "none"
 
 
 class ToyModel:
@@ -84,7 +89,7 @@ class ToyModel:
         for si in config.head_stages:
             c = config.backbone_widths[si]
             head_dims.append(c)
-            if config.attention_level != "L0" and config.fusion == "aaa":
+            if config.head_fusion == "aaa":
                 self.aaa[si] = AaaParams.init(c, config.r, rng)
             if config.pooling == "pwap":
                 self.pool_pwap[si] = PwapParams.init(c)
@@ -132,6 +137,19 @@ class ToyModel:
                    for name, bn, attr in self._running_stats()])
 
     def load_state(self, arrays: dict) -> None:
+        """Set every array of `state_arrays()` from `arrays`, which must
+        hold exactly those names, each with the same shape."""
+        expected = dict(self.state_arrays())
+        unexpected = sorted(set(arrays) - set(expected))
+        if unexpected:
+            raise ValueError(f"unexpected tensor(s) in state: {unexpected}")
+        for name, ref in expected.items():
+            if name not in arrays:
+                raise ValueError(f"state is missing tensor {name!r}")
+            if np.shape(arrays[name]) != ref.shape:
+                raise ValueError(f"tensor {name!r} has shape "
+                                 f"{np.shape(arrays[name])}, expected "
+                                 f"{ref.shape}")
         for name, t in self.parameters():
             t.data = np.array(arrays[name], dtype=np.float64)
         for name, bn, attr in self._running_stats():
@@ -182,11 +200,10 @@ class ToyModel:
         pooled = []
         for si in cfg.head_stages:
             f = resize(feats[si], (cfg.mask_size, cfg.mask_size), "bilinear")
-            if cfg.attention_level != "L0":
-                if cfg.fusion == "aaa":
-                    f = aaa_forward(f, masks, self.aaa[si])
-                elif cfg.fusion == "hardmask":
-                    f = f * masks.union()
+            if cfg.head_fusion == "aaa":
+                f = aaa_forward(f, masks, self.aaa[si])
+            elif cfg.head_fusion == "hardmask":
+                f = f * masks.union()
             if cache is not None:
                 cache.setdefault("head_feats", {})[si] = f
             pooled.append(self._pool(f, si))
@@ -230,12 +247,8 @@ def _mean_val_auc(model: ToyModel, data: dict) -> float:
     probs = predict(model, data["val_images"], data.get("val_lung"),
                     data.get("val_heart"))
     labels = data["val_labels"]
-    scores = []
-    for k in range(labels.shape[1]):
-        pos = labels[:, k].sum()
-        if pos == 0 or pos == len(labels):
-            continue
-        scores.append(auc(probs[:, k], labels[:, k]))
+    scores = [auc(probs[:, k], labels[:, k]) for k in range(labels.shape[1])
+              if 0 < labels[:, k].sum() < len(labels)]
     return float(np.mean(scores)) if scores else 50.0
 
 
@@ -319,12 +332,13 @@ def ten_crop_predict(model: ToyModel, image: Tensor, masks: AnatomyMasks | None,
         raise ValueError("crop_size exceeds image size")
     origins = [(0, 0), (0, w - c), (h - c, 0), (h - c, w - c),
                ((h - c) // 2, (w - c) // 2)]
-    if model.config.uses_masks and masks is None:
-        raise ValueError("this configuration requires anatomy masks")
 
+    # pooling makes the heads resolution-agnostic, so weights carry over
     crop_model = model
     if c != model.config.image_size:
-        crop_model = clone_for_image_size(model, c)
+        crop_model = ToyModel(replace(model.config, image_size=c))
+        crop_model.load_state(dict(model.state_arrays()))
+        crop_model.set_mode(model.mode)
 
     acc = None
     for i0, j0 in origins:
@@ -342,15 +356,6 @@ def ten_crop_predict(model: ToyModel, image: Tensor, masks: AnatomyMasks | None,
             probs = crop_model.forward(Tensor(img.copy()), m).data
             acc = probs if acc is None else acc + probs
     return acc / 10.0
-
-
-def clone_for_image_size(model: ToyModel, image_size: int) -> ToyModel:
-    """Same weights, different input resolution (pooling makes heads
-    resolution-agnostic)."""
-    clone = ToyModel(replace(model.config, image_size=image_size))
-    clone.load_state(dict(model.state_arrays()))
-    clone.set_mode(model.mode)
-    return clone
 
 
 def gradcam_stage(cfg: ModelConfig, class_index: int, stage: str) -> int:
@@ -401,12 +406,6 @@ def gradcam(model: ToyModel, image: Tensor, masks: AnatomyMasks | None,
     return Tensor(cam)
 
 
-def gradcam_overlay(heatmaps) -> Tensor:
-    """Multi-label overlay: elementwise max of per-class heatmaps."""
-    stacked = np.stack([h.data for h in heatmaps], axis=0)
-    return Tensor(stacked.max(axis=0))
-
-
 # -- checkpoints --------------------------------------------------------------
 
 
@@ -418,12 +417,26 @@ def save_checkpoint(model: ToyModel, out_dir) -> None:
     save_tensors(out_dir / "weights.bin", model.state_arrays())
 
 
+def _json_matches(value, default) -> bool:
+    """Whether a config.json value has the type of the ModelConfig default
+    it replaces: a list of ints for a tuple, an int or float for a float."""
+    if isinstance(default, tuple):
+        return isinstance(value, list) and all(type(v) is int for v in value)
+    if isinstance(default, float):
+        return type(value) in (int, float)
+    return type(value) is type(default)
+
+
 def load_checkpoint(out_dir) -> ToyModel:
     out_dir = Path(out_dir)
     cfg = json.loads((out_dir / "config.json").read_text())
     unknown = sorted(set(cfg) - {f.name for f in fields(ModelConfig)})
     if unknown:
         raise ValueError(f"unknown config keys in checkpoint: {unknown}")
+    for f in fields(ModelConfig):
+        if f.name in cfg and not _json_matches(cfg[f.name], f.default):
+            raise ValueError(f"checkpoint config key {f.name!r} has the "
+                             f"wrong type: {cfg[f.name]!r}")
     model = ToyModel(ModelConfig(**cfg))
     model.load_state(load_tensors(out_dir / "weights.bin"))
     model.set_mode("eval")

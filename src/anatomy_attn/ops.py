@@ -9,6 +9,9 @@ import numpy as np
 
 from .tensor import Tensor
 
+BN_EPSILON = 1e-5
+BN_MOMENTUM = 0.1
+
 
 # -- parameter containers -----------------------------------------------------
 
@@ -48,23 +51,17 @@ class BatchNormState:
     """Per-channel batch normalization state.
 
     `mode` is "train" (batch statistics, running stats updated with
-    `momentum`) or "eval" (running statistics). Normalization uses the
-    biased 1/N variance estimator.
+    BN_MOMENTUM) or "eval" (running statistics). Normalization uses the
+    biased 1/N variance estimator plus BN_EPSILON.
     """
 
     gamma: Tensor
     beta: Tensor
     running_mean: np.ndarray
     running_var: np.ndarray
-    epsilon: float = 1e-5
-    momentum: float = 0.1
     mode: str = "train"
 
     def __post_init__(self):
-        if self.epsilon <= 0:
-            raise ValueError("epsilon must be > 0")
-        if not 0.0 < self.momentum < 1.0:
-            raise ValueError("momentum must be in (0,1)")
         if np.any(self.running_var < 0):
             raise ValueError("running_var must be >= 0")
 
@@ -80,7 +77,7 @@ class BatchNormState:
 
     def track(self, mean: np.ndarray, var: np.ndarray) -> None:
         """Fold one batch's per-channel statistics into the running ones."""
-        m = self.momentum
+        m = BN_MOMENTUM
         self.running_mean = (1 - m) * self.running_mean + m * mean
         self.running_var = (1 - m) * self.running_var + m * var
 
@@ -257,7 +254,7 @@ def batch_norm(x: Tensor, s: BatchNormState) -> Tensor:
         mu = x.data.mean(axis=axes, keepdims=True)
         xm = x.data - mu
         var = (xm * xm).mean(axis=axes, keepdims=True)
-        std = np.sqrt(var + s.epsilon)
+        std = np.sqrt(var + BN_EPSILON)
         x_hat = xm / std
 
         def dx(g_hat):
@@ -266,7 +263,7 @@ def batch_norm(x: Tensor, s: BatchNormState) -> Tensor:
                     ) / std
     elif s.mode == "eval":
         rm = s.running_mean.reshape(param_shape)
-        std = np.sqrt(s.running_var + s.epsilon).reshape(param_shape)
+        std = np.sqrt(s.running_var + BN_EPSILON).reshape(param_shape)
         x_hat = (x.data - rm) / std
 
         def dx(g_hat):

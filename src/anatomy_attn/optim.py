@@ -4,17 +4,18 @@ from __future__ import annotations
 
 import numpy as np
 
+BETA1 = 0.9
+BETA2 = 0.99
+EPS = 1e-8
+
 
 class Adam:
-    """Adam with (beta1, beta2) = (0.9, 0.99) by default and a fixed lr."""
+    """Adam with (beta1, beta2) = (BETA1, BETA2), denominator guard EPS and
+    a fixed lr."""
 
-    def __init__(self, params, lr: float, beta1: float = 0.9,
-                 beta2: float = 0.99, eps: float = 1e-8):
+    def __init__(self, params, lr: float):
         self.params = list(params)
         self.lr = lr
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
         self.t = 0
         self._m = [np.zeros_like(p.data) for p in self.params]
         self._v = [np.zeros_like(p.data) for p in self.params]
@@ -25,13 +26,12 @@ class Adam:
 
     def step(self) -> None:
         self.t += 1
-        b1, b2 = self.beta1, self.beta2
         for i, p in enumerate(self.params):
             if p.grad is None:
                 continue
             g = p.grad
-            self._m[i] = b1 * self._m[i] + (1 - b1) * g
-            self._v[i] = b2 * self._v[i] + (1 - b2) * g * g
-            m_hat = self._m[i] / (1 - b1 ** self.t)
-            v_hat = self._v[i] / (1 - b2 ** self.t)
-            p.data = p.data - self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
+            self._m[i] = BETA1 * self._m[i] + (1 - BETA1) * g
+            self._v[i] = BETA2 * self._v[i] + (1 - BETA2) * g * g
+            m_hat = self._m[i] / (1 - BETA1 ** self.t)
+            v_hat = self._v[i] / (1 - BETA2 ** self.t)
+            p.data = p.data - self.lr * m_hat / (np.sqrt(v_hat) + EPS)

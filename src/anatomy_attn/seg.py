@@ -93,7 +93,7 @@ class CycleNets:
     d_c: Discriminator
 
     @classmethod
-    def init(cls, width: int = 8, seed: int = 0):
+    def init(cls, width: int, seed: int):
         rng = np.random.default_rng(seed)
         return cls(MaskGenerator((1, width, width, 3), rng, "g_cm"),
                    ImageGenerator((3, width, width, 1), rng, "g_mc"),
@@ -113,14 +113,14 @@ class CycleNets:
 # -- losses -------------------------------------------------------------------
 
 
-def pixel_ce(theta: Tensor, theta_tilde: Tensor,
-             clamp: float = LOG_CLAMP) -> Tensor:
+def pixel_ce(theta: Tensor, theta_tilde: Tensor) -> Tensor:
     """Pixel-wise cross-entropy, summed over pixels and classes, divided by
-    the batch size for reporting."""
+    the batch size for reporting. Probabilities are clamped at LOG_CLAMP
+    before the log."""
     if theta.shape != theta_tilde.shape:
         raise ValueError("pixel_ce shape mismatch")
     n = theta.shape[0]
-    logp = theta_tilde.clamp(lo=clamp).log()
+    logp = theta_tilde.clamp(lo=LOG_CLAMP).log()
     return -(theta * logp).sum() * (1.0 / n)
 
 
@@ -180,7 +180,8 @@ def train_cyclegan_toy(batches, nets: CycleNets, steps: int, lr: float):
     Per step: generators descend the supervised + cycle losses plus the
     generator-side adversarial terms (discriminators frozen, target 1),
     then discriminators descend their least-squares losses (generators
-    frozen). `batches` is an iterable/callable stream of SegBatch.
+    frozen). `batches` is an iterator of SegBatch that lasts at least
+    `steps` batches.
 
     Returns (nets, curves) with one curve row per step.
     """
@@ -188,16 +189,10 @@ def train_cyclegan_toy(batches, nets: CycleNets, steps: int, lr: float):
     disc_params = [t for _, t in nets.discriminator_parameters()]
     opt_g = Adam(gen_params, lr)
     opt_d = Adam(disc_params, lr)
-    batch_iter = iter(batches)
 
     curves = []
     for step in range(steps):
-        try:
-            batch = next(batch_iter)
-        except StopIteration:
-            batch_iter = iter(batches)
-            batch = next(batch_iter)
-
+        batch = next(batches)
         try:
             parts = {}
             parts.update(gen_losses(batch, nets))

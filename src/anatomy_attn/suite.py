@@ -119,13 +119,17 @@ def _attention_targets(rng):
     return targets
 
 
-def _jitter(tensors, rng, scale=1e-2):
-    """Nudge parameters off their init values so no ReLU/max/clamp corner
-    sits exactly at the evaluation point (zero-init biases otherwise leave
-    pre-activations exactly at the kink, where central differences and any
-    subgradient legitimately disagree)."""
+_JITTER_SCALE = 1e-2
+
+
+def _jitter(tensors, rng):
+    """Nudge parameters off their init values by _JITTER_SCALE standard
+    normals, so no ReLU/max/clamp corner sits exactly at the evaluation
+    point (zero-init biases otherwise leave pre-activations exactly at the
+    kink, where central differences and any subgradient legitimately
+    disagree)."""
     for t in tensors:
-        t.data = t.data + scale * rng.normal(size=t.data.shape)
+        t.data = t.data + _JITTER_SCALE * rng.normal(size=t.data.shape)
 
 
 def _seg_targets(rng):

@@ -264,20 +264,18 @@ class Tensor:
             count = int(np.prod([self.shape[a] for a in axes]))
         return self.sum(axis=axis, keepdims=keepdims) * (1.0 / count)
 
-    def max(self, axis, keepdims: bool = False):
-        """Max over the given axes; ties share the gradient equally."""
+    def max(self, axis):
+        """Max over the given axes, which are dropped; ties share the
+        gradient equally."""
         out_data = self.data.max(axis=axis, keepdims=True)
         mask = (self.data == out_data).astype(np.float64)
         mask /= mask.sum(axis=axis, keepdims=True)
 
         def bwd(g):
-            g = np.asarray(g)
-            if not keepdims:
-                g = np.expand_dims(g, axis)
-            return [(self, mask * g)]
+            return [(self, mask * np.expand_dims(g, axis))]
 
-        data = out_data if keepdims else np.squeeze(out_data, axis=axis)
-        return Tensor._from_op(data, (self,), bwd, "max")
+        return Tensor._from_op(np.squeeze(out_data, axis=axis), (self,), bwd,
+                               "max")
 
     # -- shape ops ------------------------------------------------------------
 

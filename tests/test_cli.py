@@ -1,5 +1,6 @@
 """Command-line interface: exit codes, config handling, artifacts."""
 
+import json
 from dataclasses import asdict
 
 import numpy as np
@@ -9,6 +10,7 @@ from anatomy_attn.cli import main
 from anatomy_attn.config import ConfigError, DEFAULTS, echo_config, load_config
 from anatomy_attn.harness import SyntheticSpec
 from anatomy_attn.model import ModelConfig, ToyModel, save_checkpoint
+from anatomy_attn.serialize import load_tensors, save_tensors
 
 
 # small overrides so CLI tests stay fast
@@ -155,7 +157,9 @@ class TestExitCodes:
     @pytest.mark.parametrize("argument, message", [
         (["--class-index", "5"], "class_index 5"),
         (["--stage", "bogus"], "stage 'bogus'"),
-        (["--stage", "1"], "stage '1'")])
+        (["--stage", "1"], "stage '1'"),
+        (["--num-images", "0"], "--num-images must be >= 1, got 0"),
+        (["--num-images", "-2"], "--num-images must be >= 1, got -2")])
     def test_bad_gradcam_argument_exits_2_before_output(
             self, tmp_path, capsys, argument, message):
         ckpt = tmp_path / "ckpt"
@@ -164,6 +168,34 @@ class TestExitCodes:
         out = tmp_path / "cam"
         assert main(["--out", str(out), "gradcam", "--checkpoint", str(ckpt)]
                     + argument) == 2
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("config, weights, message", [
+        ({"backbone_widths": [2, 3, 3, 5]}, None,
+         "'stage3.weight' has shape (4, 3, 3, 3), expected (5, 3, 3, 3)"),
+        ({}, lambda a: {k: v for k, v in a.items() if k != "classifier.bias"},
+         "missing tensor 'classifier.bias'"),
+        ({}, lambda a: {**a, "extra.weight": np.zeros(2)},
+         "unexpected tensor(s) in state: ['extra.weight']"),
+        ({"backbone_widths": 5}, None, "'backbone_widths' has the wrong type"),
+        ({"image_size": "a"}, None, "'image_size' has the wrong type")],
+        ids=["wrong_shape", "missing", "unexpected", "widths_int",
+             "size_str"])
+    def test_corrupt_checkpoint_exits_2_naming_the_fault(
+            self, tmp_path, capsys, config, weights, message):
+        ckpt = tmp_path / "ckpt"
+        save_checkpoint(ToyModel(ModelConfig(
+            image_size=16, mask_size=4, backbone_widths=(2, 3, 3, 4))), ckpt)
+        path = ckpt / "config.json"
+        path.write_text(json.dumps({**json.loads(path.read_text()),
+                                    **config}))
+        if weights is not None:
+            path = ckpt / "weights.bin"
+            save_tensors(path, weights(load_tensors(path)).items())
+        out = tmp_path / "cam"
+        assert main(["--out", str(out), "gradcam", "--checkpoint",
+                     str(ckpt)]) == 2
         assert message in capsys.readouterr().err
         assert not out.exists()
 

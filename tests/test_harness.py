@@ -185,8 +185,10 @@ class TestSyntheticData:
             assert 0 < col.sum() < len(col)
 
     def test_seg_batches_are_deterministic(self):
-        a = next(iter(gen_seg_batches(size=8, seed=3)))
-        b = next(iter(gen_seg_batches(size=8, seed=3)))
+        a = next(iter(gen_seg_batches(size=8, n_annotated=8,
+                                      n_unannotated=8, seed=3)))
+        b = next(iter(gen_seg_batches(size=8, n_annotated=8,
+                                      n_unannotated=8, seed=3)))
         np.testing.assert_array_equal(a.annotated_cxr.data,
                                       b.annotated_cxr.data)
         np.testing.assert_array_equal(a.annotated_masks.data,

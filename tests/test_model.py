@@ -8,8 +8,8 @@ import pytest
 
 from anatomy_attn.attention import AnatomyMasks
 from anatomy_attn.model import (ModelConfig, ToyModel, bce_loss, gradcam,
-                                gradcam_overlay, load_checkpoint, predict,
-                                save_checkpoint, ten_crop_predict, train)
+                                load_checkpoint, predict, save_checkpoint,
+                                ten_crop_predict, train)
 from anatomy_attn.tensor import Tensor
 
 
@@ -256,13 +256,6 @@ class TestGradCam:
         with pytest.raises(ValueError):
             gradcam(model, Tensor(rng.normal(size=(1, 1, 16, 16))),
                     _masks(rng, 1, 16), class_index=5)
-
-    def test_overlay_is_elementwise_max(self, rng):
-        a = Tensor(rng.random((1, 1, 4, 4)))
-        b = Tensor(rng.random((1, 1, 4, 4)))
-        out = gradcam_overlay([a, b])
-        np.testing.assert_array_equal(out.data,
-                                      np.maximum(a.data, b.data))
 
 
 class TestCheckpoint:
