@@ -14,8 +14,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .ops import (BN_EPSILON, BatchNormState, LinearParams, batch_norm,
-                  conv_1x1, fully_connected, resize, softmax_pair)
-from .tensor import Tensor, _ignore_fp_errors
+                  conv_1x1, fully_connected, interp_matrix, softmax_pair)
+from .tensor import Tensor, ignore_fp_errors
 
 PWAP_EPSILON = 1e-8
 
@@ -65,19 +65,25 @@ class AttentionEncoderParams:
 
 @dataclass
 class AnatomyMasks:
-    """Binary lung and heart masks, shape [N,1,h,w], pixelwise disjoint."""
+    """Binary lung and heart masks, float64 [N,1,h,w], pixelwise disjoint."""
 
-    lung: Tensor
-    heart: Tensor
+    lung: np.ndarray
+    heart: np.ndarray
 
     def __post_init__(self):
+        self.lung = np.asarray(self.lung, dtype=np.float64)
+        self.heart = np.asarray(self.heart, dtype=np.float64)
+        if self.lung.ndim != 4 or self.lung.shape[1] != 1:
+            raise ValueError(f"lung mask shape {self.lung.shape} is not "
+                             f"[N,1,h,w]")
         if self.lung.shape != self.heart.shape:
-            raise ValueError("lung/heart mask shape mismatch")
+            raise ValueError(f"lung/heart mask shape mismatch: "
+                             f"{self.lung.shape} vs {self.heart.shape}")
         for name, m in (("lung", self.lung), ("heart", self.heart)):
-            vals = np.unique(m.data)
+            vals = np.unique(m)
             if not np.all(np.isin(vals, (0.0, 1.0))):
                 raise ValueError(f"{name} mask is not binary")
-        if np.any(self.lung.data * self.heart.data > 0):
+        if np.any(self.lung * self.heart > 0):
             raise ValueError("lung and heart masks overlap")
 
     @property
@@ -85,14 +91,15 @@ class AnatomyMasks:
         return self.lung.shape[2:]
 
     def resized(self, target: tuple) -> "AnatomyMasks":
-        """Nearest-neighbor resize, preserving the binary value set."""
+        """Nearest-neighbor resize by the 0/1 matrices of `ops.resize`."""
         if self.spatial == tuple(target):
             return self
-        return AnatomyMasks(resize(self.lung, target, "nearest"),
-                            resize(self.heart, target, "nearest"))
+        rm = interp_matrix(self.spatial[0], target[0], "nearest")
+        cm = interp_matrix(self.spatial[1], target[1], "nearest")
+        return AnatomyMasks(rm @ self.lung @ cm.T, rm @ self.heart @ cm.T)
 
-    def union(self) -> Tensor:
-        return Tensor(np.maximum(self.lung.data, self.heart.data))
+    def union(self) -> np.ndarray:
+        return np.maximum(self.lung, self.heart)
 
 
 @dataclass
@@ -184,7 +191,7 @@ def _bn_centre(s: BatchNormState, mean, var):
     raise ValueError(f"unknown batch_norm mode {s.mode!r}")
 
 
-@_ignore_fp_errors
+@ignore_fp_errors
 def _gated_fuse(feat: Tensor, a_le: Tensor, a_he: Tensor, a_bks: Tensor,
                 masks: AnatomyMasks, p: AaaParams) -> Tensor:
     """bn_fuse(bn_le(a_le*lung*f) + bn_he(a_he*heart*f) + bn_bks(a_bks*f))
@@ -218,8 +225,8 @@ def _gated_fuse(feat: Tensor, a_le: Tensor, a_he: Tensor, a_bks: Tensor,
         raise ValueError("_gated_fuse needs >= 2 elements per channel")
 
     f = feat.data.reshape(n, c, h * w)
-    lung = masks.lung.data.reshape(n, 1, h * w)
-    heart = masks.heart.data.reshape(n, 1, h * w)
+    lung = masks.lung.reshape(n, 1, h * w)
+    heart = masks.heart.reshape(n, 1, h * w)
     region = np.concatenate((lung, heart, 1.0 - lung - heart), axis=1)
     region_t = region.transpose(0, 2, 1)                      # [N,P,3]
     q1 = f @ region_t                                         # [N,C,3]

@@ -10,13 +10,12 @@ import sys
 from dataclasses import replace as dc_replace
 from pathlib import Path
 
-from .attention import AnatomyMasks
 from .config import (ConfigError, echo_config, load_config, model_config,
                      parse_int_list, repeated_value, synthetic_spec)
 from .harness import (ABLATION_AXES, ablation_sweep, gen_seg_batches,
                       gen_synthetic, robustness_experiment)
-from .model import (ToyModel, gradcam, gradcam_stage, load_checkpoint,
-                    save_checkpoint, write_history, train)
+from .model import (ToyModel, batch_masks, gradcam, gradcam_stage,
+                    load_checkpoint, save_checkpoint, write_history, train)
 from .seg import CycleNets, train_cyclegan_toy, write_curves
 from .serialize import write_pgm
 from .suite import run_gradcheck_suite
@@ -146,10 +145,8 @@ def cmd_gradcam(args, cfg) -> int:
     n = min(args.num_images, len(data["test_images"]))
     for i in range(n):
         image = Tensor(data["test_images"][i:i + 1])
-        masks = None
-        if model.config.uses_masks:
-            masks = AnatomyMasks(Tensor(data["test_lung"][i:i + 1]),
-                                 Tensor(data["test_heart"][i:i + 1]))
+        masks = batch_masks(model.config, data["test_lung"],
+                            data["test_heart"], slice(i, i + 1))
         heat = gradcam(model, image, masks, args.class_index,
                        stage=args.stage)
         write_pgm(out / f"gradcam_class{args.class_index}_img{i}.pgm",

@@ -262,15 +262,14 @@ def evaluate_with_cutout(model: ToyModel, data: dict, window: int,
     noisy masks. Window locations depend only on the test masks and the
     seed `base_seed + 1000 * window + trial`, so every model evaluated on
     the same data and `base_seed` sees identical corruption."""
-    masks = AnatomyMasks(Tensor(data["test_lung"]), Tensor(data["test_heart"]))
+    masks = AnatomyMasks(data["test_lung"], data["test_heart"])
     vals = []
     # window 0 is the uncorrupted reference: no randomness, one evaluation
     for t in range(trials if window else 1):
         boxes = sample_cutout_windows(masks, window,
                                       base_seed + 1000 * window + t)
         cut = apply_cutout(masks, boxes, window)
-        probs = predict(model, data["test_images"], cut.lung.data,
-                        cut.heart.data)
+        probs = predict(model, data["test_images"], cut.lung, cut.heart)
         vals.append(np.mean([auc(probs[:, k], data["test_labels"][:, k])
                              for k in range(len(CLASS_NAMES))]))
     return float(np.mean(vals))

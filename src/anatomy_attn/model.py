@@ -52,8 +52,9 @@ class ModelConfig:
             raise ValueError("backbone_widths must list 4 stage widths")
         if min(self.backbone_widths) < 1:
             raise ValueError("backbone_widths must be >= 1")
-        if self.r <= 0:
-            raise ValueError("reduction ratio r must be > 0")
+        if not (np.isfinite(self.r) and self.r > 0):
+            raise ValueError(f"reduction ratio r must be finite and > 0, "
+                             f"got {self.r}")
         for key in ("image_size", "mask_size", "n_classes"):
             if getattr(self, key) < 1:
                 raise ValueError(f"{key} must be >= 1")
@@ -189,6 +190,9 @@ class ToyModel:
         if cfg.uses_masks:
             if masks is None:
                 raise ValueError("this configuration requires anatomy masks")
+            if masks.lung.shape[0] != image.shape[0]:
+                raise ValueError(f"masks of shape {masks.lung.shape} do not "
+                                 f"match the batch of image {image.shape}")
             masks = masks.resized((cfg.mask_size, cfg.mask_size))
 
         feats = []
@@ -229,17 +233,23 @@ def bce_loss(p_s: Tensor, labels) -> Tensor:
 HISTORY_HEADER = ["epoch", "loss", "val_auc"]
 
 
+def batch_masks(config: ModelConfig, lung: np.ndarray | None,
+                heart: np.ndarray | None, idx) -> AnatomyMasks | None:
+    """Masks of the images `idx` selects, or None if `config` reads none."""
+    if not config.uses_masks:
+        return None
+    return AnatomyMasks(lung[idx], heart[idx])
+
+
 def predict(model: ToyModel, images: np.ndarray, lung: np.ndarray | None,
             heart: np.ndarray | None, batch: int = 32) -> np.ndarray:
     """Eval-mode probabilities for a stack of images."""
     model.set_mode("eval")
     outs = []
     for lo in range(0, len(images), batch):
-        hi = lo + batch
-        masks = None
-        if model.config.uses_masks:
-            masks = AnatomyMasks(Tensor(lung[lo:hi]), Tensor(heart[lo:hi]))
-        outs.append(model.forward(Tensor(images[lo:hi]), masks).data)
+        idx = slice(lo, lo + batch)
+        masks = batch_masks(model.config, lung, heart, idx)
+        outs.append(model.forward(Tensor(images[idx]), masks).data)
     return np.concatenate(outs, axis=0)
 
 
@@ -287,10 +297,8 @@ def train(model: ToyModel, data: dict, epochs: int, lr: float,
             if len(idx) < 2:
                 continue  # train-mode BN needs >= 2 samples
             images = Tensor(data["train_images"][idx])
-            masks = None
-            if model.config.uses_masks:
-                masks = AnatomyMasks(Tensor(data["train_lung"][idx]),
-                                     Tensor(data["train_heart"][idx]))
+            masks = batch_masks(model.config, data.get("train_lung"),
+                                data.get("train_heart"), idx)
             try:
                 loss = bce_loss(model.forward(images, masks),
                                 data["train_labels"][idx])
@@ -340,21 +348,18 @@ def ten_crop_predict(model: ToyModel, image: Tensor, masks: AnatomyMasks | None,
         crop_model.load_state(dict(model.state_arrays()))
         crop_model.set_mode(model.mode)
 
+    def crop(a, i0, j0, flip):
+        a = a[:, :, i0:i0 + c, j0:j0 + c]
+        return a[:, :, :, ::-1] if flip else a
+
     acc = None
-    for i0, j0 in origins:
-        for flip in (False, True):
-            img = image.data[:, :, i0:i0 + c, j0:j0 + c]
-            if flip:
-                img = img[:, :, :, ::-1]
-            m = None
-            if masks is not None:
-                lung = masks.lung.data[:, :, i0:i0 + c, j0:j0 + c]
-                heart = masks.heart.data[:, :, i0:i0 + c, j0:j0 + c]
-                if flip:
-                    lung, heart = lung[:, :, :, ::-1], heart[:, :, :, ::-1]
-                m = AnatomyMasks(Tensor(lung.copy()), Tensor(heart.copy()))
-            probs = crop_model.forward(Tensor(img.copy()), m).data
-            acc = probs if acc is None else acc + probs
+    for view in [(i0, j0, flip) for i0, j0 in origins
+                 for flip in (False, True)]:
+        m = None
+        if masks is not None:
+            m = AnatomyMasks(crop(masks.lung, *view), crop(masks.heart, *view))
+        probs = crop_model.forward(Tensor(crop(image.data, *view)), m).data
+        acc = probs if acc is None else acc + probs
     return acc / 10.0
 
 
@@ -430,6 +435,9 @@ def _json_matches(value, default) -> bool:
 def load_checkpoint(out_dir) -> ToyModel:
     out_dir = Path(out_dir)
     cfg = json.loads((out_dir / "config.json").read_text())
+    if not isinstance(cfg, dict):
+        raise ValueError(f"checkpoint config.json holds a "
+                         f"{type(cfg).__name__}, not an object")
     unknown = sorted(set(cfg) - {f.name for f in fields(ModelConfig)})
     if unknown:
         raise ValueError(f"unknown config keys in checkpoint: {unknown}")

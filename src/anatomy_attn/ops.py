@@ -178,7 +178,7 @@ def conv3x3(x: Tensor, weight: Tensor, bias: Tensor, stride: int = 1) -> Tensor:
 
 
 @lru_cache(maxsize=64)
-def _interp_matrix(src: int, dst: int, method: str) -> np.ndarray:
+def interp_matrix(src: int, dst: int, method: str) -> np.ndarray:
     """[dst, src] matrix that resamples one axis of length src to dst.
 
     Nearest rows hold a single 1 at floor(i * src / dst); bilinear rows
@@ -213,8 +213,8 @@ def resize(x: Tensor, target: tuple, method: str = "bilinear") -> Tensor:
     if th < 1 or tw < 1:
         raise ValueError(f"resize target must be >= 1, got {target}")
     _, _, h, w = x.shape
-    rm = _interp_matrix(h, th, method)
-    cm = _interp_matrix(w, tw, method)
+    rm = interp_matrix(h, th, method)
+    cm = interp_matrix(w, tw, method)
 
     def bwd(g):
         return [(x, rm.T @ g @ cm)]

@@ -247,7 +247,7 @@ def binarize_masks(logits: Tensor) -> AnatomyMasks:
     cls = probs.argmax(axis=1)  # first maximal index == priority order
     lung = (cls == 1).astype(np.float64)[:, None]
     heart = (cls == 2).astype(np.float64)[:, None]
-    return AnatomyMasks(Tensor(lung), Tensor(heart))
+    return AnatomyMasks(lung, heart)
 
 
 def sample_cutout_windows(masks: AnatomyMasks, window: int, rng_seed: int):
@@ -259,7 +259,7 @@ def sample_cutout_windows(masks: AnatomyMasks, window: int, rng_seed: int):
     n = masks.lung.shape[0]
     windows = []
     for s in range(n):
-        union = np.maximum(masks.lung.data[s, 0], masks.heart.data[s, 0])
+        union = np.maximum(masks.lung[s, 0], masks.heart[s, 0])
         ij = np.argwhere(union > 0)
         if window == 0 or len(ij) == 0:
             windows.append(None)
@@ -274,8 +274,8 @@ def apply_cutout(masks: AnatomyMasks, windows, window: int) -> AnatomyMasks:
 
     Applying the same windows twice is a no-op the second time.
     """
-    lung = masks.lung.data.copy()
-    heart = masks.heart.data.copy()
+    lung = masks.lung.copy()
+    heart = masks.heart.copy()
     _, _, h, w = lung.shape
     for s, win in enumerate(windows):
         if win is None:
@@ -286,4 +286,4 @@ def apply_cutout(masks: AnatomyMasks, windows, window: int) -> AnatomyMasks:
         if i1c > i0c and j1c > j0c:
             lung[s, 0, i0c:i1c, j0c:j1c] = 0.0
             heart[s, 0, i0c:i1c, j0c:j1c] = 0.0
-    return AnatomyMasks(Tensor(lung), Tensor(heart))
+    return AnatomyMasks(lung, heart)

@@ -65,7 +65,12 @@ def save_tensors(path, named_arrays) -> None:
 def load_tensors(path) -> dict:
     path = Path(path)
     manifest = path.with_suffix(path.suffix + ".manifest.json")
-    names = json.loads(manifest.read_text())["tensors"]
+    listing = json.loads(manifest.read_text())
+    names = listing.get("tensors") if isinstance(listing, dict) else None
+    if not (isinstance(names, list)
+            and all(isinstance(name, str) for name in names)):
+        raise ValueError(f"manifest {manifest} is not "
+                         f"{{\"tensors\": [name, ...]}}")
     out = {}
     with open(path, "rb") as fh:
         for name in names:

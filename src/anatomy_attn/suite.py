@@ -26,7 +26,7 @@ def _rand(rng, *shape):
 def _binary_masks(rng, n, h, w):
     lung = (rng.random((n, 1, h, w)) < 0.4).astype(float)
     heart = (rng.random((n, 1, h, w)) < 0.3).astype(float) * (1 - lung)
-    return AnatomyMasks(Tensor(lung), Tensor(heart))
+    return AnatomyMasks(lung, heart)
 
 
 def _op_targets(rng):

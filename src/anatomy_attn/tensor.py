@@ -21,7 +21,7 @@ class DivergenceError(RuntimeError):
 # Ops that can overflow run with numpy's floating-point warnings off:
 # _from_op raises NonFiniteError naming the op instead. One shared errstate
 # decorator costs less per call than a `with` block and is thread-safe.
-_ignore_fp_errors = np.errstate(all="ignore")
+ignore_fp_errors = np.errstate(all="ignore")
 
 
 def _check_finite(data: np.ndarray, op: str) -> None:
@@ -47,6 +47,9 @@ class Tensor:
     """
 
     __slots__ = ("data", "requires_grad", "grad", "_parents", "_backward_fn")
+    # numpy defers `ndarray <op> Tensor` to the Tensor's reflected method
+    # instead of building an object array of Tensors
+    __array_ufunc__ = None
 
     def __init__(self, data, requires_grad: bool = False):
         self.data = np.array(data, dtype=np.float64)
@@ -125,7 +128,7 @@ class Tensor:
 
     # -- elementwise ops ------------------------------------------------------
 
-    @_ignore_fp_errors
+    @ignore_fp_errors
     def __add__(self, other):
         other = _as_tensor(other)
         out_data = self.data + other.data
@@ -147,7 +150,7 @@ class Tensor:
     def __rsub__(self, other):
         return _as_tensor(other) + (-self)
 
-    @_ignore_fp_errors
+    @ignore_fp_errors
     def __mul__(self, other):
         other = _as_tensor(other)
         out_data = self.data * other.data
@@ -160,7 +163,7 @@ class Tensor:
 
     __rmul__ = __mul__
 
-    @_ignore_fp_errors
+    @ignore_fp_errors
     def __truediv__(self, other):
         other = _as_tensor(other)
         out_data = self.data / other.data
@@ -175,7 +178,7 @@ class Tensor:
     def __rtruediv__(self, other):
         return _as_tensor(other) / self
 
-    @_ignore_fp_errors
+    @ignore_fp_errors
     def __pow__(self, exponent: float):
         out_data = self.data ** exponent
 
@@ -184,7 +187,7 @@ class Tensor:
 
         return Tensor._from_op(out_data, (self,), bwd, "pow")
 
-    @_ignore_fp_errors
+    @ignore_fp_errors
     def exp(self):
         out_data = np.exp(self.data)
 
@@ -193,7 +196,7 @@ class Tensor:
 
         return Tensor._from_op(out_data, (self,), bwd, "exp")
 
-    @_ignore_fp_errors
+    @ignore_fp_errors
     def log(self):
         out_data = np.log(self.data)
 
@@ -287,7 +290,7 @@ class Tensor:
 
         return Tensor._from_op(self.data.reshape(shape), (self,), bwd, "reshape")
 
-    @_ignore_fp_errors
+    @ignore_fp_errors
     def __matmul__(self, other):
         other = _as_tensor(other)
         out_data = self.data @ other.data

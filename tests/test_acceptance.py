@@ -129,8 +129,8 @@ class TestAcceptance:
                         if probs[k, i, j] > best_p:
                             best, best_p = k, probs[k, i, j]
                     cls[i, j] = best
-            if not (np.array_equal(masks.lung.data[0, 0], cls == 1)
-                    and np.array_equal(masks.heart.data[0, 0], cls == 2)):
+            if not (np.array_equal(masks.lung[0, 0], cls == 1)
+                    and np.array_equal(masks.heart[0, 0], cls == 2)):
                 ok = False
                 break
         _line(4, "mask binarization matches brute-force argmax on 1000 "

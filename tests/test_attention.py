@@ -8,14 +8,14 @@ from hypothesis import strategies as st
 from anatomy_attn.attention import (AaaParams, AnatomyMasks, PwapParams,
                                     _gated_fuse, aaa_forward,
                                     couple_attention, pwap)
-from anatomy_attn.ops import batch_norm, named_tensors
+from anatomy_attn.ops import batch_norm, named_tensors, resize
 from anatomy_attn.tensor import NonFiniteError, Tensor
 
 
 def _masks(rng, n, h, w):
     lung = (rng.random((n, 1, h, w)) < 0.4).astype(float)
     heart = (rng.random((n, 1, h, w)) < 0.3).astype(float) * (1 - lung)
-    return AnatomyMasks(Tensor(lung), Tensor(heart))
+    return AnatomyMasks(lung, heart)
 
 
 class TestPwap:
@@ -113,23 +113,50 @@ class TestCoupleAttention:
 class TestAnatomyMasks:
     def test_non_binary_rejected(self):
         with pytest.raises(ValueError):
-            AnatomyMasks(Tensor(np.full((1, 1, 2, 2), 0.5)),
-                         Tensor(np.zeros((1, 1, 2, 2))))
+            AnatomyMasks(np.full((1, 1, 2, 2), 0.5), np.zeros((1, 1, 2, 2)))
 
     def test_overlap_rejected(self):
-        ones = Tensor(np.ones((1, 1, 2, 2)))
+        ones = np.ones((1, 1, 2, 2))
         with pytest.raises(ValueError):
             AnatomyMasks(ones, ones)
 
     def test_union(self, rng):
         m = _masks(rng, 2, 4, 4)
-        np.testing.assert_array_equal(
-            m.union().data, m.lung.data + m.heart.data)
+        np.testing.assert_array_equal(m.union(), m.lung + m.heart)
 
     def test_resized_stays_binary_and_disjoint(self, rng):
         m = _masks(rng, 1, 8, 8).resized((5, 5))
-        assert set(np.unique(m.lung.data)) <= {0.0, 1.0}
-        assert (m.lung.data * m.heart.data == 0).all()
+        assert set(np.unique(m.lung)) <= {0.0, 1.0}
+        assert (m.lung * m.heart == 0).all()
+
+    def test_holds_float64_arrays(self):
+        m = AnatomyMasks(np.ones((2, 1, 3, 3), dtype=bool),
+                         np.zeros((2, 1, 3, 3), dtype=int))
+        for arr in (m.lung, m.heart, m.resized((5, 4)).lung, m.union()):
+            assert type(arr) is np.ndarray and arr.dtype == np.float64
+
+    @pytest.mark.parametrize("shape", [(4, 2, 8, 8), (4, 8, 8), (8, 8),
+                                       (1, 4, 1, 8, 8)],
+                             ids=["2 channels", "rank 3", "rank 2", "rank 5"])
+    def test_shape_other_than_n1hw_rejected(self, shape):
+        with pytest.raises(ValueError, match=r"is not \[N,1,h,w\]"):
+            AnatomyMasks(np.zeros(shape), np.zeros(shape))
+
+    def test_lung_heart_shape_mismatch_names_both(self):
+        with pytest.raises(ValueError, match=r"\(2, 1, 4, 4\) vs "
+                                             r"\(3, 1, 4, 4\)"):
+            AnatomyMasks(np.zeros((2, 1, 4, 4)), np.zeros((3, 1, 4, 4)))
+
+    @pytest.mark.parametrize("src, dst", [((8, 8), (5, 5)), ((16, 12), (4, 3)),
+                                          ((5, 5), (8, 8)), ((4, 3), (16, 7))],
+                             ids=["down", "down uneven", "up", "up uneven"])
+    def test_resized_equals_nearest_resize_op(self, rng, src, dst):
+        m = _masks(rng, 3, *src)
+        out = m.resized(dst)
+        for got, arr in ((out.lung, m.lung), (out.heart, m.heart)):
+            ref = resize(Tensor(arr), dst, "nearest").data
+            assert got.shape == ref.shape == (3, 1) + dst
+            assert got.tobytes() == ref.tobytes()
 
 
 class TestAaaForward:
@@ -156,8 +183,7 @@ class TestAaaForward:
         # constant (their BN beta), so two different features with the same
         # background branch give the same lung/heart contribution
         n, c, h, w = 2, 3, 4, 4
-        zeros = AnatomyMasks(Tensor(np.zeros((n, 1, h, w))),
-                             Tensor(np.zeros((n, 1, h, w))))
+        zeros = AnatomyMasks(np.zeros((n, 1, h, w)), np.zeros((n, 1, h, w)))
         params = AaaParams.init(c, 0.5, rng)
         feat = Tensor(rng.normal(size=(n, c, h, w)))
         out = aaa_forward(feat, zeros, params)
@@ -222,8 +248,7 @@ def _tail_case(shape, modes, empty_masks):
         s.mode = mode
     masks = _masks(rng, n, h, w)
     if empty_masks:
-        masks = AnatomyMasks(Tensor(np.zeros((n, 1, h, w))),
-                             Tensor(np.zeros((n, 1, h, w))))
+        masks = AnatomyMasks(np.zeros((n, 1, h, w)), np.zeros((n, 1, h, w)))
     feat = Tensor(rng.normal(size=shape) * 2 + 1)
     attn = [Tensor(rng.uniform(size=(n, c))) for _ in range(3)]
     return (feat, *attn, masks, params)

@@ -79,6 +79,30 @@ class TestConfig:
         assert cfg["model"]["backbone_widths"] == (2, 3, 3, 4)
 
 
+def _set_config(**changes):
+    """Checkpoint edit that merges `changes` into config.json."""
+    def edit(ckpt):
+        path = ckpt / "config.json"
+        path.write_text(json.dumps({**json.loads(path.read_text()),
+                                    **changes}))
+    return edit
+
+
+def _map_weights(fn):
+    """Checkpoint edit that rewrites the weights as fn(name -> array)."""
+    def edit(ckpt):
+        path = ckpt / "weights.bin"
+        save_tensors(path, fn(load_tensors(path)).items())
+    return edit
+
+
+def _write(name, text):
+    """Checkpoint edit that replaces file `name` with `text`."""
+    def edit(ckpt):
+        (ckpt / name).write_text(text)
+    return edit
+
+
 class TestExitCodes:
     def test_unknown_config_key_exits_2(self, capsys):
         assert main(["--set", "train.warmup=1", "seg-toy"]) == 2
@@ -90,7 +114,9 @@ class TestExitCodes:
         ("model.image_size=0", "image_size"),
         ("model.mask_size=0", "mask_size"),
         ("model.n_classes=0", "n_classes"),
-        ("model.backbone_widths=0,1,1,1", "backbone_widths")])
+        ("model.backbone_widths=0,1,1,1", "backbone_widths"),
+        ("model.r=nan", "r must be finite and > 0, got nan"),
+        ("model.r=inf", "r must be finite and > 0, got inf")])
     def test_invalid_config_value_exits_2(self, capsys, override, key):
         assert main(["--set", override, "train"]) == 2
         assert key in capsys.readouterr().err
@@ -171,28 +197,36 @@ class TestExitCodes:
         assert message in capsys.readouterr().err
         assert not out.exists()
 
-    @pytest.mark.parametrize("config, weights, message", [
-        ({"backbone_widths": [2, 3, 3, 5]}, None,
+    @pytest.mark.parametrize("edit, message", [
+        (_set_config(backbone_widths=[2, 3, 3, 5]),
          "'stage3.weight' has shape (4, 3, 3, 3), expected (5, 3, 3, 3)"),
-        ({}, lambda a: {k: v for k, v in a.items() if k != "classifier.bias"},
+        (_map_weights(lambda a: {k: v for k, v in a.items()
+                                 if k != "classifier.bias"}),
          "missing tensor 'classifier.bias'"),
-        ({}, lambda a: {**a, "extra.weight": np.zeros(2)},
+        (_map_weights(lambda a: {**a, "extra.weight": np.zeros(2)}),
          "unexpected tensor(s) in state: ['extra.weight']"),
-        ({"backbone_widths": 5}, None, "'backbone_widths' has the wrong type"),
-        ({"image_size": "a"}, None, "'image_size' has the wrong type")],
+        (_set_config(backbone_widths=5),
+         "'backbone_widths' has the wrong type"),
+        (_set_config(image_size="a"), "'image_size' has the wrong type"),
+        (_write("config.json", "[]"),
+         "config.json holds a list, not an object"),
+        (_set_config(r=float("inf")), "r must be finite and > 0, got inf"),
+        (_set_config(r=float("nan")), "r must be finite and > 0, got nan"),
+        (_write("weights.bin.manifest.json", '{"tensors": 5}'),
+         'is not {"tensors": [name, ...]}'),
+        (_write("weights.bin.manifest.json", "[1]"),
+         'is not {"tensors": [name, ...]}'),
+        (_write("weights.bin.manifest.json", '{"tensors": [1]}'),
+         'is not {"tensors": [name, ...]}')],
         ids=["wrong_shape", "missing", "unexpected", "widths_int",
-             "size_str"])
+             "size_str", "config_list", "r_inf", "r_nan", "manifest_int",
+             "manifest_list", "manifest_int_name"])
     def test_corrupt_checkpoint_exits_2_naming_the_fault(
-            self, tmp_path, capsys, config, weights, message):
+            self, tmp_path, capsys, edit, message):
         ckpt = tmp_path / "ckpt"
         save_checkpoint(ToyModel(ModelConfig(
             image_size=16, mask_size=4, backbone_widths=(2, 3, 3, 4))), ckpt)
-        path = ckpt / "config.json"
-        path.write_text(json.dumps({**json.loads(path.read_text()),
-                                    **config}))
-        if weights is not None:
-            path = ckpt / "weights.bin"
-            save_tensors(path, weights(load_tensors(path)).items())
+        edit(ckpt)
         out = tmp_path / "cam"
         assert main(["--out", str(out), "gradcam", "--checkpoint",
                      str(ckpt)]) == 2

@@ -1,5 +1,5 @@
-"""Import hygiene of the package source: no unused imports and no imports
-inside function bodies."""
+"""Import hygiene of the package source: no unused imports, no imports
+inside function bodies, and no private names imported across modules."""
 
 import ast
 from pathlib import Path
@@ -49,3 +49,12 @@ def test_no_import_inside_a_function(path):
               for node in ast.walk(fn)
               if isinstance(node, (ast.Import, ast.ImportFrom))]
     assert nested == []
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_private_name_imported_from_another_module(path):
+    private = [f"{node.module}.{alias.name}:{node.lineno}"
+               for node in ast.walk(_tree(path))
+               if isinstance(node, ast.ImportFrom) and node.level > 0
+               for alias in node.names if alias.name.startswith("_")]
+    assert private == []

@@ -7,9 +7,9 @@ import numpy as np
 import pytest
 
 from anatomy_attn.attention import AnatomyMasks
-from anatomy_attn.model import (ModelConfig, ToyModel, bce_loss, gradcam,
-                                load_checkpoint, predict, save_checkpoint,
-                                ten_crop_predict, train)
+from anatomy_attn.model import (ModelConfig, ToyModel, batch_masks, bce_loss,
+                                gradcam, load_checkpoint, predict,
+                                save_checkpoint, ten_crop_predict, train)
 from anatomy_attn.tensor import Tensor
 
 
@@ -18,7 +18,7 @@ def _masks(rng, n, size):
     heart = np.zeros((n, 1, size, size))
     lung[:, :, 1:size // 2, 1:size // 2] = 1.0
     heart[:, :, size // 2 + 1:size - 1, size // 2 + 1:size - 1] = 1.0
-    return AnatomyMasks(Tensor(lung), Tensor(heart))
+    return AnatomyMasks(lung, heart)
 
 
 def _cfg(**kw):
@@ -97,12 +97,46 @@ class TestForward:
             model.forward(Tensor(rng.normal(size=(1, 1, 8, 8))),
                           _masks(rng, 1, 8))
 
+    @pytest.mark.parametrize("fusion", ["aaa", "hardmask"])
+    def test_mask_batch_must_match_image_batch(self, rng, fusion):
+        model = ToyModel(_cfg(fusion=fusion), seed=0)
+        with pytest.raises(ValueError, match=r"\(1, 1, 16, 16\).*"
+                                             r"\(4, 1, 16, 16\)"):
+            model.forward(Tensor(rng.normal(size=(4, 1, 16, 16))),
+                          _masks(rng, 1, 16))
+
+    def test_forward_resizes_masks_outside_the_graph(self, rng, monkeypatch):
+        built = []
+        from_op = Tensor.__dict__["_from_op"].__func__
+
+        def recording_from_op(cls, data, parents, backward_fn, op):
+            built.append(op)
+            return from_op(cls, data, parents, backward_fn, op)
+
+        monkeypatch.setattr(Tensor, "_from_op",
+                            classmethod(recording_from_op))
+        for fusion in ("aaa", "hardmask"):
+            model = ToyModel(_cfg(fusion=fusion), seed=0)
+            model.forward(Tensor(rng.normal(size=(2, 1, 16, 16))),
+                          _masks(rng, 2, 16))
+        assert "gated_fuse" in built and "resize_bilinear" in built
+        assert "resize_nearest" not in built
+
+    def test_batch_masks_selects_or_skips(self, rng):
+        m = _masks(rng, 5, 16)
+        idx = np.array([4, 1])
+        got = batch_masks(_cfg(), m.lung, m.heart, idx)
+        np.testing.assert_array_equal(got.lung, m.lung[idx])
+        np.testing.assert_array_equal(got.heart, m.heart[idx])
+        for cfg in (_cfg(fusion="none"), _cfg(attention_level="L0")):
+            assert batch_masks(cfg, m.lung, m.heart, idx) is None
+
     def test_hardmask_zeroes_features_outside_anatomy(self, rng):
         # with all-zero masks every head feature is zeroed, so the output
         # depends only on the classifier bias
         model = ToyModel(_cfg(fusion="hardmask"), seed=0)
-        empty = AnatomyMasks(Tensor(np.zeros((2, 1, 16, 16))),
-                             Tensor(np.zeros((2, 1, 16, 16))))
+        empty = AnatomyMasks(np.zeros((2, 1, 16, 16)),
+                             np.zeros((2, 1, 16, 16)))
         a = model.forward(Tensor(rng.normal(size=(2, 1, 16, 16))), empty).data
         b = model.forward(Tensor(rng.normal(size=(2, 1, 16, 16))), empty).data
         np.testing.assert_allclose(a, b, atol=1e-12)
@@ -148,9 +182,9 @@ class TestTraining:
         images[:, 0, 10, 10] += 3.0 * labels[:, 1]
         m = _masks(rng, n, size)
         return {"train_images": images, "train_labels": labels,
-                "train_lung": m.lung.data, "train_heart": m.heart.data,
+                "train_lung": m.lung, "train_heart": m.heart,
                 "val_images": images, "val_labels": labels,
-                "val_lung": m.lung.data, "val_heart": m.heart.data}
+                "val_lung": m.lung, "val_heart": m.heart}
 
     def test_loss_decreases_on_learnable_task(self, rng):
         data = self._data(rng)
@@ -204,9 +238,8 @@ class TestTenCrop:
         masks = _masks(rng, 2, 16)
         out = ten_crop_predict(model, img, masks, crop_size=16)
         flipped_img = Tensor(img.data[:, :, :, ::-1].copy())
-        flipped_masks = AnatomyMasks(
-            Tensor(masks.lung.data[:, :, :, ::-1].copy()),
-            Tensor(masks.heart.data[:, :, :, ::-1].copy()))
+        flipped_masks = AnatomyMasks(masks.lung[:, :, :, ::-1],
+                                     masks.heart[:, :, :, ::-1])
         expected = (model.forward(img, masks).data
                     + model.forward(flipped_img, flipped_masks).data) / 2
         np.testing.assert_allclose(out, expected, atol=1e-12)

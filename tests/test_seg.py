@@ -187,19 +187,19 @@ class TestBinarize:
                     for k in (1, 2):
                         if probs[k, i, j] > best_p:
                             best, best_p = k, probs[k, i, j]
-                    assert masks.lung.data[0, 0, i, j] == (best == 1)
-                    assert masks.heart.data[0, 0, i, j] == (best == 2)
+                    assert masks.lung[0, 0, i, j] == (best == 1)
+                    assert masks.heart[0, 0, i, j] == (best == 2)
 
     def test_tie_priority_prefers_earlier_channel(self):
         logits = np.zeros((1, 3, 2, 2))  # all classes tied
         masks = binarize_masks(Tensor(logits))
-        assert masks.lung.data.sum() == 0
-        assert masks.heart.data.sum() == 0  # background wins all ties
+        assert masks.lung.sum() == 0
+        assert masks.heart.sum() == 0  # background wins all ties
 
     def test_output_is_binary_and_disjoint(self, rng):
         masks = binarize_masks(Tensor(rng.normal(size=(3, 3, 5, 5))))
-        assert set(np.unique(masks.lung.data)) <= {0.0, 1.0}
-        assert (masks.lung.data * masks.heart.data == 0).all()
+        assert set(np.unique(masks.lung)) <= {0.0, 1.0}
+        assert (masks.lung * masks.heart == 0).all()
 
     def test_wrong_channel_count_rejected(self, rng):
         with pytest.raises(ValueError):
@@ -211,21 +211,21 @@ def _square_masks(n=2, size=12):
     heart = np.zeros((n, 1, size, size))
     lung[:, 0, 2:6, 2:6] = 1.0
     heart[:, 0, 7:10, 7:10] = 1.0
-    return AnatomyMasks(Tensor(lung), Tensor(heart))
+    return AnatomyMasks(lung, heart)
 
 
 class TestCutout:
     def test_window_zero_is_identity(self):
         masks = _square_masks()
         out = apply_cutout(masks, sample_cutout_windows(masks, 0, 0), 0)
-        np.testing.assert_array_equal(out.lung.data, masks.lung.data)
-        np.testing.assert_array_equal(out.heart.data, masks.heart.data)
+        np.testing.assert_array_equal(out.lung, masks.lung)
+        np.testing.assert_array_equal(out.heart, masks.heart)
 
     def test_centers_lie_in_anatomy_union(self):
         masks = _square_masks()
         for seed in range(10):
             wins = sample_cutout_windows(masks, 4, rng_seed=seed)
-            union = np.maximum(masks.lung.data, masks.heart.data)
+            union = np.maximum(masks.lung, masks.heart)
             for s, win in enumerate(wins):
                 ci, cj = win[0] + 2, win[1] + 2
                 assert union[s, 0, ci, cj] == 1.0
@@ -235,21 +235,21 @@ class TestCutout:
         wins = sample_cutout_windows(masks, 4, rng_seed=1)
         once = apply_cutout(masks, wins, 4)
         twice = apply_cutout(once, wins, 4)
-        np.testing.assert_array_equal(once.lung.data, twice.lung.data)
-        np.testing.assert_array_equal(once.heart.data, twice.heart.data)
+        np.testing.assert_array_equal(once.lung, twice.lung)
+        np.testing.assert_array_equal(once.heart, twice.heart)
 
     def test_deterministic_given_seed(self):
         masks = _square_masks()
         a = apply_cutout(masks, sample_cutout_windows(masks, 4, 7), 4)
         b = apply_cutout(masks, sample_cutout_windows(masks, 4, 7), 4)
-        np.testing.assert_array_equal(a.lung.data, b.lung.data)
-        np.testing.assert_array_equal(a.heart.data, b.heart.data)
+        np.testing.assert_array_equal(a.lung, b.lung)
+        np.testing.assert_array_equal(a.heart, b.heart)
 
     def test_removes_at_most_window_squared_pixels(self):
         masks = _square_masks()
-        before = masks.union().data.sum(axis=(1, 2, 3))
+        before = masks.union().sum(axis=(1, 2, 3))
         out = apply_cutout(masks, sample_cutout_windows(masks, 4, 3), 4)
-        after = out.union().data.sum(axis=(1, 2, 3))
+        after = out.union().sum(axis=(1, 2, 3))
         assert ((before - after) <= 16).all()
         assert ((before - after) >= 1).all()  # center pixel is in the union
 
@@ -259,11 +259,10 @@ class TestCutout:
         wins = sample_cutout_windows(masks, 2, rng_seed=5)
         small = apply_cutout(masks, wins, 2)
         big = apply_cutout(masks, wins, 4)
-        assert (big.union().data <= small.union().data).all()
+        assert (big.union() <= small.union()).all()
 
     def test_empty_union_is_skipped(self):
-        empty = AnatomyMasks(Tensor(np.zeros((1, 1, 6, 6))),
-                             Tensor(np.zeros((1, 1, 6, 6))))
+        empty = AnatomyMasks(np.zeros((1, 1, 6, 6)), np.zeros((1, 1, 6, 6)))
         wins = sample_cutout_windows(empty, 4, rng_seed=0)
         assert wins == [None]
 

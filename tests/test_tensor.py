@@ -33,6 +33,15 @@ class TestForward:
         np.testing.assert_array_equal((2.0 - a).data, [1, 0])
         np.testing.assert_array_equal((6.0 / a).data, [6, 3])
 
+    def test_ndarray_left_operand_gives_a_tensor(self):
+        a = Tensor([1.0, 2.0])
+        m = np.array([[3.0], [4.0]])
+        for got, want in ((m + a, [[4, 5], [5, 6]]), (m - a, [[2, 1], [3, 2]]),
+                          (m * a, [[3, 6], [4, 8]]),
+                          (m / a, [[3, 1.5], [4, 2]])):
+            assert isinstance(got, Tensor)
+            np.testing.assert_array_equal(got.data, want)
+
     def test_unary_values(self):
         x = Tensor([-1.0, 0.0, 2.0])
         np.testing.assert_array_equal(x.relu().data, [0, 0, 2])
