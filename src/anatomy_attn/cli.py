@@ -42,8 +42,7 @@ def _out_dir(args) -> Path:
 
 
 def cmd_gradcheck(args, cfg) -> int:
-    reports = run_gradcheck_suite(tol=args.tol, eps=args.eps,
-                                  inject_fault=args.inject_fault,
+    reports = run_gradcheck_suite(tol=args.tol, inject_fault=args.inject_fault,
                                   include_models=not args.skip_models)
     failed = [r for r in reports if not r.passed]
     for r in reports:
@@ -150,7 +149,7 @@ def cmd_gradcam(args, cfg) -> int:
         heat = gradcam(model, image, masks, args.class_index,
                        stage=args.stage)
         write_pgm(out / f"gradcam_class{args.class_index}_img{i}.pgm",
-                  heat.data[0, 0])
+                  heat[0, 0])
     print(f"gradcam: wrote {n} heatmap(s) to {out}")
     return 0
 
@@ -171,7 +170,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("gradcheck", help="run the finite-difference suite")
     p.add_argument("--tol", type=float, default=1e-4)
-    p.add_argument("--eps", type=float, default=1e-5)
     p.add_argument("--inject-fault", action="store_true",
                    help=argparse.SUPPRESS)  # test hook
     p.add_argument("--skip-models", action="store_true",

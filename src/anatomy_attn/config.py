@@ -8,6 +8,7 @@ provenance.
 from __future__ import annotations
 
 import configparser
+import math
 from dataclasses import asdict
 from pathlib import Path
 
@@ -75,9 +76,19 @@ def load_config(path=None, overrides=()) -> dict:
         apply(section.strip(), key.strip(), raw.strip(), "--set")
 
     s, t, r = merged["synthetic"], merged["train"], merged["robustness"]
+    g = merged["seg"]
     try:
         model_config(merged)
         check_train_args(s["n_train"], s["n_val"], t["epochs"], t["batch"])
+        for key, value in (("train.lr", t["lr"]), ("seg.lr", g["lr"])):
+            if not (math.isfinite(value) and value > 0):
+                raise ValueError(f"{key} must be finite and > 0, got {value}")
+        if not (math.isfinite(s["noise"]) and s["noise"] >= 0):
+            raise ValueError(f"synthetic.noise must be finite and >= 0, "
+                             f"got {s['noise']}")
+        if s["lesion_radius"] < 0:
+            raise ValueError(f"synthetic.lesion_radius must be >= 0, got "
+                             f"{s['lesion_radius']}")
         # the sweep reads its degradation rows against the window-0 reference
         if 0 not in r["windows"] or min(r["windows"]) < 0:
             raise ValueError(f"robustness.windows must be >= 0 and include "
@@ -86,8 +97,9 @@ def load_config(path=None, overrides=()) -> dict:
         if repeated is not None:
             raise ValueError(f"robustness.windows repeats window {repeated}, "
                              f"got {r['windows']}")
-        for key, value in (("robustness.trials", r["trials"]),
-                           ("seg.steps", merged["seg"]["steps"])):
+        seg_counts = ("steps", "size", "width", "n_annotated", "n_unannotated")
+        for key, value in [("robustness.trials", r["trials"])] + [
+                (f"seg.{k}", g[k]) for k in seg_counts]:
             if value < 1:
                 raise ValueError(f"{key} must be >= 1, got {value}")
     except ValueError as exc:

@@ -15,7 +15,7 @@ import numpy as np
 from .attention import AaaParams, AnatomyMasks, PwapParams, aaa_forward, pwap
 from .metrics import auc
 from .ops import (ConvParams, LinearParams, bn_states, conv3x3,
-                  fully_connected, named_tensors, resize)
+                  fully_connected, interp_matrix, named_tensors, resize)
 from .optim import Adam
 from .serialize import load_tensors, save_tensors
 from .tensor import DivergenceError, NonFiniteError, Tensor, concat
@@ -219,8 +219,7 @@ class ToyModel:
 
 def bce_loss(p_s: Tensor, labels) -> Tensor:
     """Multi-label binary cross-entropy, averaged over classes and batch."""
-    if not isinstance(labels, Tensor):
-        labels = Tensor(np.asarray(labels, dtype=np.float64))
+    labels = np.asarray(labels, dtype=np.float64)
     if labels.shape != p_s.shape:
         raise ValueError("bce_loss shape mismatch")
     p = p_s.clamp(lo=1e-12, hi=1.0 - 1e-12)
@@ -383,8 +382,9 @@ def gradcam_stage(cfg: ModelConfig, class_index: int, stage: str) -> int:
 
 
 def gradcam(model: ToyModel, image: Tensor, masks: AnatomyMasks | None,
-            class_index: int, stage: str = "last") -> Tensor:
-    """Gradient-weighted class activation map from a head feature map.
+            class_index: int, stage: str = "last") -> np.ndarray:
+    """Gradient-weighted class activation map [N,1,H,W] from a head
+    feature map.
 
     Channel weights are the spatial means of the pre-sigmoid class-score
     gradients; the map is ReLU(weighted sum), bilinearly upsampled to the
@@ -398,17 +398,18 @@ def gradcam(model: ToyModel, image: Tensor, masks: AnatomyMasks | None,
     feat.requires_grad = True
     onehot = np.zeros(cache["scores"].shape)
     onehot[:, class_index] = 1.0
-    (cache["scores"] * Tensor(onehot)).sum().backward()
+    (cache["scores"] * onehot).sum().backward()
     weights = feat.grad.mean(axis=(2, 3), keepdims=True)
     cam = np.maximum((weights * feat.data).sum(axis=1, keepdims=True), 0.0)
-    cam = resize(Tensor(cam), (image.shape[2], image.shape[3]),
-                 "bilinear").data
+    rm = interp_matrix(cam.shape[2], image.shape[2], "bilinear")
+    cm = interp_matrix(cam.shape[3], image.shape[3], "bilinear")
+    cam = rm @ cam @ cm.T
     lo, hi = cam.min(), cam.max()
     if hi - lo > 0:
         cam = (cam - lo) / (hi - lo)
     else:
         cam = np.zeros_like(cam)
-    return Tensor(cam)
+    return cam
 
 
 # -- checkpoints --------------------------------------------------------------

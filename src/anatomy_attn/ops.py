@@ -7,7 +7,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .tensor import Tensor
+from .tensor import Tensor, ignore_fp_errors
 
 BN_EPSILON = 1e-5
 BN_MOMENTUM = 0.1
@@ -106,19 +106,19 @@ def bn_states(block) -> list:
 # -- ops ----------------------------------------------------------------------
 
 
+@ignore_fp_errors
 def fully_connected(v: Tensor, p: LinearParams) -> Tensor:
-    """v[N,in] -> v @ W.T + b, shape [N,out]."""
-    if v.shape[-1] != p.weight.shape[1]:
+    """v[N,in] -> v @ W.T + b, shape [N,out], as one node."""
+    w, b = p.weight, p.bias
+    if v.shape[-1] != w.shape[1]:
         raise ValueError(f"fully_connected: input dim {v.shape[-1]} != "
-                         f"weight in-dim {p.weight.shape[1]}")
-    return v @ _transpose2d(p.weight) + p.bias
+                         f"weight in-dim {w.shape[1]}")
 
-
-def _transpose2d(t: Tensor) -> Tensor:
     def bwd(g):
-        return [(t, g.T)]
+        return [(v, g @ w.data), (w, (v.data.T @ g).T), (b, g.sum(axis=0))]
 
-    return Tensor._from_op(t.data.T, (t,), bwd, "transpose")
+    return Tensor._from_op(v.data @ w.data.T + b.data, (v, w, b), bwd,
+                           "fully_connected")
 
 
 def conv_1x1(x: Tensor, weight: Tensor, bias: Tensor) -> Tensor:
@@ -297,6 +297,5 @@ def softmax_pair(a: Tensor, b: Tensor):
 
 def softmax_channels(x: Tensor) -> Tensor:
     """Softmax over the channel axis of x[N,K,H,W]."""
-    shift = Tensor(x.data.max(axis=1, keepdims=True))
-    e = (x - shift).exp()
+    e = (x - x.data.max(axis=1, keepdims=True)).exp()
     return e / e.sum(axis=1, keepdims=True)

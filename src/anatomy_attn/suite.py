@@ -201,8 +201,7 @@ def _fault_target():
     return ("injected_sign_flip", lambda t: bad_square(t).sum(), [x])
 
 
-def run_gradcheck_suite(tol: float = 1e-4, eps: float = 1e-5,
-                        inject_fault: bool = False,
+def run_gradcheck_suite(tol: float = 1e-4, inject_fault: bool = False,
                         include_models: bool = True):
     """Run every target; returns a list of GradCheckReport."""
     rng = np.random.default_rng(42)
@@ -219,6 +218,6 @@ def run_gradcheck_suite(tol: float = 1e-4, eps: float = 1e-5,
                            "cycle_losses") else None)
         # crc32, not hash(): str hashes are salted per process
         coord_rng = np.random.default_rng(zlib.crc32(name.encode()))
-        reports.append(grad_check(f, inputs, eps=eps, tol=tol, name=name,
+        reports.append(grad_check(f, inputs, tol=tol, name=name,
                                   max_coords=max_coords, rng=coord_rng))
     return reports

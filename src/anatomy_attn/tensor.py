@@ -128,55 +128,32 @@ class Tensor:
 
     # -- elementwise ops ------------------------------------------------------
 
-    @ignore_fp_errors
     def __add__(self, other):
-        other = _as_tensor(other)
-        out_data = self.data + other.data
+        return _binary(self, other, "add")
 
-        def bwd(g):
-            return [(self, _unbroadcast(g, self.shape)),
-                    (other, _unbroadcast(g, other.shape))]
-
-        return Tensor._from_op(out_data, (self, other), bwd, "add")
-
-    __radd__ = __add__
+    def __radd__(self, other):
+        return _binary(other, self, "add")
 
     def __neg__(self):
         return Tensor._from_op(-self.data, (self,), lambda g: [(self, -g)], "neg")
 
     def __sub__(self, other):
-        return self + (-_as_tensor(other))
+        return _binary(self, other, "sub")
 
     def __rsub__(self, other):
-        return _as_tensor(other) + (-self)
+        return _binary(other, self, "sub")
 
-    @ignore_fp_errors
     def __mul__(self, other):
-        other = _as_tensor(other)
-        out_data = self.data * other.data
+        return _binary(self, other, "mul")
 
-        def bwd(g):
-            return [(self, _unbroadcast(g * other.data, self.shape)),
-                    (other, _unbroadcast(g * self.data, other.shape))]
+    def __rmul__(self, other):
+        return _binary(other, self, "mul")
 
-        return Tensor._from_op(out_data, (self, other), bwd, "mul")
-
-    __rmul__ = __mul__
-
-    @ignore_fp_errors
     def __truediv__(self, other):
-        other = _as_tensor(other)
-        out_data = self.data / other.data
-
-        def bwd(g):
-            return [(self, _unbroadcast(g / other.data, self.shape)),
-                    (other, _unbroadcast(-g * self.data / other.data ** 2,
-                                         other.shape))]
-
-        return Tensor._from_op(out_data, (self, other), bwd, "div")
+        return _binary(self, other, "div")
 
     def __rtruediv__(self, other):
-        return _as_tensor(other) / self
+        return _binary(other, self, "div")
 
     @ignore_fp_errors
     def __pow__(self, exponent: float):
@@ -290,24 +267,45 @@ class Tensor:
 
         return Tensor._from_op(self.data.reshape(shape), (self,), bwd, "reshape")
 
-    @ignore_fp_errors
-    def __matmul__(self, other):
-        other = _as_tensor(other)
-        out_data = self.data @ other.data
 
-        def bwd(g):
-            return [(self, g @ other.data.T), (other, self.data.T @ g)]
+# forward of each binary op, then its partials with respect to the left and
+# the right operand, given the output gradient g and the operand arrays x, y
+_BINARY_OPS = {
+    "add": (np.add, lambda g, x, y: g, lambda g, x, y: g),
+    "sub": (np.subtract, lambda g, x, y: g, lambda g, x, y: -g),
+    "mul": (np.multiply, lambda g, x, y: g * y, lambda g, x, y: g * x),
+    "div": (np.divide, lambda g, x, y: g / y,
+            lambda g, x, y: -g * x / y ** 2),
+}
 
-        return Tensor._from_op(out_data, (self, other), bwd, "matmul")
+
+@ignore_fp_errors
+def _binary(x, y, op: str) -> Tensor:
+    """`x <op> y` as one node. An operand that is not a Tensor is a
+    constant: it must be finite, and it is neither a parent nor given a
+    gradient."""
+    forward, dx, dy = _BINARY_OPS[op]
+    xd, yd = _operand(x, op), _operand(y, op)
+    partials = [(t, d) for t, d in ((x, dx), (y, dy)) if isinstance(t, Tensor)]
+
+    def bwd(g):
+        return [(t, _unbroadcast(d(g, xd, yd), t.shape)) for t, d in partials]
+
+    return Tensor._from_op(forward(xd, yd), [t for t, _ in partials], bwd, op)
 
 
-def _as_tensor(x) -> Tensor:
-    return x if isinstance(x, Tensor) else Tensor(x)
+def _operand(v, op: str) -> np.ndarray:
+    if isinstance(v, Tensor):
+        return v.data
+    v = np.asarray(v, dtype=np.float64)
+    if not np.all(np.isfinite(v)):
+        raise NonFiniteError(f"non-finite constant operand of op '{op}'")
+    return v
 
 
 def concat(tensors, axis: int) -> Tensor:
-    """Concatenate along `axis` with gradient split back to the parts."""
-    tensors = [_as_tensor(t) for t in tensors]
+    """Concatenate a list of Tensors along `axis`, with the gradient split
+    back to the parts."""
     out_data = np.concatenate([t.data for t in tensors], axis=axis)
     sizes = [t.shape[axis] for t in tensors]
     offsets = np.cumsum([0] + sizes)

@@ -116,7 +116,13 @@ class TestExitCodes:
         ("model.n_classes=0", "n_classes"),
         ("model.backbone_widths=0,1,1,1", "backbone_widths"),
         ("model.r=nan", "r must be finite and > 0, got nan"),
-        ("model.r=inf", "r must be finite and > 0, got inf")])
+        ("model.r=inf", "r must be finite and > 0, got inf"),
+        ("seg.lr=nan", "seg.lr must be finite and > 0, got nan"),
+        ("seg.lr=0", "seg.lr must be finite and > 0, got 0.0"),
+        ("seg.size=0", "seg.size must be >= 1"),
+        ("seg.width=0", "seg.width must be >= 1"),
+        ("seg.n_annotated=0", "seg.n_annotated must be >= 1"),
+        ("seg.n_unannotated=0", "seg.n_unannotated must be >= 1")])
     def test_invalid_config_value_exits_2(self, capsys, override, key):
         assert main(["--set", override, "train"]) == 2
         assert key in capsys.readouterr().err
@@ -124,13 +130,19 @@ class TestExitCodes:
     @pytest.mark.parametrize("override, key", [
         ("synthetic.n_val=0", "n_val"),
         ("train.epochs=0", "epochs"),
-        ("synthetic.n_train=-1", "n_train")])
+        ("synthetic.n_train=-1", "n_train"),
+        ("train.lr=nan", "train.lr must be finite and > 0, got nan"),
+        ("train.lr=0", "train.lr must be finite and > 0, got 0.0"),
+        ("train.lr=-0.1", "train.lr must be finite and > 0, got -0.1"),
+        ("synthetic.noise=nan", "synthetic.noise must be finite and >= 0"),
+        ("synthetic.noise=-1", "synthetic.noise must be finite and >= 0"),
+        ("synthetic.lesion_radius=-1", "lesion_radius must be >= 0")])
     def test_untrainable_run_exits_2_before_any_work(self, tmp_path, capsys,
                                                      override, key):
         out = tmp_path / "run"
         assert main(["--out", str(out), "--set", override, "train"]) == 2
         assert key in capsys.readouterr().err
-        assert not (out / "history.csv").exists()
+        assert not out.exists()
 
     @pytest.mark.parametrize("override", [
         "robustness.windows=", "robustness.windows=0,-4",

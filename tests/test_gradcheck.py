@@ -14,21 +14,24 @@ from anatomy_attn import suite
 from anatomy_attn.gradcheck import grad_check
 from anatomy_attn.tensor import Tensor
 
-# op names built by an f-string, expanded to every value the package uses
+# op names that are not literals, expanded to every value the package
+# uses: an f-string, and the `op` that `_binary` passes on to `_from_op`,
+# whose values are read from the `_binary` calls themselves
 _OP_NAME_EXPANSIONS = {"f'resize_{method}'": ("resize_bilinear",
-                                              "resize_nearest")}
+                                              "resize_nearest"),
+                       "op": ()}
 
 
 def _core_op_names() -> set:
-    """Every op name passed to `_from_op` in tensor.py, ops.py and
-    attention.py."""
+    """Every op name passed to `_from_op` or `_binary` in tensor.py, ops.py
+    and attention.py."""
     names = set()
     for module in ("tensor.py", "ops.py", "attention.py"):
         path = Path(anatomy_attn.__file__).parent / module
         for node in ast.walk(ast.parse(path.read_text())):
             if (isinstance(node, ast.Call)
-                    and isinstance(node.func, ast.Attribute)
-                    and node.func.attr == "_from_op"):
+                    and ast.unparse(node.func).split(".")[-1]
+                    in ("_from_op", "_binary")):
                 op = node.args[-1]
                 if isinstance(op, ast.Constant):
                     names.add(op.value)
@@ -157,4 +160,5 @@ class TestSuite:
         suite.run_gradcheck_suite()
         core = _core_op_names()
         assert len(core) > 20
+        assert {"add", "sub", "mul", "div", "fully_connected"} <= core
         assert core - built == set()

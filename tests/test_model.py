@@ -141,6 +141,21 @@ class TestForward:
         b = model.forward(Tensor(rng.normal(size=(2, 1, 16, 16))), empty).data
         np.testing.assert_allclose(a, b, atol=1e-12)
 
+    def test_hardmask_gate_takes_no_mask_gradient(self, rng):
+        # the union mask is data: each head's `mul` node has the [N,C,h,w]
+        # feature map as its only parent and returns one gradient
+        model = ToyModel(_cfg(fusion="hardmask", attention_level="L3"),
+                         seed=0)
+        cache = {}
+        model.forward(Tensor(rng.normal(size=(2, 1, 16, 16))),
+                      _masks(rng, 2, 16), cache=cache)
+        assert len(cache["head_feats"]) == 3
+        for gated in cache["head_feats"].values():
+            (feat,) = gated._parents
+            assert feat.shape == gated.shape and feat.shape[1] > 1
+            grads = gated._backward_fn(np.ones(gated.shape))
+            assert [p for p, _ in grads] == [feat]
+
     def test_seed_determinism(self, rng):
         img = rng.normal(size=(2, 1, 16, 16))
         masks = _masks(rng, 2, 16)
@@ -265,12 +280,12 @@ class TestGradCam:
         img = Tensor(rng.normal(size=(1, 1, 16, 16)))
         cam = gradcam(model, img, _masks(rng, 1, 16), class_index=0)
         assert cam.shape == (1, 1, 16, 16)
-        assert cam.data.min() >= 0.0 and cam.data.max() <= 1.0
+        assert cam.min() >= 0.0 and cam.max() <= 1.0
 
     def test_normalization_reaches_extremes(self, rng):
         model = ToyModel(_cfg(), seed=0)
         img = Tensor(rng.normal(size=(1, 1, 16, 16)))
-        cam = gradcam(model, img, _masks(rng, 1, 16), class_index=1).data
+        cam = gradcam(model, img, _masks(rng, 1, 16), class_index=1)
         if cam.max() > 0:  # non-constant map spans [0, 1]
             assert cam.min() == 0.0 and cam.max() == 1.0
 

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from anatomy_attn import NonFiniteError, Tensor, concat
+from anatomy_attn.ops import LinearParams, fully_connected
 
 
 def _grad_of(f, x_data):
@@ -68,10 +69,8 @@ class TestForward:
         np.testing.assert_array_equal(x.max(axis=1).data, [3, 7, 11])
         assert x.sum(axis=1, keepdims=True).shape == (3, 1)
 
-    def test_matmul_reshape_concat_stack(self):
+    def test_reshape_and_concat(self):
         a = Tensor(np.arange(6.0).reshape(2, 3))
-        b = Tensor(np.arange(6.0).reshape(3, 2))
-        np.testing.assert_array_equal((a @ b).data, a.data @ b.data)
         assert a.reshape((3, 2)).shape == (3, 2)
         c = concat([a, a], axis=0)
         assert c.shape == (4, 3)
@@ -130,13 +129,6 @@ class TestBackward:
                      np.array([-2.0, 0.5, 2.0]))
         np.testing.assert_array_equal(g, [0, 1, 0])
 
-    def test_matmul_gradients(self):
-        a = Tensor(np.arange(6.0).reshape(2, 3), requires_grad=True)
-        b = Tensor(np.arange(6.0).reshape(3, 2), requires_grad=True)
-        (a @ b).sum().backward()
-        np.testing.assert_array_equal(a.grad, np.ones((2, 2)) @ b.data.T)
-        np.testing.assert_array_equal(b.grad, a.data.T @ np.ones((2, 2)))
-
     def test_concat_splits_gradient(self):
         a = Tensor(np.ones(2), requires_grad=True)
         b = Tensor(np.ones(3), requires_grad=True)
@@ -151,6 +143,29 @@ class TestBackward:
         s = x + x
         (s * s).sum().backward()
         np.testing.assert_allclose(x.grad, [12.0])
+
+    @pytest.mark.parametrize("op", [
+        lambda a: a + 2.0, lambda a: 2.0 + a, lambda a: a - 2.0,
+        lambda a: 2.0 - a, lambda a: a * 2.0, lambda a: 2.0 * a,
+        lambda a: a / 2.0, lambda a: 2.0 / a, lambda a: np.ones(2) - a],
+        ids=["add", "radd", "sub", "rsub", "mul", "rmul", "div", "rdiv",
+             "ndarray_rsub"])
+    def test_constant_operand_is_not_a_parent(self, op):
+        a = Tensor([1.0, 4.0])
+        out = op(a)
+        assert out._parents == (a,)
+        assert [p for p, _ in out._backward_fn(np.ones(2))] == [a]
+
+    def test_subtraction_is_one_node_with_both_gradients(self):
+        a = Tensor(np.ones((2, 3)), requires_grad=True)
+        b = Tensor(np.ones((1, 3)), requires_grad=True)
+        out = a - b
+        assert out._parents == (a, b)
+        out.sum().backward()
+        np.testing.assert_array_equal(a.grad, np.ones((2, 3)))
+        np.testing.assert_array_equal(b.grad, [[-2, -2, -2]])
+        np.testing.assert_array_equal(_grad_of(lambda x: (1.0 - x).sum(),
+                                               np.ones(2)), [-1, -1])
 
     def test_no_grad_tensors_stay_untouched(self):
         a = Tensor([1.0], requires_grad=True)
@@ -176,9 +191,20 @@ class TestNonFinite:
         with pytest.raises(NonFiniteError):
             Tensor([np.nan])
 
-    @pytest.mark.parametrize("op", [lambda a, b: a + b, lambda a, b: a * b,
-                                    lambda a, b: a @ b],
-                             ids=["add", "mul", "matmul"])
+    @pytest.mark.parametrize("op, name", [
+        (lambda: Tensor([1.0]) / np.inf, "div"),
+        (lambda: Tensor([1.0]) * np.array([np.nan]), "mul"),
+        (lambda: np.inf - Tensor([1.0]), "sub")],
+        ids=["div_inf", "mul_nan_array", "inf_minus"])
+    def test_non_finite_constant_operand_raises(self, op, name):
+        with pytest.raises(NonFiniteError,
+                           match=f"constant operand of op '{name}'"):
+            op()
+
+    @pytest.mark.parametrize("op", [
+        lambda a, b: a + b, lambda a, b: a * b,
+        lambda a, b: fully_connected(a, LinearParams(b, Tensor([0.0])))],
+        ids=["add", "mul", "fully_connected"])
     def test_overflow_raises_without_numpy_warning(self, op):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
