@@ -22,12 +22,22 @@ from .suite import run_gradcheck_suite
 from .tensor import Tensor
 
 
+def _seed(raw: str) -> int:
+    """argparse type of --seed: an int >= 0, as numpy's generators need."""
+    seed = int(raw)
+    if seed < 0:
+        raise argparse.ArgumentTypeError(f"seed must be >= 0, got {seed}")
+    return seed
+
+
 def _seed_list(raw: str) -> list:
     """argparse type of --seeds: a non-empty comma-separated list of
-    distinct ints."""
+    distinct ints >= 0."""
     seeds = parse_int_list(raw)
     if not seeds:
         raise argparse.ArgumentTypeError(f"no seeds in {raw!r}")
+    if min(seeds) < 0:
+        raise argparse.ArgumentTypeError(f"seeds must be >= 0, got {raw!r}")
     repeated = repeated_value(seeds)
     if repeated is not None:
         raise argparse.ArgumentTypeError(f"seed {repeated} is repeated in "
@@ -162,7 +172,7 @@ def build_parser() -> argparse.ArgumentParser:
                     "ablations, and mask-corruption robustness sweeps.")
     parser.add_argument("--config", default=None, help="INI config file")
     parser.add_argument("--out", default="out", help="output directory")
-    parser.add_argument("--seed", type=int, default=0)
+    parser.add_argument("--seed", type=_seed, default=0)
     parser.add_argument("--set", dest="overrides", action="append",
                         default=[], metavar="SECTION.KEY=VALUE",
                         help="config override (repeatable)")

@@ -86,9 +86,16 @@ def load_config(path=None, overrides=()) -> dict:
         if not (math.isfinite(s["noise"]) and s["noise"] >= 0):
             raise ValueError(f"synthetic.noise must be finite and >= 0, "
                              f"got {s['noise']}")
-        if s["lesion_radius"] < 0:
-            raise ValueError(f"synthetic.lesion_radius must be >= 0, got "
-                             f"{s['lesion_radius']}")
+        for key in ("lesion_amplitude", "anatomy_contrast"):
+            if not math.isfinite(s[key]):
+                raise ValueError(f"synthetic.{key} must be finite, got "
+                                 f"{s[key]}")
+        # a seed must be >= 0 for numpy's generators
+        for key, value in (("synthetic.lesion_radius", s["lesion_radius"]),
+                           ("synthetic.seed", s["seed"]),
+                           ("seg.data_seed", g["data_seed"])):
+            if value < 0:
+                raise ValueError(f"{key} must be >= 0, got {value}")
         # the sweep reads its degradation rows against the window-0 reference
         if 0 not in r["windows"] or min(r["windows"]) < 0:
             raise ValueError(f"robustness.windows must be >= 0 and include "

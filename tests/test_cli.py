@@ -122,7 +122,8 @@ class TestExitCodes:
         ("seg.size=0", "seg.size must be >= 1"),
         ("seg.width=0", "seg.width must be >= 1"),
         ("seg.n_annotated=0", "seg.n_annotated must be >= 1"),
-        ("seg.n_unannotated=0", "seg.n_unannotated must be >= 1")])
+        ("seg.n_unannotated=0", "seg.n_unannotated must be >= 1"),
+        ("seg.data_seed=-1", "seg.data_seed must be >= 0, got -1")])
     def test_invalid_config_value_exits_2(self, capsys, override, key):
         assert main(["--set", override, "train"]) == 2
         assert key in capsys.readouterr().err
@@ -136,7 +137,12 @@ class TestExitCodes:
         ("train.lr=-0.1", "train.lr must be finite and > 0, got -0.1"),
         ("synthetic.noise=nan", "synthetic.noise must be finite and >= 0"),
         ("synthetic.noise=-1", "synthetic.noise must be finite and >= 0"),
-        ("synthetic.lesion_radius=-1", "lesion_radius must be >= 0")])
+        ("synthetic.lesion_radius=-1", "lesion_radius must be >= 0"),
+        ("synthetic.lesion_amplitude=nan",
+         "synthetic.lesion_amplitude must be finite, got nan"),
+        ("synthetic.anatomy_contrast=inf",
+         "synthetic.anatomy_contrast must be finite, got inf"),
+        ("synthetic.seed=-1", "synthetic.seed must be >= 0, got -1")])
     def test_untrainable_run_exits_2_before_any_work(self, tmp_path, capsys,
                                                      override, key):
         out = tmp_path / "run"
@@ -166,7 +172,7 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("command", [["ablate", "--axis", "pooling"],
                                          ["robustness"]])
-    @pytest.mark.parametrize("seeds", ["", ",", "0,x"])
+    @pytest.mark.parametrize("seeds", ["", ",", "0,x", "-1", "0,-2"])
     def test_bad_seed_list_exits_2(self, tmp_path, capsys, command, seeds):
         with pytest.raises(SystemExit) as exc:
             main(["--out", str(tmp_path / "run")] + command
@@ -183,6 +189,15 @@ class TestExitCodes:
                  + ["--seeds", "3,0,3"])
         assert exc.value.code == 2
         assert "seed 3 is repeated" in capsys.readouterr().err
+        assert not list(tmp_path.rglob("*"))
+
+    @pytest.mark.parametrize("command", [["train"], ["seg-toy"]])
+    def test_negative_seed_exits_2_before_output(self, tmp_path, capsys,
+                                                  command):
+        with pytest.raises(SystemExit) as exc:
+            main(["--out", str(tmp_path / "run"), "--seed", "-1"] + command)
+        assert exc.value.code == 2
+        assert "--seed: seed must be >= 0, got -1" in capsys.readouterr().err
         assert not list(tmp_path.rglob("*"))
 
     def test_repeated_window_exits_2(self, tmp_path, capsys):
