@@ -2,7 +2,7 @@
 
 A numpy-backed fp64 tensor core with reverse-mode differentiation, the
 attention/pooling blocks, a semi-supervised segmentation loss suite, a toy
-classification model with Grad-CAM and ten-crop inference, and experiment
+classification model with Grad-CAM and batched inference, and experiment
 drivers for ablation and mask-corruption robustness studies.
 """
 

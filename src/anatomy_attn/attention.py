@@ -58,9 +58,9 @@ class AttentionEncoderParams:
                    LinearParams.init(hidden, channels, rng),
                    BatchNormState.init(channels))
 
-    def apply(self, v: Tensor) -> Tensor:
-        h = batch_norm(fully_connected(v, self.fc1).relu(), self.bn1)
-        return batch_norm(fully_connected(h, self.fc2).relu(), self.bn2)
+    def apply(self, v: Tensor, train: bool) -> Tensor:
+        h = batch_norm(fully_connected(v, self.fc1).relu(), self.bn1, train)
+        return batch_norm(fully_connected(h, self.fc2).relu(), self.bn2, train)
 
 
 @dataclass
@@ -161,11 +161,13 @@ _BRANCH_REGIONS = np.array([[1.0, 0.0, 0.0],
                             [1.0, 1.0, 1.0]])
 
 
-def aaa_forward(feat_us: Tensor, masks: AnatomyMasks, p: AaaParams) -> Tensor:
+def aaa_forward(feat_us: Tensor, masks: AnatomyMasks, p: AaaParams,
+                train: bool) -> Tensor:
     """Recalibrate feat_us[N,C,H,W] with mask-gated channel attention.
 
     The caller resizes masks to the feature resolution. Attention vectors
-    broadcast over space; masks broadcast over channels. The gate and
+    broadcast over space; masks broadcast over channels. Every batch norm
+    of the block follows `train`, as in `ops.batch_norm`. The gate and
     batch-norm tail is the single node `_gated_fuse`, which factors over
     the pixel regions lung, heart and rest; that is exact only because
     the masks are binary and disjoint, as `AnatomyMasks` enforces.
@@ -174,26 +176,16 @@ def aaa_forward(feat_us: Tensor, masks: AnatomyMasks, p: AaaParams) -> Tensor:
     if masks.spatial != (h, w):
         raise ValueError(f"mask spatial {masks.spatial} != feature ({h},{w})")
     pooled, _ = pwap(feat_us, p.intra_pwap)
-    a1 = p.enc1.apply(pooled)
-    a2 = p.enc2.apply(pooled)
-    a3 = p.enc3.apply(pooled)
+    a1 = p.enc1.apply(pooled, train)
+    a2 = p.enc2.apply(pooled, train)
+    a3 = p.enc3.apply(pooled, train)
     a_le, a_he, a_bks = couple_attention(a1, a2, a3)
-    return _gated_fuse(feat_us, a_le, a_he, a_bks, masks, p)
-
-
-def _bn_centre(s: BatchNormState, mean, var):
-    """(centre, variance) that state `s` normalizes with: the batch
-    statistics in train mode, the running statistics in eval mode."""
-    if s.mode == "train":
-        return mean, var
-    if s.mode == "eval":
-        return s.running_mean, s.running_var
-    raise ValueError(f"unknown batch_norm mode {s.mode!r}")
+    return _gated_fuse(feat_us, a_le, a_he, a_bks, masks, p, train)
 
 
 @ignore_fp_errors
 def _gated_fuse(feat: Tensor, a_le: Tensor, a_he: Tensor, a_bks: Tensor,
-                masks: AnatomyMasks, p: AaaParams) -> Tensor:
+                masks: AnatomyMasks, p: AaaParams, train: bool) -> Tensor:
     """bn_fuse(bn_le(a_le*lung*f) + bn_he(a_he*heart*f) + bn_bks(a_bks*f))
     as one graph node with parents feat, the three [N,C] attention vectors
     and the eight batch-norm gammas and betas.
@@ -207,10 +199,10 @@ def _gated_fuse(feat: Tensor, a_le: Tensor, a_he: Tensor, a_bks: Tensor,
     batch-norm gradient (Ioffe & Szegedy 2015) to bn_fuse and then to each
     branch in the same region algebra, from Vg = g @ R.T and
     Ug = (f*g) @ R.T, and expands dfeat = c1*g + c2*f + c3 with each
-    [N,C,3] coefficient taken through @ R. Eval-mode states use their
-    running statistics as constants. Running statistics are updated in
-    the order le, he, bks, fuse once the output has passed the finiteness
-    check.
+    [N,C,3] coefficient taken through @ R. Without `train`, every state
+    normalizes with its running statistics, as constants. With it,
+    running statistics are updated in the order le, he, bks, fuse once
+    the output has passed the finiteness check.
     """
     n, c, h, w = feat.shape
     branches = (p.bn_le, p.bn_he, p.bn_bks)
@@ -238,15 +230,15 @@ def _gated_fuse(feat: Tensor, a_le: Tensor, a_he: Tensor, a_bks: Tensor,
     batch_mean = (a * q1).sum(axis=(1, 3)) / count            # [3,C]
     batch_var = np.maximum((a * a * q2).sum(axis=(1, 3)) / count
                            - batch_mean ** 2, 0.0)
-    stats = [_bn_centre(s, m, v)
-             for s, m, v in zip(branches, batch_mean, batch_var)]
-    centre = np.stack([m for m, _ in stats])
-    var = np.stack([v for _, v in stats])
+    if train:
+        centre, var = batch_mean, batch_var
+    else:
+        centre = np.stack([s.running_mean for s in branches])
+        var = np.stack([s.running_var for s in branches])
     std = np.sqrt(var + BN_EPSILON)
     gamma = np.stack([s.gamma.data for s in branches])
     beta = np.stack([s.beta.data for s in branches])
     scale = gamma / std
-    train = np.array([[s.mode == "train"] for s in branches], dtype=float)
 
     # fused = f * (B @ R) + shift[c]; bn_fuse sees z = f * (B @ R)
     b = (scale[:, None, :, None] * a).sum(axis=0)             # [N,C,3]
@@ -254,11 +246,11 @@ def _gated_fuse(feat: Tensor, a_le: Tensor, a_he: Tensor, a_bks: Tensor,
     z_mean = (b * q1).sum(axis=(0, 2)) / count
     z_var = np.maximum((b * b * q2).sum(axis=(0, 2)) / count
                        - z_mean ** 2, 0.0)
-    fuse_centre, fuse_var = _bn_centre(fuse, z_mean + shift, z_var)
+    fuse_centre, fuse_var = ((z_mean + shift, z_var) if train
+                             else (fuse.running_mean, fuse.running_var))
     z_centre = fuse_centre - shift
     fuse_std = np.sqrt(fuse_var + BN_EPSILON)
     alpha = fuse.gamma.data / fuse_std
-    fuse_train = float(fuse.mode == "train")
     gate = alpha[:, None] * b                                 # G, [N,C,3]
     const = fuse.beta.data - alpha * z_centre
     out_data = f * (gate @ region) + const[:, None]
@@ -272,8 +264,8 @@ def _gated_fuse(feat: Tensor, a_le: Tensor, a_he: Tensor, a_bks: Tensor,
         d_fuse_gamma = ((b * ug).sum(axis=(0, 2))
                         - z_centre * sum_g) / fuse_std
         # d fused = alpha*g + e0[c] + (e1 @ R) * f
-        mean_g = fuse_train * sum_g / count
-        mean_gz = fuse_train * d_fuse_gamma / count
+        mean_g = train * sum_g / count
+        mean_gz = train * d_fuse_gamma / count
         e0 = alpha * (mean_gz * z_centre / fuse_std - mean_g)
         e1 = -(alpha * mean_gz / fuse_std)[:, None] * b
         # region sums of d fused and of d fused * f
@@ -281,7 +273,8 @@ def _gated_fuse(feat: Tensor, a_le: Tensor, a_he: Tensor, a_bks: Tensor,
         s1 = alpha[:, None] * ug + e0[:, None] * q1 + e1 * q2
         sum_s0 = s0.sum(axis=(0, 2))
         d_gamma = ((a * s1).sum(axis=(1, 3)) - centre * sum_s0) / std
-        mean_d = train * sum_s0 / count                       # [3,C]
+        # zero in exact arithmetic, but dropping it changes the rounding
+        mean_d = train * np.tile(sum_s0, (3, 1)) / count      # [3,C]
         mean_dx = train * d_gamma / count
         k4 = (slice(None), None, slice(None), None)           # [3,C] -> 4-D
         d_a = scale[k4] * (s1 - mean_d[k4] * q1
@@ -305,8 +298,8 @@ def _gated_fuse(feat: Tensor, a_le: Tensor, a_he: Tensor, a_bks: Tensor,
         (feat, a_le, a_he, a_bks) + tuple(t for s in states
                                           for t in (s.gamma, s.beta)),
         bwd, "gated_fuse")
-    for s, m, v in zip(states, (*batch_mean, z_mean + shift),
-                       (*batch_var, z_var)):
-        if s.mode == "train":
+    if train:
+        for s, m, v in zip(states, (*batch_mean, z_mean + shift),
+                           (*batch_var, z_var)):
             s.track(m, v)
     return out

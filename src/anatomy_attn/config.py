@@ -90,8 +90,10 @@ def load_config(path=None, overrides=()) -> dict:
             if not math.isfinite(s[key]):
                 raise ValueError(f"synthetic.{key} must be finite, got "
                                  f"{s[key]}")
-        # a seed must be >= 0 for numpy's generators
-        for key, value in (("synthetic.lesion_radius", s["lesion_radius"]),
+        # sizes must be >= 0, and so must seeds for numpy's generators
+        for key, value in (("synthetic.n_test", s["n_test"]),
+                           ("synthetic.mask_jitter", s["mask_jitter"]),
+                           ("synthetic.lesion_radius", s["lesion_radius"]),
                            ("synthetic.seed", s["seed"]),
                            ("seg.data_seed", g["data_seed"])):
             if value < 0:

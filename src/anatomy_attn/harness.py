@@ -109,8 +109,12 @@ def gen_synthetic(spec: SyntheticSpec) -> dict:
 
     Labels follow the three archetypes in CLASS_NAMES; each lesion is
     present independently with probability 0.5 and is contained in its
-    archetype region by construction.
+    archetype region by construction. Raises ValueError naming a negative
+    split size.
     """
+    for key in ("n_train", "n_val", "n_test"):
+        if getattr(spec, key) < 0:
+            raise ValueError(f"{key} must be >= 0, got {getattr(spec, key)}")
     rng = np.random.default_rng(spec.seed)
     n = spec.n_train + spec.n_val + spec.n_test
     size = spec.image_size
@@ -211,9 +215,10 @@ def parallel_map(fn, items) -> list:
         return list(pool.map(fn, items))
 
 
-def _test_aucs(model: ToyModel, data: dict) -> list:
-    probs = predict(model, data["test_images"], data["test_lung"],
-                    data["test_heart"])
+def _test_aucs(model: ToyModel, data: dict, lung: np.ndarray,
+               heart: np.ndarray) -> list:
+    """Per-class AUC on the test split, predicted with masks lung/heart."""
+    probs = predict(model, data["test_images"], lung, heart)
     return [auc(probs[:, k], data["test_labels"][:, k])
             for k in range(len(CLASS_NAMES))]
 
@@ -241,7 +246,8 @@ def ablation_sweep(axis: str, base_config: ModelConfig, spec: SyntheticSpec,
         value, seed = cell
         cfg = dc_replace(base_config, **{axis: value})
         model, data = train_condition(cfg, spec, seed, train_kwargs)
-        return value, seed, _test_aucs(model, data)
+        return value, seed, _test_aucs(model, data, data["test_lung"],
+                                       data["test_heart"])
 
     results = parallel_map(run_cell, [(v, s) for v in values for s in seeds])
 
@@ -269,9 +275,7 @@ def evaluate_with_cutout(model: ToyModel, data: dict, window: int,
         boxes = sample_cutout_windows(masks, window,
                                       base_seed + 1000 * window + t)
         cut = apply_cutout(masks, boxes, window)
-        probs = predict(model, data["test_images"], cut.lung, cut.heart)
-        vals.append(np.mean([auc(probs[:, k], data["test_labels"][:, k])
-                             for k in range(len(CLASS_NAMES))]))
+        vals.append(np.mean(_test_aucs(model, data, cut.lung, cut.heart)))
     return float(np.mean(vals))
 
 

@@ -1,13 +1,14 @@
 """Desk-scale classification model: a small strided conv backbone, optional
 anatomy attention on the last stages, configurable pooling heads, and a
-concatenating sigmoid classifier. Includes training, ten-crop inference,
-and Grad-CAM extraction."""
+concatenating sigmoid classifier. Includes training, inference and
+Grad-CAM extraction. Training or inference is the `train` argument of
+`ToyModel.forward`, not model state."""
 
 from __future__ import annotations
 
 import csv
 import json
-from dataclasses import dataclass, asdict, fields, replace
+from dataclasses import dataclass, asdict, fields
 from pathlib import Path
 
 import numpy as np
@@ -97,16 +98,8 @@ class ToyModel:
             elif config.pooling == "gem":
                 self.pool_gem_p[si] = Tensor(np.array([3.0]), requires_grad=True)
         self.classifier = LinearParams.init(sum(head_dims), config.n_classes, rng)
-        self.set_mode("train")
 
     # -- parameter plumbing ---------------------------------------------------
-
-    def set_mode(self, mode: str) -> None:
-        if mode not in ("train", "eval"):
-            raise ValueError(f"unknown mode {mode!r}")
-        self.mode = mode
-        for bn in self.bn_states():
-            bn.mode = mode
 
     def _blocks(self):
         """(checkpoint prefix, parameter block) pairs in checkpoint order."""
@@ -123,9 +116,6 @@ class ToyModel:
                 for prefix, block in self._blocks()
                 for j, bn in enumerate(bn_states(block))
                 for attr in ("running_mean", "running_var")]
-
-    def bn_states(self):
-        return [bn for _, block in self._blocks() for bn in bn_states(block)]
 
     def parameters(self):
         return [nt for prefix, block in self._blocks()
@@ -176,10 +166,12 @@ class ToyModel:
         powed = (x.log() * p).exp()
         return (powed.mean(axis=(2, 3)).log() / p).exp()
 
-    def forward(self, image: Tensor, masks: AnatomyMasks | None,
+    def forward(self, image: Tensor, masks: AnatomyMasks | None, train: bool,
                 cache: dict | None = None) -> Tensor:
         """image[N,1,H,W] -> class probabilities [N,n] in (0,1).
 
+        With `train`, batch norms use and update their batch statistics;
+        without, they use their running statistics and change no state.
         `cache`, when given, receives pre-sigmoid scores and the per-head
         post-fusion feature maps (for Grad-CAM).
         """
@@ -205,7 +197,7 @@ class ToyModel:
         for si in cfg.head_stages:
             f = resize(feats[si], (cfg.mask_size, cfg.mask_size), "bilinear")
             if cfg.head_fusion == "aaa":
-                f = aaa_forward(f, masks, self.aaa[si])
+                f = aaa_forward(f, masks, self.aaa[si], train)
             elif cfg.head_fusion == "hardmask":
                 f = f * masks.union()
             if cache is not None:
@@ -242,13 +234,12 @@ def batch_masks(config: ModelConfig, lung: np.ndarray | None,
 
 def predict(model: ToyModel, images: np.ndarray, lung: np.ndarray | None,
             heart: np.ndarray | None, batch: int = 32) -> np.ndarray:
-    """Eval-mode probabilities for a stack of images."""
-    model.set_mode("eval")
+    """Inference probabilities for a stack of images."""
     outs = []
     for lo in range(0, len(images), batch):
         idx = slice(lo, lo + batch)
         masks = batch_masks(model.config, lung, heart, idx)
-        outs.append(model.forward(Tensor(images[idx]), masks).data)
+        outs.append(model.forward(Tensor(images[idx]), masks, False).data)
     return np.concatenate(outs, axis=0)
 
 
@@ -288,7 +279,6 @@ def train(model: ToyModel, data: dict, epochs: int, lr: float,
     history = []
     best = (-1.0, model.snapshot())
     for epoch in range(epochs):
-        model.set_mode("train")
         perm = rng.permutation(n)
         losses = []
         for lo in range(0, n, batch):
@@ -299,7 +289,7 @@ def train(model: ToyModel, data: dict, epochs: int, lr: float,
             masks = batch_masks(model.config, data.get("train_lung"),
                                 data.get("train_heart"), idx)
             try:
-                loss = bce_loss(model.forward(images, masks),
+                loss = bce_loss(model.forward(images, masks, True),
                                 data["train_labels"][idx])
                 opt.zero_grad()
                 loss.backward()
@@ -313,7 +303,6 @@ def train(model: ToyModel, data: dict, epochs: int, lr: float,
         if val_auc > best[0]:
             best = (val_auc, model.snapshot())
     model.load_state(best[1])
-    model.set_mode("eval")
     return model, history
 
 
@@ -326,40 +315,6 @@ def write_history(path, history) -> None:
 
 
 # -- inference helpers --------------------------------------------------------
-
-
-def ten_crop_predict(model: ToyModel, image: Tensor, masks: AnatomyMasks | None,
-                     crop_size: int) -> np.ndarray:
-    """Mean probability over 4 corner + 1 center crops and their horizontal
-    flips. Masks (at image resolution) are cropped and flipped identically.
-    """
-    n, _, h, w = image.shape
-    c = crop_size
-    if c > h or c > w:
-        raise ValueError("crop_size exceeds image size")
-    origins = [(0, 0), (0, w - c), (h - c, 0), (h - c, w - c),
-               ((h - c) // 2, (w - c) // 2)]
-
-    # pooling makes the heads resolution-agnostic, so weights carry over
-    crop_model = model
-    if c != model.config.image_size:
-        crop_model = ToyModel(replace(model.config, image_size=c))
-        crop_model.load_state(dict(model.state_arrays()))
-        crop_model.set_mode(model.mode)
-
-    def crop(a, i0, j0, flip):
-        a = a[:, :, i0:i0 + c, j0:j0 + c]
-        return a[:, :, :, ::-1] if flip else a
-
-    acc = None
-    for view in [(i0, j0, flip) for i0, j0 in origins
-                 for flip in (False, True)]:
-        m = None
-        if masks is not None:
-            m = AnatomyMasks(crop(masks.lung, *view), crop(masks.heart, *view))
-        probs = crop_model.forward(Tensor(crop(image.data, *view)), m).data
-        acc = probs if acc is None else acc + probs
-    return acc / 10.0
 
 
 def gradcam_stage(cfg: ModelConfig, class_index: int, stage: str) -> int:
@@ -391,9 +346,8 @@ def gradcam(model: ToyModel, image: Tensor, masks: AnatomyMasks | None,
     image size and min-max normalized to [0,1] (constant maps go to 0).
     """
     si = gradcam_stage(model.config, class_index, stage)
-    model.set_mode("eval")
     cache = {}
-    model.forward(image, masks, cache=cache)
+    model.forward(image, masks, False, cache=cache)
     feat = cache["head_feats"][si]
     feat.requires_grad = True
     onehot = np.zeros(cache["scores"].shape)
@@ -448,5 +402,4 @@ def load_checkpoint(out_dir) -> ToyModel:
                              f"wrong type: {cfg[f.name]!r}")
     model = ToyModel(ModelConfig(**cfg))
     model.load_state(load_tensors(out_dir / "weights.bin"))
-    model.set_mode("eval")
     return model

@@ -49,28 +49,25 @@ class ConvParams:
 
 @dataclass
 class BatchNormState:
-    """Per-channel batch normalization state.
-
-    `mode` is "train" (batch statistics, running stats updated with
-    BN_MOMENTUM) or "eval" (running statistics). Normalization uses the
-    biased 1/N variance estimator plus BN_EPSILON.
+    """Per-channel batch normalization state: the affine gamma and beta
+    and the running statistics that inference normalizes with.
+    Normalization uses the biased 1/N variance estimator plus BN_EPSILON.
     """
 
     gamma: Tensor
     beta: Tensor
     running_mean: np.ndarray
     running_var: np.ndarray
-    mode: str = "train"
 
     def __post_init__(self):
         if np.any(self.running_var < 0):
             raise ValueError("running_var must be >= 0")
 
     @classmethod
-    def init(cls, channels: int, **kwargs):
+    def init(cls, channels: int):
         return cls(Tensor(np.ones(channels), requires_grad=True),
                    Tensor(np.zeros(channels), requires_grad=True),
-                   np.zeros(channels), np.ones(channels), **kwargs)
+                   np.zeros(channels), np.ones(channels))
 
     @property
     def channels(self) -> int:
@@ -250,14 +247,15 @@ def resize(x: Tensor, target: tuple, method: str = "bilinear") -> Tensor:
     return Tensor._from_op(rm @ x.data @ cm.T, (x,), bwd, f"resize_{method}")
 
 
-def batch_norm(x: Tensor, s: BatchNormState) -> Tensor:
+def batch_norm(x: Tensor, s: BatchNormState, train: bool) -> Tensor:
     """Batch normalization over [N] (rank-2 input) or [N,H,W] (rank-4).
 
-    One graph node with parents x, gamma and beta. Train mode
-    differentiates through the batch statistics in closed form
+    One graph node with parents x, gamma and beta. With `train`, it
+    normalizes with the batch statistics, folds them into the running
+    ones with BN_MOMENTUM, and differentiates through them in closed form
     (Ioffe & Szegedy 2015): with g_hat = g * gamma,
     dx = (g_hat - mean(g_hat) - x_hat * mean(g_hat * x_hat)) / std.
-    Eval mode treats the running statistics as constants: dx = g_hat / std.
+    Otherwise the running statistics are constants: dx = g_hat / std.
     """
     if x.data.ndim == 2:
         axes, param_shape = (0,), (1, s.channels)
@@ -275,7 +273,7 @@ def batch_norm(x: Tensor, s: BatchNormState) -> Tensor:
     gamma = s.gamma.data.reshape(param_shape)
     beta = s.beta.data.reshape(param_shape)
 
-    if s.mode == "train":
+    if train:
         if count < 2:
             raise ValueError("train-mode batch_norm needs >= 2 elements "
                              "per channel for the variance")
@@ -289,15 +287,13 @@ def batch_norm(x: Tensor, s: BatchNormState) -> Tensor:
             return (g_hat - g_hat.mean(axis=axes, keepdims=True)
                     - x_hat * (g_hat * x_hat).mean(axis=axes, keepdims=True)
                     ) / std
-    elif s.mode == "eval":
+    else:
         rm = s.running_mean.reshape(param_shape)
         std = np.sqrt(s.running_var + BN_EPSILON).reshape(param_shape)
         x_hat = (x.data - rm) / std
 
         def dx(g_hat):
             return g_hat / std
-    else:
-        raise ValueError(f"unknown batch_norm mode {s.mode!r}")
 
     def bwd(g):
         return [(x, dx(g * gamma)),
@@ -306,7 +302,7 @@ def batch_norm(x: Tensor, s: BatchNormState) -> Tensor:
 
     out = Tensor._from_op(x_hat * gamma + beta, (x, s.gamma, s.beta), bwd,
                           "batch_norm")
-    if s.mode == "train":
+    if train:
         s.track(mu.reshape(-1), var.reshape(-1))
     return out
 

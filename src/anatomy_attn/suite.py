@@ -69,8 +69,8 @@ def _op_targets(rng):
                         [_rand(rng, 2, 2, 4, 4)]))
 
     def bn_target(a, gamma, beta):
-        s = BatchNormState(gamma, beta, np.zeros(3), np.ones(3), mode="train")
-        return (batch_norm(a, s) * batch_norm(a, s).sigmoid()).sum()
+        s = BatchNormState(gamma, beta, np.zeros(3), np.ones(3))
+        return (batch_norm(a, s, True) * batch_norm(a, s, True).sigmoid()).sum()
 
     targets.append(("batch_norm_4d", bn_target,
                     [_rand(rng, 3, 3, 4, 4), _rand(rng, 3), _rand(rng, 3)]))
@@ -112,7 +112,7 @@ def _attention_targets(rng):
     f_us = _rand(rng, 2, 4, 5, 5)
 
     def aaa_target(f, *tensors):
-        return (aaa_forward(f, masks, params) ** 2).sum()
+        return (aaa_forward(f, masks, params, True) ** 2).sum()
 
     targets.append(("aaa_forward", aaa_target,
                     [f_us] + [t for _, t in named_tensors(params, "aaa")]))
@@ -176,13 +176,12 @@ def _model_targets(rng):
                               attention_level=level, pooling=pool,
                               backbone_widths=(2, 3, 3, 4), n_classes=2)
             model = ToyModel(cfg, seed=5)
-            model.set_mode("train")
             tensors = [t for _, t in model.parameters()]
             _jitter(tensors, rng)
             image = _rand(rng, 2, 1, 8, 8)
 
             def target(img, *params, m=model):
-                return bce_loss(m.forward(img, masks), labels)
+                return bce_loss(m.forward(img, masks, True), labels)
 
             targets.append((f"model_{level}_{pool}", target,
                             [image] + tensors))

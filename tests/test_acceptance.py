@@ -177,8 +177,10 @@ class TestAcceptance:
 
     def test_07_attention_beats_baseline(self, trained):
         def median_auc(name):
-            return float(np.median(
-                [np.mean(_test_aucs(*trained[(name, s)])) for s in SEEDS]))
+            return float(np.median([
+                np.mean(_test_aucs(model, data, data["test_lung"],
+                                   data["test_heart"]))
+                for model, data in (trained[(name, s)] for s in SEEDS)]))
 
         l0, l1, l2 = (median_auc(n) for n in ("L0", "L1", "L2"))
         elapsed = trained["elapsed"]

@@ -163,14 +163,14 @@ class TestAaaForward:
     def test_output_shape(self, rng):
         feat = Tensor(rng.normal(size=(2, 4, 5, 5)))
         params = AaaParams.init(4, 0.5, rng)
-        out = aaa_forward(feat, _masks(rng, 2, 5, 5), params)
+        out = aaa_forward(feat, _masks(rng, 2, 5, 5), params, True)
         assert out.shape == (2, 4, 5, 5)
 
     def test_spatial_mismatch_rejected(self, rng):
         feat = Tensor(rng.normal(size=(2, 4, 5, 5)))
         params = AaaParams.init(4, 0.5, rng)
         with pytest.raises(ValueError):
-            aaa_forward(feat, _masks(rng, 2, 4, 4), params)
+            aaa_forward(feat, _masks(rng, 2, 4, 4), params, True)
 
     def test_encoder_hidden_width_expands(self, rng):
         # reduction ratio 0.5 means the encoder hidden layer has 2x channels
@@ -186,7 +186,7 @@ class TestAaaForward:
         zeros = AnatomyMasks(np.zeros((n, 1, h, w)), np.zeros((n, 1, h, w)))
         params = AaaParams.init(c, 0.5, rng)
         feat = Tensor(rng.normal(size=(n, c, h, w)))
-        out = aaa_forward(feat, zeros, params)
+        out = aaa_forward(feat, zeros, params, True)
         assert out.shape == (n, c, h, w)
         assert np.isfinite(out.data).all()
 
@@ -199,53 +199,52 @@ class TestAaaForward:
         params = AaaParams.init(c, 0.5, rng)
         for t in [t for _, t in named_tensors(params, "p")]:
             t.data = t.data + 0.1 * rng.normal(size=t.data.shape)
-        out = aaa_forward(feat, masks, params).data.copy()
+        out = aaa_forward(feat, masks, params, True).data.copy()
 
         swapped_masks = AnatomyMasks(masks.heart, masks.lung)
         swapped = AaaParams(params.enc3, params.enc2, params.enc1,
                             params.intra_pwap, params.bn_he, params.bn_le,
                             params.bn_bks, params.bn_fuse)
-        out_swapped = aaa_forward(feat, swapped_masks, swapped).data
+        out_swapped = aaa_forward(feat, swapped_masks, swapped, True).data
         np.testing.assert_allclose(out_swapped, out, atol=1e-9)
 
     def test_deterministic(self, rng):
         feat = Tensor(rng.normal(size=(2, 4, 5, 5)))
         masks = _masks(rng, 2, 5, 5)
         params = AaaParams.init(4, 0.5, np.random.default_rng(1))
-        a = aaa_forward(feat, masks, params).data.copy()
+        a = aaa_forward(feat, masks, params, True).data.copy()
         params2 = AaaParams.init(4, 0.5, np.random.default_rng(1))
-        b = aaa_forward(feat, masks, params2).data
+        b = aaa_forward(feat, masks, params2, True).data
         np.testing.assert_array_equal(a, b)
 
 
-def _composite_gated_fuse(feat, a_le, a_he, a_bks, masks, p):
+def _composite_gated_fuse(feat, a_le, a_he, a_bks, masks, p, train):
     """The AAA tail assembled from primitive ops (the unfused form)."""
     n, c, _, _ = feat.shape
     r_le = a_le.reshape((n, c, 1, 1)) * masks.lung * feat
     r_he = a_he.reshape((n, c, 1, 1)) * masks.heart * feat
     r_bks = a_bks.reshape((n, c, 1, 1)) * feat
-    fused = (batch_norm(r_le, p.bn_le) + batch_norm(r_he, p.bn_he)
-             + batch_norm(r_bks, p.bn_bks))
-    return batch_norm(fused, p.bn_fuse)
+    fused = (batch_norm(r_le, p.bn_le, train)
+             + batch_norm(r_he, p.bn_he, train)
+             + batch_norm(r_bks, p.bn_bks, train))
+    return batch_norm(fused, p.bn_fuse, train)
 
 
 def _bn_tail(p):
     return (p.bn_le, p.bn_he, p.bn_bks, p.bn_fuse)
 
 
-def _tail_case(shape, modes, empty_masks):
+def _tail_case(shape, empty_masks):
     """Fresh (feat, a_le, a_he, a_bks, masks, params) with random gammas,
-    betas and running statistics, the same for every call; `modes` are
-    those of bn_le, bn_he, bn_bks and bn_fuse."""
+    betas and running statistics, the same for every call."""
     rng = np.random.default_rng(3)
     n, c, h, w = shape
     params = AaaParams.init(c, 0.5, rng)
-    for s, mode in zip(_bn_tail(params), modes):
+    for s in _bn_tail(params):
         s.gamma.data = rng.normal(size=c)
         s.beta.data = rng.normal(size=c)
         s.running_mean = rng.normal(size=c)
         s.running_var = rng.uniform(0.5, 2.0, size=c)
-        s.mode = mode
     masks = _masks(rng, n, h, w)
     if empty_masks:
         masks = AnatomyMasks(np.zeros((n, 1, h, w)), np.zeros((n, 1, h, w)))
@@ -257,24 +256,18 @@ def _tail_case(shape, modes, empty_masks):
 class TestGatedFuse:
     @pytest.mark.parametrize("empty_masks", [False, True],
                              ids=["masks", "empty masks"])
-    # each state follows its own mode, as ops.batch_norm does; the mixed
-    # cases exercise the terms that vanish when all four modes agree
-    @pytest.mark.parametrize("modes", [
-        ("train",) * 4, ("eval",) * 4, ("train",) * 3 + ("eval",),
-        ("eval",) * 3 + ("train",)],
-        ids=["train", "eval", "fuse eval", "fuse train"])
+    @pytest.mark.parametrize("train", [True, False], ids=["train", "eval"])
     @pytest.mark.parametrize("shape", [(2, 4, 5, 5), (16, 32, 16, 16)])
-    def test_matches_composite_tail(self, shape, modes, empty_masks):
+    def test_matches_composite_tail(self, shape, train, empty_masks):
         g = np.random.default_rng(4).normal(size=shape)
         results = []
         for fn in (_gated_fuse, _composite_gated_fuse):
-            feat, a_le, a_he, a_bks, masks, p = _tail_case(shape, modes,
-                                                           empty_masks)
+            feat, a_le, a_he, a_bks, masks, p = _tail_case(shape, empty_masks)
             leaves = [feat, a_le, a_he, a_bks] + [
                 t for s in _bn_tail(p) for t in (s.gamma, s.beta)]
             for t in leaves:
                 t.requires_grad = True
-            out = fn(feat, a_le, a_he, a_bks, masks, p)
+            out = fn(feat, a_le, a_he, a_bks, masks, p, train)
             out.backward(g)
             results.append(([out.data], [t.grad for t in leaves],
                             [a for s in _bn_tail(p)
@@ -288,13 +281,11 @@ class TestGatedFuse:
             for x, y in zip(fused, composite):
                 np.testing.assert_allclose(x, y, rtol=0, atol=1e-12 * scale)
 
-    @pytest.mark.parametrize("mode", ["train", "eval"])
-    def test_tail_is_one_graph_node(self, rng, mode):
+    @pytest.mark.parametrize("train", [True, False], ids=["train", "eval"])
+    def test_tail_is_one_graph_node(self, rng, train):
         feat = Tensor(rng.normal(size=(2, 4, 5, 5)))
         params = AaaParams.init(4, 0.5, rng)
-        for s in _bn_tail(params):
-            s.mode = mode
-        out = aaa_forward(feat, _masks(rng, 2, 5, 5), params)
+        out = aaa_forward(feat, _masks(rng, 2, 5, 5), params, train)
         assert out._parents[0] is feat
         assert out._parents[4:] == tuple(
             t for s in _bn_tail(params) for t in (s.gamma, s.beta))
@@ -303,13 +294,12 @@ class TestGatedFuse:
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_non_finite_input_names_op_and_keeps_running_stats(self, bad):
-        feat, a_le, a_he, a_bks, masks, p = _tail_case(
-            (2, 4, 5, 5), ("train",) * 4, False)
+        feat, a_le, a_he, a_bks, masks, p = _tail_case((2, 4, 5, 5), False)
         before = [a.copy() for s in _bn_tail(p)
                   for a in (s.running_mean, s.running_var)]
         feat.data[1, 2, 3, 4] = bad
         with pytest.raises(NonFiniteError, match="gated_fuse"):
-            _gated_fuse(feat, a_le, a_he, a_bks, masks, p)
+            _gated_fuse(feat, a_le, a_he, a_bks, masks, p, True)
         after = [a for s in _bn_tail(p)
                  for a in (s.running_mean, s.running_var)]
         for x, y in zip(after, before):

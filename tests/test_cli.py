@@ -142,7 +142,10 @@ class TestExitCodes:
          "synthetic.lesion_amplitude must be finite, got nan"),
         ("synthetic.anatomy_contrast=inf",
          "synthetic.anatomy_contrast must be finite, got inf"),
-        ("synthetic.seed=-1", "synthetic.seed must be >= 0, got -1")])
+        ("synthetic.seed=-1", "synthetic.seed must be >= 0, got -1"),
+        ("synthetic.n_test=-2", "synthetic.n_test must be >= 0, got -2"),
+        ("synthetic.mask_jitter=-1",
+         "synthetic.mask_jitter must be >= 0, got -1")])
     def test_untrainable_run_exits_2_before_any_work(self, tmp_path, capsys,
                                                      override, key):
         out = tmp_path / "run"

@@ -145,6 +145,19 @@ class TestSyntheticData:
         assert data["val_labels"].shape == (8, 3)
         assert data["test_lung"].shape == (12, 1, 32, 32)
 
+    @pytest.mark.parametrize("key", ["n_train", "n_val", "n_test"])
+    def test_negative_split_size_rejected(self, key):
+        spec = SyntheticSpec(**{"n_train": 6, "n_val": 4, "n_test": 2,
+                                key: -1})
+        with pytest.raises(ValueError, match=f"{key} must be >= 0, got -1"):
+            gen_synthetic(spec)
+
+    def test_empty_splits_allowed(self):
+        data = gen_synthetic(SyntheticSpec(n_train=0, n_val=0, n_test=3))
+        assert data["train_images"].shape == (0, 1, 32, 32)
+        assert data["val_labels"].shape == (0, 3)
+        assert data["test_images"].shape == (3, 1, 32, 32)
+
     def test_deterministic_given_seed(self):
         spec = SyntheticSpec(n_train=6, n_val=2, n_test=2)
         a = gen_synthetic(spec)

@@ -9,7 +9,7 @@ import pytest
 from anatomy_attn.attention import AnatomyMasks
 from anatomy_attn.model import (ModelConfig, ToyModel, batch_masks, bce_loss,
                                 gradcam, load_checkpoint, predict,
-                                save_checkpoint, ten_crop_predict, train)
+                                save_checkpoint, train)
 from anatomy_attn.tensor import Tensor
 
 
@@ -56,7 +56,7 @@ class TestForward:
                    fusion="none" if level == "L0" else "aaa")
         model = ToyModel(cfg, seed=0)
         out = model.forward(Tensor(rng.normal(size=(2, 1, 16, 16))),
-                            _masks(rng, 2, 16))
+                            _masks(rng, 2, 16), True)
         assert out.shape == (2, 2)
         assert ((out.data > 0) & (out.data < 1)).all()
 
@@ -64,7 +64,8 @@ class TestForward:
         model = ToyModel(_cfg(attention_level="L0", fusion="none"), seed=0)
         model.classifier.weight.data[:] = 0.0
         model.classifier.bias.data[:] = 0.0
-        out = model.forward(Tensor(rng.normal(size=(2, 1, 16, 16))), None)
+        out = model.forward(Tensor(rng.normal(size=(2, 1, 16, 16))), None,
+                            True)
         np.testing.assert_allclose(out.data, 0.5, atol=1e-12)
 
     def test_l0_ignores_fusion(self, rng):
@@ -76,26 +77,27 @@ class TestForward:
             assert not model.config.uses_masks
             states.add(b"".join(name.encode() + arr.tobytes()
                                 for name, arr in model.state_arrays()))
-            outputs.add(model.forward(img, masks).data.tobytes())
+            outputs.add(model.forward(img, masks, True).data.tobytes())
         assert len(states) == 1 and len(outputs) == 1
 
     def test_l0_is_mask_independent(self, rng):
         model = ToyModel(_cfg(attention_level="L0", fusion="none"), seed=0)
         img = Tensor(rng.normal(size=(2, 1, 16, 16)))
-        a = model.forward(img, None).data
-        b = model.forward(img, _masks(rng, 2, 16)).data
+        a = model.forward(img, None, True).data
+        b = model.forward(img, _masks(rng, 2, 16), True).data
         np.testing.assert_array_equal(a, b)
 
     def test_masked_config_requires_masks(self, rng):
         model = ToyModel(_cfg(attention_level="L2"), seed=0)
         with pytest.raises(ValueError):
-            model.forward(Tensor(rng.normal(size=(1, 1, 16, 16))), None)
+            model.forward(Tensor(rng.normal(size=(1, 1, 16, 16))), None,
+                          True)
 
     def test_wrong_image_size_rejected(self, rng):
         model = ToyModel(_cfg(), seed=0)
         with pytest.raises(ValueError):
             model.forward(Tensor(rng.normal(size=(1, 1, 8, 8))),
-                          _masks(rng, 1, 8))
+                          _masks(rng, 1, 8), True)
 
     @pytest.mark.parametrize("fusion", ["aaa", "hardmask"])
     def test_mask_batch_must_match_image_batch(self, rng, fusion):
@@ -103,7 +105,7 @@ class TestForward:
         with pytest.raises(ValueError, match=r"\(1, 1, 16, 16\).*"
                                              r"\(4, 1, 16, 16\)"):
             model.forward(Tensor(rng.normal(size=(4, 1, 16, 16))),
-                          _masks(rng, 1, 16))
+                          _masks(rng, 1, 16), True)
 
     def test_forward_resizes_masks_outside_the_graph(self, rng, monkeypatch):
         built = []
@@ -118,7 +120,7 @@ class TestForward:
         for fusion in ("aaa", "hardmask"):
             model = ToyModel(_cfg(fusion=fusion), seed=0)
             model.forward(Tensor(rng.normal(size=(2, 1, 16, 16))),
-                          _masks(rng, 2, 16))
+                          _masks(rng, 2, 16), True)
         assert "gated_fuse" in built and "resize_bilinear" in built
         assert "resize_nearest" not in built
 
@@ -137,8 +139,10 @@ class TestForward:
         model = ToyModel(_cfg(fusion="hardmask"), seed=0)
         empty = AnatomyMasks(np.zeros((2, 1, 16, 16)),
                              np.zeros((2, 1, 16, 16)))
-        a = model.forward(Tensor(rng.normal(size=(2, 1, 16, 16))), empty).data
-        b = model.forward(Tensor(rng.normal(size=(2, 1, 16, 16))), empty).data
+        a = model.forward(Tensor(rng.normal(size=(2, 1, 16, 16))), empty,
+                          True).data
+        b = model.forward(Tensor(rng.normal(size=(2, 1, 16, 16))), empty,
+                          True).data
         np.testing.assert_allclose(a, b, atol=1e-12)
 
     def test_hardmask_gate_takes_no_mask_gradient(self, rng):
@@ -148,7 +152,7 @@ class TestForward:
                          seed=0)
         cache = {}
         model.forward(Tensor(rng.normal(size=(2, 1, 16, 16))),
-                      _masks(rng, 2, 16), cache=cache)
+                      _masks(rng, 2, 16), True, cache=cache)
         assert len(cache["head_feats"]) == 3
         for gated in cache["head_feats"].values():
             (feat,) = gated._parents
@@ -159,8 +163,8 @@ class TestForward:
     def test_seed_determinism(self, rng):
         img = rng.normal(size=(2, 1, 16, 16))
         masks = _masks(rng, 2, 16)
-        a = ToyModel(_cfg(), seed=9).forward(Tensor(img), masks).data
-        b = ToyModel(_cfg(), seed=9).forward(Tensor(img), masks).data
+        a = ToyModel(_cfg(), seed=9).forward(Tensor(img), masks, True).data
+        b = ToyModel(_cfg(), seed=9).forward(Tensor(img), masks, True).data
         np.testing.assert_array_equal(a, b)
 
 
@@ -245,33 +249,42 @@ class TestTraining:
             np.testing.assert_array_equal(arr, before[name])
 
 
-class TestTenCrop:
-    def test_full_size_crop_equals_flip_average(self, rng):
-        model = ToyModel(_cfg(), seed=0)
-        model.set_mode("eval")
-        img = Tensor(rng.normal(size=(2, 1, 16, 16)))
-        masks = _masks(rng, 2, 16)
-        out = ten_crop_predict(model, img, masks, crop_size=16)
-        flipped_img = Tensor(img.data[:, :, :, ::-1].copy())
-        flipped_masks = AnatomyMasks(masks.lung[:, :, :, ::-1],
-                                     masks.heart[:, :, :, ::-1])
-        expected = (model.forward(img, masks).data
-                    + model.forward(flipped_img, flipped_masks).data) / 2
-        np.testing.assert_allclose(out, expected, atol=1e-12)
+def _running_stats(model):
+    return [arr.copy() for name, arr in model.state_arrays()
+            if name.endswith((".running_mean", ".running_var"))]
 
-    def test_smaller_crop_shape_and_range(self, rng):
-        model = ToyModel(_cfg(), seed=0)
-        model.set_mode("eval")
-        out = ten_crop_predict(model, Tensor(rng.normal(size=(2, 1, 16, 16))),
-                               _masks(rng, 2, 16), crop_size=12)
-        assert out.shape == (2, 2)
-        assert ((out > 0) & (out < 1)).all()
 
-    def test_oversized_crop_rejected(self, rng):
-        model = ToyModel(_cfg(), seed=0)
-        with pytest.raises(ValueError):
-            ten_crop_predict(model, Tensor(rng.normal(size=(1, 1, 16, 16))),
-                             _masks(rng, 1, 16), crop_size=20)
+def _jittered_model(rng):
+    # nonzero betas, so that bn_fuse's input has a nonzero batch mean
+    model = ToyModel(_cfg(), seed=0)
+    for _, t in model.parameters():
+        t.data = t.data + 0.1 * rng.normal(size=t.shape)
+    return model
+
+
+class TestRunningStatistics:
+    @pytest.mark.parametrize("infer", ["predict", "gradcam"])
+    def test_inference_leaves_them_unchanged(self, rng, infer):
+        model = _jittered_model(rng)
+        m = _masks(rng, 4, 16)
+        images = rng.normal(size=(4, 1, 16, 16))
+        model.forward(Tensor(images), m, True)  # off their initial values
+        before = _running_stats(model)
+        assert len(before) == 40  # 2 heads x 10 batch norms x mean, var
+        if infer == "predict":
+            predict(model, images, m.lung, m.heart, batch=3)
+        else:
+            gradcam(model, Tensor(images), m, class_index=1)
+        for a, b in zip(before, _running_stats(model), strict=True):
+            assert a.tobytes() == b.tobytes()
+
+    def test_training_forward_moves_every_one(self, rng):
+        model = _jittered_model(rng)
+        before = _running_stats(model)
+        model.forward(Tensor(rng.normal(size=(4, 1, 16, 16))),
+                      _masks(rng, 4, 16), True)
+        for a, b in zip(before, _running_stats(model), strict=True):
+            assert not np.array_equal(a, b)
 
 
 class TestGradCam:
@@ -327,13 +340,12 @@ class TestCheckpoint:
 
     def test_round_trip_preserves_predictions(self, rng, tmp_path):
         model = ToyModel(_cfg(attention_level="L2", pooling="gem"), seed=0)
-        model.set_mode("eval")
         img = rng.normal(size=(2, 1, 16, 16))
         masks = _masks(rng, 2, 16)
-        before = model.forward(Tensor(img), masks).data
+        before = model.forward(Tensor(img), masks, False).data
         save_checkpoint(model, tmp_path / "ckpt")
         restored = load_checkpoint(tmp_path / "ckpt")
-        after = restored.forward(Tensor(img), masks).data
+        after = restored.forward(Tensor(img), masks, False).data
         np.testing.assert_array_equal(before, after)
         assert restored.config == model.config
 

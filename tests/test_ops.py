@@ -183,12 +183,12 @@ class TestResize:
         np.testing.assert_array_equal(out, mask[:, :, ri[:, None], cj])
 
 
-def _composite_batch_norm(x, s):
+def _composite_batch_norm(x, s, train):
     """Batch norm assembled from primitive tensor ops (the unfused form)."""
     axes = (0,) if x.data.ndim == 2 else (0, 2, 3)
     shape = (1, s.channels) + (1,) * (x.data.ndim - 2)
     gamma, beta = s.gamma.reshape(shape), s.beta.reshape(shape)
-    if s.mode == "train":
+    if train:
         xm = x - x.mean(axis=axes, keepdims=True)
         var = (xm * xm).mean(axis=axes, keepdims=True)
         return xm / (var + BN_EPSILON) ** 0.5 * gamma + beta
@@ -197,103 +197,100 @@ def _composite_batch_norm(x, s):
     return (x - rm) / rstd * gamma + beta
 
 
-def _bn_state(rng, channels, mode):
+def _bn_state(rng, channels):
     return BatchNormState(Tensor(rng.normal(size=channels)),
                           Tensor(rng.normal(size=channels)),
                           rng.normal(size=channels),
-                          rng.uniform(0.5, 2.0, size=channels), mode=mode)
+                          rng.uniform(0.5, 2.0, size=channels))
 
 
 class TestBatchNorm:
-    @pytest.mark.parametrize("mode", ["train", "eval"])
+    @pytest.mark.parametrize("train", [True, False], ids=["train", "eval"])
     @pytest.mark.parametrize("shape", [(5, 3), (4, 3, 3, 2)])
-    def test_matches_composite_formula(self, rng, mode, shape):
+    def test_matches_composite_formula(self, rng, train, shape):
         x_data = rng.normal(size=shape) * 2 + 1
         g = rng.normal(size=shape)
         results = []
         for fn in (batch_norm, _composite_batch_norm):
-            s = _bn_state(np.random.default_rng(5), 3, mode)
+            s = _bn_state(np.random.default_rng(5), 3)
             x = Tensor(x_data.copy())
             for t in (x, s.gamma, s.beta):
                 t.requires_grad = True
-            out = fn(x, s)
+            out = fn(x, s, train)
             out.backward(g)
             results.append((out.data, x.grad, s.gamma.grad, s.beta.grad))
         for fused, composite in zip(*results):
             np.testing.assert_allclose(fused, composite, rtol=0, atol=1e-12)
 
-    @pytest.mark.parametrize("mode", ["train", "eval"])
-    def test_single_graph_node(self, rng, mode):
-        s = _bn_state(rng, 3, mode)
+    @pytest.mark.parametrize("train", [True, False], ids=["train", "eval"])
+    def test_single_graph_node(self, rng, train):
+        s = _bn_state(rng, 3)
         x = Tensor(rng.normal(size=(4, 3)))
-        assert batch_norm(x, s)._parents == (x, s.gamma, s.beta)
+        assert batch_norm(x, s, train)._parents == (x, s.gamma, s.beta)
 
     @pytest.mark.parametrize("shape", [(5, 3), (2, 3, 3, 3)])
     def test_eval_mode_gradcheck(self, rng, shape):
-        s = _bn_state(rng, 3, "eval")
+        s = _bn_state(rng, 3)
 
         def target(x, gamma, beta):
-            t = BatchNormState(gamma, beta, s.running_mean, s.running_var,
-                               mode="eval")
-            return (batch_norm(x, t) * batch_norm(x, t).sigmoid()).sum()
+            t = BatchNormState(gamma, beta, s.running_mean, s.running_var)
+            return (batch_norm(x, t, False)
+                    * batch_norm(x, t, False).sigmoid()).sum()
 
         report = grad_check(target, [Tensor(rng.normal(size=shape)),
                                      s.gamma, s.beta])
         assert report.passed, report
 
-    def test_unknown_mode_rejected(self):
-        s = BatchNormState.init(1, mode="bogus")
-        with pytest.raises(ValueError):
-            batch_norm(Tensor([[1.0], [2.0]]), s)
-
     def test_rank3_rejected(self):
         with pytest.raises(ValueError):
-            batch_norm(Tensor(np.zeros((2, 1, 3))), BatchNormState.init(1))
+            batch_norm(Tensor(np.zeros((2, 1, 3))), BatchNormState.init(1),
+                       True)
 
     def test_two_point_normalization(self):
         # values [1, 3]: mean 2, biased std 1 -> normalized [-1, 1]
         s = BatchNormState.init(1)
-        out = batch_norm(Tensor([[1.0], [3.0]]), s)
+        out = batch_norm(Tensor([[1.0], [3.0]]), s, True)
         np.testing.assert_allclose(out.data, [[-1.0], [1.0]], atol=1e-2)
 
     def test_train_output_zero_mean_unit_var(self, rng):
         s = BatchNormState.init(3)
-        out = batch_norm(Tensor(rng.normal(size=(16, 3, 4, 4))), s).data
+        out = batch_norm(Tensor(rng.normal(size=(16, 3, 4, 4))), s,
+                         True).data
         np.testing.assert_allclose(out.mean(axis=(0, 2, 3)), 0, atol=1e-10)
         np.testing.assert_allclose(out.var(axis=(0, 2, 3)), 1, atol=1e-3)
 
     def test_running_stats_update(self, rng):
         s = BatchNormState.init(2)
         x = rng.normal(size=(8, 2)) * 3 + 5
-        batch_norm(Tensor(x), s)
+        batch_norm(Tensor(x), s, True)
         mu = x.mean(axis=0)
         var = x.var(axis=0)
         np.testing.assert_allclose(s.running_mean, 0.9 * 0 + 0.1 * mu)
         np.testing.assert_allclose(s.running_var, 0.9 * 1 + 0.1 * var)
 
     def test_eval_uses_running_stats(self):
-        s = BatchNormState.init(1, mode="eval")
+        s = BatchNormState.init(1)
         s.running_mean[:] = 2.0
         s.running_var[:] = 4.0
-        out = batch_norm(Tensor([[4.0]]), s)
+        out = batch_norm(Tensor([[4.0]]), s, False)
         np.testing.assert_allclose(out.data, [[1.0]], atol=1e-2)
 
     def test_gamma_beta_affine(self):
-        s = BatchNormState.init(1, mode="eval")
+        s = BatchNormState.init(1)
         s.gamma.data[:] = 3.0
         s.beta.data[:] = 1.0
-        out = batch_norm(Tensor([[1.0]]), s)
+        out = batch_norm(Tensor([[1.0]]), s, False)
         np.testing.assert_allclose(out.data, [[4.0]], atol=1e-2)
 
     def test_train_needs_two_elements(self):
         s = BatchNormState.init(2)
         with pytest.raises(ValueError):
-            batch_norm(Tensor([[1.0, 2.0]]), s)
+            batch_norm(Tensor([[1.0, 2.0]]), s, True)
 
     def test_channel_mismatch_rejected(self):
         s = BatchNormState.init(2)
         with pytest.raises(ValueError):
-            batch_norm(Tensor(np.zeros((4, 3))), s)
+            batch_norm(Tensor(np.zeros((4, 3))), s, True)
 
 
 class TestSoftmaxPair:
