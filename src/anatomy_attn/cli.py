@@ -21,6 +21,9 @@ from .serialize import write_pgm
 from .suite import run_gradcheck_suite
 from .tensor import Tensor
 
+# commands that evaluate on the synthetic test split, so need test images
+TEST_SPLIT_COMMANDS = ("ablate", "robustness", "gradcam")
+
 
 def _seed(raw: str) -> int:
     """argparse type of --seed: an int >= 0, as numpy's generators need."""
@@ -216,6 +219,10 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         cfg = load_config(args.config, args.overrides)
+        n_test = cfg["synthetic"]["n_test"]
+        if args.command in TEST_SPLIT_COMMANDS and n_test < 1:
+            raise ConfigError(f"bad config value: synthetic.n_test must be "
+                              f">= 1 for {args.command}, got {n_test}")
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

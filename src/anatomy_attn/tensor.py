@@ -25,7 +25,7 @@ ignore_fp_errors = np.errstate(all="ignore")
 
 
 def _check_finite(data: np.ndarray, op: str) -> None:
-    if not np.all(np.isfinite(data)):
+    if not np.isfinite(data).all():
         raise NonFiniteError(f"non-finite values produced by op '{op}'")
 
 
@@ -191,10 +191,8 @@ class Tensor:
         return Tensor._from_op(self.data * mask, (self,), bwd, "relu")
 
     def sigmoid(self):
-        out_data = np.where(self.data >= 0,
-                            1.0 / (1.0 + np.exp(-np.abs(self.data))),
-                            np.exp(-np.abs(self.data))
-                            / (1.0 + np.exp(-np.abs(self.data))))
+        e = np.exp(-np.abs(self.data))
+        out_data = np.where(self.data >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
 
         def bwd(g):
             return [(self, g * out_data * (1.0 - out_data))]

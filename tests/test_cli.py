@@ -1,6 +1,7 @@
 """Command-line interface: exit codes, config handling, artifacts."""
 
 import json
+import multiprocessing
 from dataclasses import asdict
 
 import numpy as np
@@ -263,6 +264,27 @@ class TestExitCodes:
         assert message in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", [
+        ["ablate", "--axis", "pooling", "--seeds", "0"],
+        ["robustness", "--seeds", "0"],
+        ["gradcam", "--num-images", "1"]],
+        ids=["ablate", "robustness", "gradcam"])
+    def test_no_test_images_exits_2_before_output(self, tmp_path, capsys,
+                                                  monkeypatch, command):
+        monkeypatch.setenv("ANATOMY_ATTN_THREADS", "2")
+        ckpt = tmp_path / "ckpt"
+        save_checkpoint(ToyModel(ModelConfig(
+            image_size=16, mask_size=4, backbone_widths=(2, 3, 3, 4))), ckpt)
+        if command[0] == "gradcam":
+            command = command + ["--checkpoint", str(ckpt)]
+        out = tmp_path / "run"
+        assert main(["--out", str(out)] + FAST
+                    + ["--set", "synthetic.n_test=0"] + command) == 2
+        assert (f"synthetic.n_test must be >= 1 for {command[0]}, got 0"
+                in capsys.readouterr().err)
+        assert not out.exists()
+        assert multiprocessing.active_children() == []
+
     def test_missing_checkpoint_exits_2_before_output(self, tmp_path, capsys):
         out = tmp_path / "cam"
         assert main(["--out", str(out), "gradcam", "--checkpoint",
@@ -317,6 +339,13 @@ class TestArtifacts:
         assert (out / "sample_image_0.pgm").read_bytes().startswith(b"P5")
         header = (out / "history.csv").read_text().splitlines()[0]
         assert header == "epoch,loss,val_auc"
+
+    def test_train_needs_no_test_images(self, tmp_path):
+        out = tmp_path / "run"
+        assert main(["--out", str(out)] + FAST
+                    + ["--set", "synthetic.n_test=0", "train"]) == 0
+        assert (out / "history.csv").exists()
+        assert not list(out.glob("*.pgm"))
 
     def test_seg_toy_writes_curves(self, tmp_path):
         out = tmp_path / "seg"

@@ -1,9 +1,12 @@
 """Evaluation harness: AUC, metrics tables, synthetic data, sweeps."""
 
+import multiprocessing
 import os
+import signal
 import subprocess
 import sys
 import threading
+from concurrent.futures.process import BrokenProcessPool
 
 import numpy as np
 import pytest
@@ -11,10 +14,12 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.stats import rankdata
 
+from anatomy_attn import DivergenceError
 from anatomy_attn.harness import (ABLATION_AXES, CLASS_NAMES, MetricsTable,
-                                  SyntheticSpec, auc, evaluate_with_cutout,
-                                  gen_seg_batches, gen_synthetic,
-                                  parallel_map)
+                                  SyntheticSpec, ablation_sweep, auc,
+                                  evaluate_with_cutout, gen_seg_batches,
+                                  gen_synthetic, parallel_map)
+from anatomy_attn.model import ModelConfig
 
 
 def _brute_force_auc(scores, labels):
@@ -210,19 +215,29 @@ class TestSyntheticData:
         np.testing.assert_allclose(a.annotated_masks.data.sum(axis=1), 1.0)
 
 
+@pytest.fixture
+def two_workers(monkeypatch):
+    """ANATOMY_ATTN_THREADS=2; the test must leave no worker running."""
+    monkeypatch.setenv("ANATOMY_ATTN_THREADS", "2")
+    yield
+    assert multiprocessing.active_children() == []
+
+
 class TestSweeps:
     def test_parallel_map_same_on_one_and_two_threads(self, monkeypatch):
         def work(x):
-            return x * x, threading.get_ident()
+            return x * x, os.getpid()
 
         items = list(range(40))
         runs = {}
-        for threads in ("1", "2"):
-            monkeypatch.setenv("ANATOMY_ATTN_THREADS", threads)
-            runs[threads] = parallel_map(work, items)
+        for workers in ("1", "2"):
+            monkeypatch.setenv("ANATOMY_ATTN_THREADS", workers)
+            runs[workers] = parallel_map(work, items)
         assert [r[0] for r in runs["1"]] == [x * x for x in items]
         assert [r[0] for r in runs["2"]] == [r[0] for r in runs["1"]]
-        assert {r[1] for r in runs["1"]} == {threading.get_ident()}
+        assert {r[1] for r in runs["1"]} == {os.getpid()}
+        assert os.getpid() not in {r[1] for r in runs["2"]}
+        assert multiprocessing.active_children() == []
 
     @pytest.mark.parametrize("raw", [None, "zero", "0", "-3"])
     def test_parallel_map_unset_or_invalid_threads_is_serial(self, raw,
@@ -231,8 +246,61 @@ class TestSweeps:
             monkeypatch.delenv("ANATOMY_ATTN_THREADS", raising=False)
         else:
             monkeypatch.setenv("ANATOMY_ATTN_THREADS", raw)
-        idents = parallel_map(lambda _: threading.get_ident(), range(4))
-        assert set(idents) == {threading.get_ident()}
+        pids = parallel_map(lambda _: os.getpid(), range(4))
+        assert set(pids) == {os.getpid()}
+
+    def test_parallel_map_runs_items_in_worker_processes(self, two_workers):
+        pids = parallel_map(lambda _: os.getpid(), range(6))
+        assert os.getpid() not in pids
+        assert 1 <= len(set(pids)) <= 2
+
+    def test_parallel_map_one_item_runs_here(self, two_workers):
+        assert parallel_map(lambda _: os.getpid(), [0]) == [os.getpid()]
+
+    def test_parallel_map_takes_an_unpicklable_closure(self, two_workers):
+        lock, offset = threading.Lock(), 7
+
+        def add(x):
+            with lock:
+                return x + offset
+
+        assert parallel_map(add, range(5)) == [7, 8, 9, 10, 11]
+
+    def test_parallel_map_reraises_a_worker_error_with_its_type(
+            self, two_workers):
+        def cell(x):
+            if x == 2:
+                raise DivergenceError(f"cell {x} diverged at epoch 1")
+            return x
+
+        with pytest.raises(DivergenceError,
+                           match="^cell 2 diverged at epoch 1$"):
+            parallel_map(cell, range(4))
+
+    def test_parallel_map_killed_worker_breaks_the_pool(self, two_workers):
+        parent = os.getpid()
+
+        def cell(x):
+            if x == 1 and os.getpid() != parent:
+                os.kill(os.getpid(), signal.SIGKILL)
+            return x
+
+        with pytest.raises(BrokenProcessPool):
+            parallel_map(cell, range(4))
+
+    def test_ablation_sweep_same_on_one_and_two_workers(self, monkeypatch):
+        config = ModelConfig(image_size=16, mask_size=4,
+                             backbone_widths=(2, 3, 3, 4))
+        spec = SyntheticSpec(n_train=24, n_val=12, n_test=32)
+        rows = {}
+        for workers in ("1", "2"):
+            monkeypatch.setenv("ANATOMY_ATTN_THREADS", workers)
+            rows[workers] = ablation_sweep("attention_level", config, spec,
+                                           [0], {"epochs": 1, "batch": 8}).rows
+        assert len(rows["1"]) == 16
+        assert [(c, n, v.hex()) for c, n, v in rows["2"]] == [
+            (c, n, v.hex()) for c, n, v in rows["1"]]
+        assert multiprocessing.active_children() == []
 
     def test_ablation_axes_registry(self):
         assert set(ABLATION_AXES) == {"attention_level", "pooling",

@@ -55,6 +55,16 @@ class TestForward:
         out = Tensor([-1000.0, 1000.0]).sigmoid().data
         np.testing.assert_allclose(out, [0.0, 1.0], atol=1e-12)
 
+    def test_sigmoid_equals_the_formula_with_three_exps(self):
+        tiny = np.finfo(np.float64).smallest_subnormal
+        x = np.concatenate([
+            [0.0, -0.0, 745.0, -745.0, 1e308, -1e308, tiny, -tiny,
+             1e-310, -1e-310],
+            np.random.default_rng(0).normal(scale=10.0, size=1000)])
+        want = np.where(x >= 0, 1.0 / (1.0 + np.exp(-np.abs(x))),
+                        np.exp(-np.abs(x)) / (1.0 + np.exp(-np.abs(x))))
+        np.testing.assert_array_equal(Tensor(x).sigmoid().data, want)
+
     def test_clamp(self):
         x = Tensor([-2.0, 0.0, 2.0])
         np.testing.assert_array_equal(x.clamp(lo=-1, hi=1).data, [-1, 0, 1])
