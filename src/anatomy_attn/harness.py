@@ -44,7 +44,9 @@ class SyntheticSpec:
 
 
 def _ellipse(h: int, w: int, ci, cj, ri, rj) -> np.ndarray:
-    ii, jj = np.mgrid[0:h, 0:w]
+    # open index grids that the arithmetic broadcasts to [h, w]: per pixel
+    # the same operations as full index grids, at a fraction of the cost
+    ii, jj = np.arange(h)[:, None], np.arange(w)
     return (((ii - ci) / ri) ** 2 + ((jj - cj) / rj) ** 2 <= 1.0)
 
 
@@ -255,29 +257,63 @@ def _test_aucs(model: ToyModel, data: dict, lung: np.ndarray,
             for k in range(len(CLASS_NAMES))]
 
 
-def train_condition(config: ModelConfig, spec: SyntheticSpec, seed: int,
-                    train_kwargs: dict | None = None):
-    """Train one model on the spec's dataset; returns (model, data)."""
-    kwargs = {**DEFAULT_TRAIN, **(train_kwargs or {})}
-    data = gen_synthetic(dc_replace(spec, image_size=config.image_size))
-    model = ToyModel(config, seed=seed)
-    model, _ = train(model, data, kwargs["epochs"], kwargs["lr"],
-                     kwargs["batch"], seed)
-    return model, data
+def _train_settings(train_kwargs: dict | None) -> dict:
+    """DEFAULT_TRAIN overridden by `train_kwargs`; raises ValueError naming
+    a key that is not a DEFAULT_TRAIN key."""
+    unknown = sorted(set(train_kwargs or {}) - set(DEFAULT_TRAIN))
+    if unknown:
+        raise ValueError(f"unknown train_kwargs key(s) {unknown}; expected "
+                         f"{sorted(DEFAULT_TRAIN)}")
+    return {**DEFAULT_TRAIN, **(train_kwargs or {})}
+
+
+def train_condition(config: ModelConfig, data: dict, seed: int,
+                    train_kwargs: dict | None = None) -> ToyModel:
+    """Train one model on `data`, a `gen_synthetic` dataset at the config's
+    image size, and return it."""
+    kwargs = _train_settings(train_kwargs)
+    model, _ = train(ToyModel(config, seed=seed), data, kwargs["epochs"],
+                     kwargs["lr"], kwargs["batch"], seed)
+    return model
+
+
+def _shared_dataset(spec: SyntheticSpec, image_size: int) -> dict:
+    """The arrays of the spec's dataset at `image_size` that training and
+    test evaluation read (images, noisy masks, labels), made read-only.
+
+    The data depends on the spec, not on a model seed, so every condition
+    trains on this one copy, which sweep workers inherit from the fork.
+    The true masks and lesion maps are dropped to keep the inherited pages
+    few. A cell that wrote into the arrays would change the data of every
+    later cell, so a write raises ValueError."""
+    data = gen_synthetic(dc_replace(spec, image_size=image_size))
+    shared = {f"{split}_{kind}": data[f"{split}_{kind}"]
+              for split in ("train", "val", "test")
+              for kind in ("images", "lung", "heart", "labels")}
+    for array in shared.values():
+        array.flags.writeable = False
+    return shared
 
 
 def ablation_sweep(axis: str, base_config: ModelConfig, spec: SyntheticSpec,
                    seeds, train_kwargs: dict | None = None) -> MetricsTable:
     """Train one model per axis value per seed; report per-class and mean
-    test AUC, median over seeds."""
+    test AUC, median over seeds. One dataset per image size is generated
+    here, before the cells run."""
     if axis not in ABLATION_AXES:
         raise ValueError(f"unknown ablation axis {axis!r}")
+    train_kwargs = _train_settings(train_kwargs)
     values = ABLATION_AXES[axis]
+    configs = {v: dc_replace(base_config, **{axis: v}) for v in values}
+    datasets = {}
+    for cfg in configs.values():
+        if cfg.image_size not in datasets:
+            datasets[cfg.image_size] = _shared_dataset(spec, cfg.image_size)
 
     def run_cell(cell):
         value, seed = cell
-        cfg = dc_replace(base_config, **{axis: value})
-        model, data = train_condition(cfg, spec, seed, train_kwargs)
+        data = datasets[configs[value].image_size]
+        model = train_condition(configs[value], data, seed, train_kwargs)
         return value, seed, _test_aucs(model, data, data["test_lung"],
                                        data["test_heart"])
 
@@ -334,18 +370,18 @@ def robustness_sweep(models: dict, data: dict, windows, trials: int,
 def robustness_experiment(spec: SyntheticSpec, seeds, windows,
                           base_config: ModelConfig, trials: int,
                           train_kwargs: dict | None = None) -> MetricsTable:
-    """Train attention and hard-mask models per seed, sweep cutout windows,
-    and report the median AUC over seeds per (model, window)."""
+    """Train attention and hard-mask models per seed, all on one dataset,
+    sweep cutout windows, and report the median AUC over seeds per
+    (model, window)."""
+    train_kwargs = _train_settings(train_kwargs)
+    data = _shared_dataset(spec, base_config.image_size)
     per_seed_tables = []
     for seed in seeds:
-        aaa_model, data = train_condition(
-            dc_replace(base_config, fusion="aaa"), spec, seed, train_kwargs)
-        hard_model, _ = train_condition(
-            dc_replace(base_config, fusion="hardmask"), spec, seed,
-            train_kwargs)
+        models = {fusion: train_condition(
+            dc_replace(base_config, fusion=fusion), data, seed, train_kwargs)
+            for fusion in ("aaa", "hardmask")}
         per_seed_tables.append(robustness_sweep(
-            {"aaa": aaa_model, "hardmask": hard_model}, data, windows,
-            trials=trials, base_seed=seed))
+            models, data, windows, trials=trials, base_seed=seed))
 
     table = MetricsTable()
     for condition, class_name, _ in per_seed_tables[0].rows:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, fields, is_dataclass
 from functools import lru_cache
 
@@ -266,7 +267,7 @@ def batch_norm(x: Tensor, s: BatchNormState, train: bool) -> Tensor:
     if x.shape[1] != s.channels:
         raise ValueError(f"batch_norm: {x.shape[1]} channels vs state "
                          f"with {s.channels}")
-    count = int(np.prod([x.shape[a] for a in axes]))
+    count = math.prod(x.shape[a] for a in axes)
     if count < 1:
         raise ValueError("batch_norm needs at least one element per channel")
 

@@ -7,6 +7,8 @@ NonFiniteError instead of propagating silently.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 
@@ -37,6 +39,15 @@ def _unbroadcast(grad: np.ndarray, shape: tuple) -> np.ndarray:
         if s == 1 and grad.shape[i] != 1:
             grad = grad.sum(axis=i, keepdims=True)
     return grad
+
+
+def _spread(g, axis, keepdims: bool, shape: tuple) -> np.ndarray:
+    """Gradient of a sum over `axis` of a `shape` array: `g` copied back
+    over the summed axes."""
+    g = np.asarray(g)
+    if axis is not None and not keepdims:
+        g = np.expand_dims(g, axis)
+    return np.broadcast_to(g, shape).copy()
 
 
 class Tensor:
@@ -227,20 +238,24 @@ class Tensor:
         out_data = self.data.sum(axis=axis, keepdims=keepdims)
 
         def bwd(g):
-            g = np.asarray(g)
-            if axis is not None and not keepdims:
-                g = np.expand_dims(g, axis)
-            return [(self, np.broadcast_to(g, self.shape).copy())]
+            return [(self, _spread(g, axis, keepdims, self.shape))]
 
         return Tensor._from_op(out_data, (self,), bwd, "sum")
 
     def mean(self, axis=None, keepdims: bool = False):
+        """`sum` times the reciprocal count, as one node."""
         if axis is None:
             count = self.size
         else:
             axes = axis if isinstance(axis, tuple) else (axis,)
-            count = int(np.prod([self.shape[a] for a in axes]))
-        return self.sum(axis=axis, keepdims=keepdims) * (1.0 / count)
+            count = math.prod(self.shape[a] for a in axes)
+        scale = 1.0 / count
+        out_data = self.data.sum(axis=axis, keepdims=keepdims) * scale
+
+        def bwd(g):
+            return [(self, _spread(g * scale, axis, keepdims, self.shape))]
+
+        return Tensor._from_op(out_data, (self,), bwd, "mean")
 
     def max(self, axis):
         """Max over the given axes, which are dropped; ties share the

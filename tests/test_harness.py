@@ -7,6 +7,7 @@ import subprocess
 import sys
 import threading
 from concurrent.futures.process import BrokenProcessPool
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -14,12 +15,19 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.stats import rankdata
 
-from anatomy_attn import DivergenceError
+from anatomy_attn import DivergenceError, harness
 from anatomy_attn.harness import (ABLATION_AXES, CLASS_NAMES, MetricsTable,
                                   SyntheticSpec, ablation_sweep, auc,
                                   evaluate_with_cutout, gen_seg_batches,
-                                  gen_synthetic, parallel_map)
+                                  gen_synthetic, parallel_map,
+                                  robustness_experiment, train_condition,
+                                  _ellipse, _test_aucs)
 from anatomy_attn.model import ModelConfig
+
+TINY_CONFIG = ModelConfig(image_size=16, mask_size=4,
+                          backbone_widths=(2, 3, 3, 4))
+TINY_SPEC = SyntheticSpec(n_train=24, n_val=12, n_test=32)
+TINY_TRAIN = {"epochs": 1, "batch": 8}
 
 
 def _brute_force_auc(scores, labels):
@@ -202,6 +210,34 @@ class TestSyntheticData:
             col = data["train_labels"][:, k]
             assert 0 < col.sum() < len(col)
 
+    @staticmethod
+    def _mgrid_ellipse(h, w, ci, cj, ri, rj):
+        ii, jj = np.mgrid[0:h, 0:w]
+        return (((ii - ci) / ri) ** 2 + ((jj - cj) / rj) ** 2 <= 1.0)
+
+    @pytest.mark.parametrize("args", [
+        (32, 32, 14.4, 8.96, 9.6, 5.12), (24, 40, 10.3, 29.1, 7.7, 6.2),
+        (40, 24, 30.0, 3.5, 12.1, 2.9), (5, 5, 2, 2, 2.5, 2.5),
+        (5, 7, 2, 3, 2, 3),
+        (48, 31, np.int64(17), np.int64(30), 3.5, 3.5),
+        (7, 3, -2.0, 5.0, 1e-3, 40.0)])
+    def test_ellipse_equals_the_mgrid_formula(self, args):
+        got, want = _ellipse(*args), self._mgrid_ellipse(*args)
+        assert got.shape == want.shape == args[:2]
+        np.testing.assert_array_equal(got, want)
+
+    @pytest.mark.parametrize("size", [24, 32])
+    def test_dataset_equals_one_drawn_with_mgrid_ellipses(self, size,
+                                                          monkeypatch):
+        spec = SyntheticSpec(image_size=size, n_train=12, n_val=4, n_test=4,
+                             seed=size)
+        data = gen_synthetic(spec)
+        monkeypatch.setattr(harness, "_ellipse", self._mgrid_ellipse)
+        want = gen_synthetic(spec)
+        assert data.keys() == want.keys()
+        for key in want:
+            np.testing.assert_array_equal(data[key], want[key], err_msg=key)
+
     def test_seg_batches_are_deterministic(self):
         a = next(iter(gen_seg_batches(size=8, n_annotated=8,
                                       n_unannotated=8, seed=3)))
@@ -213,6 +249,24 @@ class TestSyntheticData:
                                       b.annotated_masks.data)
         # one-hot masks over 3 classes
         np.testing.assert_allclose(a.annotated_masks.data.sum(axis=1), 1.0)
+
+
+@pytest.fixture
+def generated(monkeypatch, tmp_path):
+    """Logs (pid, image_size) of every gen_synthetic call, in this process
+    or a forked worker; returns a function that reads the log."""
+    log = tmp_path / "gen_synthetic.log"
+    real = harness.gen_synthetic
+
+    def logged(spec):
+        with open(log, "a") as f:
+            f.write(f"{os.getpid()} {spec.image_size}\n")
+        return real(spec)
+
+    monkeypatch.setattr(harness, "gen_synthetic", logged)
+    return lambda: ([tuple(map(int, line.split()))
+                     for line in log.read_text().splitlines()]
+                    if log.exists() else [])
 
 
 @pytest.fixture
@@ -289,18 +343,93 @@ class TestSweeps:
             parallel_map(cell, range(4))
 
     def test_ablation_sweep_same_on_one_and_two_workers(self, monkeypatch):
-        config = ModelConfig(image_size=16, mask_size=4,
-                             backbone_widths=(2, 3, 3, 4))
-        spec = SyntheticSpec(n_train=24, n_val=12, n_test=32)
         rows = {}
         for workers in ("1", "2"):
             monkeypatch.setenv("ANATOMY_ATTN_THREADS", workers)
-            rows[workers] = ablation_sweep("attention_level", config, spec,
-                                           [0], {"epochs": 1, "batch": 8}).rows
+            rows[workers] = ablation_sweep("attention_level", TINY_CONFIG,
+                                           TINY_SPEC, [0], TINY_TRAIN).rows
         assert len(rows["1"]) == 16
         assert [(c, n, v.hex()) for c, n, v in rows["2"]] == [
             (c, n, v.hex()) for c, n, v in rows["1"]]
         assert multiprocessing.active_children() == []
+
+    @pytest.mark.parametrize("workers", ["1", "2"])
+    def test_level_sweep_generates_its_data_once_before_the_fork(
+            self, workers, monkeypatch, generated):
+        monkeypatch.setenv("ANATOMY_ATTN_THREADS", workers)
+        ablation_sweep("attention_level", TINY_CONFIG, TINY_SPEC, (0, 1),
+                       TINY_TRAIN)
+        assert generated() == [(os.getpid(), 16)]
+        assert multiprocessing.active_children() == []
+
+    def test_image_size_sweep_generates_each_size_once(self, monkeypatch,
+                                                       generated):
+        monkeypatch.setenv("ANATOMY_ATTN_THREADS", "2")
+        ablation_sweep("image_size", TINY_CONFIG, TINY_SPEC, [0], TINY_TRAIN)
+        assert generated() == [(os.getpid(), s) for s in (24, 32, 48)]
+
+    def test_robustness_experiment_generates_its_data_once(self, generated):
+        robustness_experiment(TINY_SPEC, (0, 1), (0, 2), TINY_CONFIG,
+                              trials=1, train_kwargs=TINY_TRAIN)
+        assert generated() == [(os.getpid(), 16)]
+
+    @pytest.mark.parametrize("axis", ["attention_level", "image_size"])
+    def test_sweep_equals_cells_that_regenerate_their_data(self, axis,
+                                                           monkeypatch):
+        monkeypatch.setenv("ANATOMY_ATTN_THREADS", "2")
+        seeds = (0, 1)
+        rows = ablation_sweep(axis, TINY_CONFIG, TINY_SPEC, seeds,
+                              TINY_TRAIN).rows
+        want = MetricsTable()
+        for value in ABLATION_AXES[axis]:
+            cfg = replace(TINY_CONFIG, **{axis: value})
+            per_seed = []
+            for seed in seeds:
+                data = gen_synthetic(replace(TINY_SPEC,
+                                             image_size=cfg.image_size))
+                model = train_condition(cfg, data, seed, TINY_TRAIN)
+                per_seed.append(_test_aucs(model, data, data["test_lung"],
+                                           data["test_heart"]))
+            med = np.median(per_seed, axis=0)
+            for k, name in enumerate(CLASS_NAMES):
+                want.add(f"{axis}={value}", name, med[k])
+            want.add_mean(f"{axis}={value}")
+        assert [(c, n, v.hex()) for c, n, v in rows] == [
+            (c, n, v.hex()) for c, n, v in want.rows]
+
+    def test_cells_cannot_write_into_the_shared_data(self, monkeypatch):
+        monkeypatch.setenv("ANATOMY_ATTN_THREADS", "1")
+        written = []
+
+        def writing_train(model, data, *args):
+            for key, array in data.items():
+                with pytest.raises(ValueError, match="read-only"):
+                    array[0] = 0.0
+                written.append(key)
+            return model, []
+
+        monkeypatch.setattr(harness, "train", writing_train)
+        ablation_sweep("attention_level", TINY_CONFIG, TINY_SPEC, [0],
+                       TINY_TRAIN)
+        keys = {f"{split}_{kind}" for split in ("train", "val", "test")
+                for kind in ("images", "lung", "heart", "labels")}
+        assert sorted(written) == sorted(list(keys) * 4)
+
+    @pytest.mark.parametrize("run", [
+        lambda kw: train_condition(TINY_CONFIG, {}, 0, kw),
+        lambda kw: ablation_sweep("pooling", TINY_CONFIG, TINY_SPEC, [0], kw),
+        lambda kw: robustness_experiment(TINY_SPEC, [0], (0, 2), TINY_CONFIG,
+                                         trials=1, train_kwargs=kw)],
+        ids=["train_condition", "ablation_sweep", "robustness_experiment"])
+    def test_unknown_train_kwarg_rejected_before_any_work(self, run,
+                                                          monkeypatch,
+                                                          generated):
+        monkeypatch.setattr(harness, "train",
+                            lambda *args: pytest.fail("trained"))
+        with pytest.raises(ValueError, match=r"unknown train_kwargs key\(s\) "
+                                             r"\['epoch'\]"):
+            run({"epoch": 1})
+        assert generated() == []
 
     def test_ablation_axes_registry(self):
         assert set(ABLATION_AXES) == {"attention_level", "pooling",

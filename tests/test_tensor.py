@@ -134,6 +134,25 @@ class TestBackward:
         g = _grad_of(lambda x: x.mean(), np.ones((2, 3)))
         np.testing.assert_allclose(g, np.full((2, 3), 1 / 6))
 
+    @pytest.mark.parametrize("axis", [None, 0, 3, (2, 3), (0, 2, 3),
+                                      (0, 1, 2, 3)])
+    @pytest.mark.parametrize("keepdims", [False, True])
+    def test_mean_is_one_node_equal_to_sum_times_reciprocal(self, axis,
+                                                            keepdims, rng):
+        data = rng.normal(size=(2, 3, 4, 5))
+        upstream = rng.normal(size=data.sum(axis=axis, keepdims=keepdims)
+                              .shape)
+        count = data.size // data.sum(axis=axis, keepdims=True).size
+        x, ref = Tensor(data, requires_grad=True), Tensor(data,
+                                                          requires_grad=True)
+        out = x.mean(axis=axis, keepdims=keepdims)
+        want = ref.sum(axis=axis, keepdims=keepdims) * (1.0 / count)
+        assert out._parents == (x,)
+        np.testing.assert_array_equal(out.data, want.data)
+        out.backward(upstream)
+        want.backward(upstream)
+        np.testing.assert_array_equal(x.grad, ref.grad)
+
     def test_clamp_gradient_passes_inside_only(self):
         g = _grad_of(lambda x: x.clamp(lo=-1, hi=1).sum(),
                      np.array([-2.0, 0.5, 2.0]))
