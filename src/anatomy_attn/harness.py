@@ -4,13 +4,14 @@ cutout robustness sweep."""
 
 from __future__ import annotations
 
+import functools
+import math
 import multiprocessing
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace as dc_replace
 
 import numpy as np
-from scipy import ndimage
 
 from .attention import AnatomyMasks
 from .metrics import MetricsTable, auc
@@ -43,11 +44,21 @@ class SyntheticSpec:
     seed: int = 0
 
 
+def _ellipse_on(ii: np.ndarray, jj: np.ndarray, ci, cj, ri, rj) -> np.ndarray:
+    # ii: a column of row indices, jj: a row of column indices
+    return (((ii - ci) / ri) ** 2 + ((jj - cj) / rj) ** 2 <= 1.0)
+
+
 def _ellipse(h: int, w: int, ci, cj, ri, rj) -> np.ndarray:
     # open index grids that the arithmetic broadcasts to [h, w]: per pixel
     # the same operations as full index grids, at a fraction of the cost
-    ii, jj = np.arange(h)[:, None], np.arange(w)
-    return (((ii - ci) / ri) ** 2 + ((jj - cj) / rj) ** 2 <= 1.0)
+    return _ellipse_on(np.arange(h)[:, None], np.arange(w), ci, cj, ri, rj)
+
+
+# (centre row, centre column, row radius, column radius) of the two lung
+# ellipses and the heart, as fractions of the image size
+_ANATOMY_LAYOUT = ((0.45, 0.28, 0.30, 0.16), (0.45, 0.72, 0.30, 0.16),
+                   (0.62, 0.52, 0.18, 0.14))
 
 
 def _sample_anatomy(size: int, rng: np.random.Generator):
@@ -55,38 +66,75 @@ def _sample_anatomy(size: int, rng: np.random.Generator):
 
     The whole complex is translated by a shared uniform wrap-around shift
     per sample, so a pixel's absolute position says nothing about which
-    region it falls in; only the masks reveal that."""
+    region it falls in; only the masks reveal that. The shift is applied by
+    drawing the ellipses on shifted index grids, which gives the pixels of
+    `np.roll` applied to the unshifted masks."""
     s = size / 32.0
-    jit = lambda a: rng.uniform(-a, a) * s
-    lung = (_ellipse(size, size, size * 0.45 + jit(2), size * 0.28 + jit(2),
-                     size * 0.30 * rng.uniform(0.8, 1.2),
-                     size * 0.16 * rng.uniform(0.8, 1.2))
-            | _ellipse(size, size, size * 0.45 + jit(2), size * 0.72 + jit(2),
-                       size * 0.30 * rng.uniform(0.8, 1.2),
-                       size * 0.16 * rng.uniform(0.8, 1.2)))
-    heart = _ellipse(size, size, size * 0.62 + jit(2), size * 0.52 + jit(2),
-                     size * 0.18 * rng.uniform(0.8, 1.2),
-                     size * 0.14 * rng.uniform(0.8, 1.2))
-    lung &= ~heart
+    params = [(size * ci + rng.uniform(-2, 2) * s,
+               size * cj + rng.uniform(-2, 2) * s,
+               size * ri * rng.uniform(0.8, 1.2),
+               size * rj * rng.uniform(0.8, 1.2))
+              for ci, cj, ri, rj in _ANATOMY_LAYOUT]
     di, dj = rng.integers(0, size, size=2)
-    roll = lambda m: np.roll(m, (di, dj), axis=(0, 1))
-    return (roll(lung).astype(np.float64), roll(heart).astype(np.float64))
+    index = np.arange(size)
+    ii, jj = ((index - di) % size)[:, None], (index - dj) % size
+    left, right, heart = (_ellipse_on(ii, jj, *p) for p in params)
+    lung = (left | right) & ~heart
+    return lung.astype(np.float64), heart.astype(np.float64)
+
+
+# nonzero offsets of the 3x3 cross, scipy.ndimage's
+# generate_binary_structure(2, 1)
+_CROSS = ((-1, 0), (0, -1), (0, 0), (0, 1), (1, 0))
+
+
+def _morph(mask: np.ndarray, offsets, iterations: int = 1,
+           dilate: bool = False) -> np.ndarray:
+    """Binary erosion (or dilation) of the boolean `mask`, `iterations`
+    times, by the structure whose nonzero offsets from its centre are
+    `offsets`; pixels outside the image count as false. For a structure
+    symmetric about its centre this is scipy.ndimage's binary_erosion
+    (binary_dilation) at the default origin and border value."""
+    h, w = mask.shape
+    reach = max(map(max, offsets))  # offsets are symmetric about 0
+    padded = np.zeros((h + 2 * reach, w + 2 * reach), dtype=bool)
+    combine = np.logical_or if dilate else np.logical_and
+    out = mask
+    for _ in range(iterations):
+        padded[reach:reach + h, reach:reach + w] = out
+        out = combine.reduce([
+            padded[reach + di:reach + di + h, reach + dj:reach + dj + w]
+            for di, dj in offsets])
+    return out
 
 
 def _jitter_mask(mask: np.ndarray, amount: int,
                  rng: np.random.Generator) -> np.ndarray:
     """Shift plus boundary erosion/dilation, emulating semi-supervised
     segmentation imperfection."""
-    if amount <= 0:
+    if amount == 0:
         return mask.copy()
     out = np.roll(mask, (rng.integers(-amount, amount + 1),
                          rng.integers(-amount, amount + 1)), axis=(0, 1))
     op = rng.integers(3)
     if op == 1:
-        out = ndimage.binary_dilation(out > 0, iterations=amount)
+        out = _morph(out > 0, _CROSS, amount, dilate=True)
     elif op == 2:
-        out = ndimage.binary_erosion(out > 0, iterations=amount)
+        out = _morph(out > 0, _CROSS, amount)
     return out.astype(np.float64)
+
+
+@functools.cache
+def _disk(radius: int):
+    """Read-only footprint of the lesion disk of `radius`, a
+    [2 * radius + 1]^2 boolean array, and its nonzero offsets from the
+    centre in row-major order."""
+    footprint = _ellipse(2 * radius + 1, 2 * radius + 1,
+                         radius, radius, radius + 0.5, radius + 0.5)
+    footprint.flags.writeable = False
+    offsets = tuple((int(i) - radius, int(j) - radius)
+                    for i, j in np.argwhere(footprint))
+    return footprint, offsets
 
 
 def _place_lesion(region: np.ndarray, radius: int,
@@ -94,16 +142,15 @@ def _place_lesion(region: np.ndarray, radius: int,
     """Disk of `radius` fully contained in `region`, or None if it cannot
     fit."""
     h, w = region.shape
-    footprint = _ellipse(2 * radius + 1, 2 * radius + 1,
-                         radius, radius, radius + 0.5, radius + 0.5)
-    allowed = ndimage.binary_erosion(region > 0, structure=footprint)
-    centers = np.argwhere(allowed)
+    footprint, offsets = _disk(radius)
+    centers = np.flatnonzero(_morph(region > 0, offsets))
     if len(centers) == 0:
         return None
-    ci, cj = centers[rng.integers(len(centers))]
+    # the erosion keeps only centres whose whole disk lies in the image
+    ci, cj = divmod(int(centers[rng.integers(len(centers))]), w)
     lesion = np.zeros((h, w))
-    disk = _ellipse(h, w, ci, cj, radius + 0.5, radius + 0.5)
-    lesion[disk] = 1.0
+    lesion[ci - radius:ci + radius + 1,
+           cj - radius:cj + radius + 1] = footprint
     return lesion
 
 
@@ -112,12 +159,24 @@ def gen_synthetic(spec: SyntheticSpec) -> dict:
 
     Labels follow the three archetypes in CLASS_NAMES; each lesion is
     present independently with probability 0.5 and is contained in its
-    archetype region by construction. Raises ValueError naming a negative
-    split size.
+    archetype region by construction. Before any draw, raises ValueError
+    naming the first spec field that is out of range, or not an integer
+    where one is needed.
     """
-    for key in ("n_train", "n_val", "n_test"):
-        if getattr(spec, key) < 0:
-            raise ValueError(f"{key} must be >= 0, got {getattr(spec, key)}")
+    for key, low in (("n_train", 0), ("n_val", 0), ("n_test", 0),
+                     ("image_size", 1), ("lesion_radius", 0),
+                     ("mask_jitter", 0), ("seed", 0)):
+        value = getattr(spec, key)
+        if not isinstance(value, (int, np.integer)):
+            raise ValueError(f"{key} must be an integer, got {value!r}")
+        if value < low:
+            raise ValueError(f"{key} must be >= {low}, got {value}")
+    if not (math.isfinite(spec.noise) and spec.noise >= 0):
+        raise ValueError(f"noise must be finite and >= 0, got {spec.noise}")
+    for key in ("anatomy_contrast", "lesion_amplitude"):
+        if not math.isfinite(getattr(spec, key)):
+            raise ValueError(f"{key} must be finite, got {getattr(spec, key)}")
+
     rng = np.random.default_rng(spec.seed)
     n = spec.n_train + spec.n_val + spec.n_test
     size = spec.image_size

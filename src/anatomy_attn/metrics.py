@@ -1,7 +1,5 @@
-"""ROC-AUC and the per-condition metrics table, in numpy only.
-
-Kept free of scipy so that the model and gradcheck suite import quickly.
-"""
+"""ROC-AUC and the per-condition metrics table, in numpy only, like the
+rest of the package."""
 
 from __future__ import annotations
 

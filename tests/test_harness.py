@@ -2,6 +2,7 @@
 
 import multiprocessing
 import os
+import re
 import signal
 import subprocess
 import sys
@@ -13,6 +14,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from scipy import ndimage
 from scipy.stats import rankdata
 
 from anatomy_attn import DivergenceError, harness
@@ -42,6 +44,77 @@ def _brute_force_auc(scores, labels):
             elif p == n:
                 wins += 0.5
     return wins / (len(pos) * len(neg)) * 100.0
+
+
+# The scipy-based data generators that the numpy ones replaced, kept as
+# their oracle: each must draw the same numbers and return the same arrays.
+# They draw through `harness._ellipse`, so a test can swap its formula.
+
+
+def _scipy_sample_anatomy(size, rng):
+    s = size / 32.0
+    jit = lambda a: rng.uniform(-a, a) * s
+    ellipse = harness._ellipse
+    lung = (ellipse(size, size, size * 0.45 + jit(2), size * 0.28 + jit(2),
+                    size * 0.30 * rng.uniform(0.8, 1.2),
+                    size * 0.16 * rng.uniform(0.8, 1.2))
+            | ellipse(size, size, size * 0.45 + jit(2), size * 0.72 + jit(2),
+                      size * 0.30 * rng.uniform(0.8, 1.2),
+                      size * 0.16 * rng.uniform(0.8, 1.2)))
+    heart = ellipse(size, size, size * 0.62 + jit(2), size * 0.52 + jit(2),
+                    size * 0.18 * rng.uniform(0.8, 1.2),
+                    size * 0.14 * rng.uniform(0.8, 1.2))
+    lung &= ~heart
+    di, dj = rng.integers(0, size, size=2)
+    roll = lambda m: np.roll(m, (di, dj), axis=(0, 1))
+    return (roll(lung).astype(np.float64), roll(heart).astype(np.float64))
+
+
+def _scipy_jitter_mask(mask, amount, rng):
+    if amount <= 0:
+        return mask.copy()
+    out = np.roll(mask, (rng.integers(-amount, amount + 1),
+                         rng.integers(-amount, amount + 1)), axis=(0, 1))
+    op = rng.integers(3)
+    if op == 1:
+        out = ndimage.binary_dilation(out > 0, iterations=amount)
+    elif op == 2:
+        out = ndimage.binary_erosion(out > 0, iterations=amount)
+    return out.astype(np.float64)
+
+
+def _scipy_footprint(radius):
+    return harness._ellipse(2 * radius + 1, 2 * radius + 1,
+                            radius, radius, radius + 0.5, radius + 0.5)
+
+
+def _scipy_place_lesion(region, radius, rng):
+    h, w = region.shape
+    allowed = ndimage.binary_erosion(region > 0,
+                                     structure=_scipy_footprint(radius))
+    centers = np.argwhere(allowed)
+    if len(centers) == 0:
+        return None
+    ci, cj = centers[rng.integers(len(centers))]
+    lesion = np.zeros((h, w))
+    lesion[harness._ellipse(h, w, ci, cj, radius + 0.5, radius + 0.5)] = 1.0
+    return lesion
+
+
+def _use_scipy_oracle(monkeypatch):
+    monkeypatch.setattr(harness, "_sample_anatomy", _scipy_sample_anatomy)
+    monkeypatch.setattr(harness, "_jitter_mask", _scipy_jitter_mask)
+    monkeypatch.setattr(harness, "_place_lesion", _scipy_place_lesion)
+
+
+@st.composite
+def _bool_masks(draw):
+    """h x w boolean masks, 1 <= h, w <= 40: all false, all true, or random
+    at a density high enough for many to touch the border."""
+    h, w = draw(st.integers(1, 40)), draw(st.integers(1, 40))
+    density = draw(st.sampled_from([0.0, 0.5, 0.8, 0.95, 1.0]))
+    seed = draw(st.integers(0, 2 ** 32 - 1))
+    return np.random.default_rng(seed).random((h, w)) < density
 
 
 class TestAuc:
@@ -165,6 +238,29 @@ class TestSyntheticData:
         with pytest.raises(ValueError, match=f"{key} must be >= 0, got -1"):
             gen_synthetic(spec)
 
+    @pytest.mark.parametrize("key, value, message", [
+        ("image_size", 0, "image_size must be >= 1, got 0"),
+        ("lesion_radius", -1, "lesion_radius must be >= 0, got -1"),
+        ("mask_jitter", -2, "mask_jitter must be >= 0, got -2"),
+        ("seed", -1, "seed must be >= 0, got -1"),
+        ("lesion_radius", 2.0, "lesion_radius must be an integer, got 2.0"),
+        ("n_test", 2.5, "n_test must be an integer, got 2.5"),
+        ("noise", -1.0, "noise must be finite and >= 0, got -1.0"),
+        ("noise", np.nan, "noise must be finite and >= 0, got nan"),
+        ("noise", np.inf, "noise must be finite and >= 0, got inf"),
+        ("anatomy_contrast", np.nan, "anatomy_contrast must be finite, "
+                                     "got nan"),
+        ("lesion_amplitude", -np.inf, "lesion_amplitude must be finite, "
+                                      "got -inf")])
+    def test_bad_field_rejected_before_any_draw(self, key, value, message,
+                                                monkeypatch):
+        monkeypatch.setattr(np.random, "default_rng",
+                            lambda *args: pytest.fail("drew"))
+        spec = replace(SyntheticSpec(n_train=6, n_val=4, n_test=2),
+                       **{key: value})
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            gen_synthetic(spec)
+
     def test_empty_splits_allowed(self):
         data = gen_synthetic(SyntheticSpec(n_train=0, n_val=0, n_test=3))
         assert data["train_images"].shape == (0, 1, 32, 32)
@@ -232,11 +328,73 @@ class TestSyntheticData:
         spec = SyntheticSpec(image_size=size, n_train=12, n_val=4, n_test=4,
                              seed=size)
         data = gen_synthetic(spec)
+        _use_scipy_oracle(monkeypatch)
         monkeypatch.setattr(harness, "_ellipse", self._mgrid_ellipse)
         want = gen_synthetic(spec)
         assert data.keys() == want.keys()
         for key in want:
             np.testing.assert_array_equal(data[key], want[key], err_msg=key)
+
+    @given(mask=_bool_masks(), dilate=st.booleans(),
+           structure=st.one_of(st.tuples(st.just("cross"), st.integers(1, 3)),
+                               st.tuples(st.just("disk"), st.integers(0, 4))))
+    @settings(max_examples=60, deadline=None)
+    def test_morph_equals_scipy(self, mask, dilate, structure):
+        kind, n = structure
+        if kind == "cross":
+            footprint = ndimage.generate_binary_structure(2, 1)
+            offsets, iterations = harness._CROSS, n
+        else:
+            footprint, iterations = _scipy_footprint(n), 1
+            offsets = harness._disk(n)[1]
+        oracle = ndimage.binary_dilation if dilate else ndimage.binary_erosion
+        want = oracle(mask, structure=footprint, iterations=iterations)
+        got = harness._morph(mask, offsets, iterations, dilate=dilate)
+        assert got.dtype == bool
+        np.testing.assert_array_equal(got, want)
+
+    def test_disk_footprint_is_cached_and_read_only(self):
+        footprint, offsets = harness._disk(2)
+        assert harness._disk(2)[0] is footprint
+        np.testing.assert_array_equal(footprint, _scipy_footprint(2))
+        assert len(offsets) == footprint.sum() == 21
+        with pytest.raises(ValueError, match="read-only"):
+            footprint[0, 0] = True
+
+    @pytest.mark.parametrize("spec", [
+        *(SyntheticSpec(image_size=size, n_train=6, n_val=2, n_test=4,
+                        seed=seed)
+          for size in (24, 32, 48) for seed in range(8)),
+        *(SyntheticSpec(n_train=8, n_val=2, n_test=2, seed=9,
+                        mask_jitter=jitter, lesion_radius=radius)
+          for jitter, radius in ((0, 0), (2, 1), (3, 3))),
+        SyntheticSpec(image_size=6, n_train=8, n_val=2, n_test=2, seed=3,
+                      lesion_radius=1),
+        SyntheticSpec(image_size=10, n_train=8, n_val=2, n_test=2, seed=4,
+                      mask_jitter=12)],
+        ids=lambda s: (f"size{s.image_size}-seed{s.seed}-"
+                       f"jitter{s.mask_jitter}-radius{s.lesion_radius}"))
+    def test_dataset_equals_the_scipy_oracle(self, spec, monkeypatch):
+        data = gen_synthetic(spec)
+        _use_scipy_oracle(monkeypatch)
+        want = gen_synthetic(spec)
+        assert data.keys() == want.keys()
+        for key in want:
+            assert data[key].dtype == want[key].dtype
+            np.testing.assert_array_equal(data[key], want[key], err_msg=key)
+
+    def test_seg_batch_equals_the_scipy_oracle(self, monkeypatch):
+        def first_batch():
+            return next(gen_seg_batches(size=12, n_annotated=4,
+                                        n_unannotated=3, seed=5))
+
+        got = first_batch()
+        _use_scipy_oracle(monkeypatch)
+        want = first_batch()
+        for field in ("annotated_cxr", "annotated_masks", "unannotated_cxr"):
+            np.testing.assert_array_equal(getattr(got, field).data,
+                                          getattr(want, field).data,
+                                          err_msg=field)
 
     def test_seg_batches_are_deterministic(self):
         a = next(iter(gen_seg_batches(size=8, n_annotated=8,

@@ -1,7 +1,11 @@
 """Import hygiene of the package source: no unused imports, no imports
-inside function bodies, and no private names imported across modules."""
+inside function bodies, no private names imported across modules, and no
+scipy."""
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -58,3 +62,14 @@ def test_no_private_name_imported_from_another_module(path):
                if isinstance(node, ast.ImportFrom) and node.level > 0
                for alias in node.names if alias.name.startswith("_")]
     assert private == []
+
+
+def test_package_import_loads_no_scipy():
+    # the CLI imports every module of the package
+    script = ("import sys, anatomy_attn.cli\n"
+              "print(sorted(m for m in sys.modules if m == 'scipy'"
+              " or m.startswith('scipy.')))\n")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    out = subprocess.run([sys.executable, "-c", script], env=env,
+                         check=True, capture_output=True, text=True)
+    assert out.stdout.strip() == "[]"
