@@ -11,9 +11,9 @@ from dataclasses import replace as dc_replace
 from pathlib import Path
 
 from .config import (ConfigError, echo_config, load_config, model_config,
-                     parse_int_list, repeated_value, synthetic_spec)
+                     parse_int_list, synthetic_spec)
 from .harness import (ABLATION_AXES, ablation_sweep, gen_seg_batches,
-                      gen_synthetic, robustness_experiment)
+                      gen_synthetic, repeated_value, robustness_experiment)
 from .model import (ToyModel, batch_masks, gradcam, gradcam_stage,
                     load_checkpoint, save_checkpoint, write_history, train)
 from .seg import CycleNets, train_cyclegan_toy, write_curves

@@ -12,7 +12,7 @@ import math
 from dataclasses import asdict
 from pathlib import Path
 
-from .harness import DEFAULT_TRAIN, SyntheticSpec
+from .harness import DEFAULT_TRAIN, SyntheticSpec, check_windows
 from .model import ModelConfig, check_train_args
 
 
@@ -77,40 +77,26 @@ def load_config(path=None, overrides=()) -> dict:
 
     s, t, r = merged["synthetic"], merged["train"], merged["robustness"]
     g = merged["seg"]
+    # these name the bad field first; the section is prefixed here
+    checks = {"model": model_config, "synthetic": synthetic_spec,
+              "robustness": lambda cfg: check_windows(r["windows"])}
+    for section, check in checks.items():
+        try:
+            check(merged)
+        except ValueError as exc:
+            raise ConfigError(f"bad config value: {section}.{exc}") from exc
     try:
-        model_config(merged)
         check_train_args(s["n_train"], s["n_val"], t["epochs"], t["batch"])
         for key, value in (("train.lr", t["lr"]), ("seg.lr", g["lr"])):
             if not (math.isfinite(value) and value > 0):
                 raise ValueError(f"{key} must be finite and > 0, got {value}")
-        if not (math.isfinite(s["noise"]) and s["noise"] >= 0):
-            raise ValueError(f"synthetic.noise must be finite and >= 0, "
-                             f"got {s['noise']}")
-        for key in ("lesion_amplitude", "anatomy_contrast"):
-            if not math.isfinite(s[key]):
-                raise ValueError(f"synthetic.{key} must be finite, got "
-                                 f"{s[key]}")
-        # sizes must be >= 0, and so must seeds for numpy's generators
-        for key, value in (("synthetic.n_test", s["n_test"]),
-                           ("synthetic.mask_jitter", s["mask_jitter"]),
-                           ("synthetic.lesion_radius", s["lesion_radius"]),
-                           ("synthetic.seed", s["seed"]),
-                           ("seg.data_seed", g["data_seed"])):
-            if value < 0:
-                raise ValueError(f"{key} must be >= 0, got {value}")
-        # the sweep reads its degradation rows against the window-0 reference
-        if 0 not in r["windows"] or min(r["windows"]) < 0:
-            raise ValueError(f"robustness.windows must be >= 0 and include "
-                             f"0, got {r['windows']}")
-        repeated = repeated_value(r["windows"])
-        if repeated is not None:
-            raise ValueError(f"robustness.windows repeats window {repeated}, "
-                             f"got {r['windows']}")
+        # numpy's generators need seeds >= 0
         seg_counts = ("steps", "size", "width", "n_annotated", "n_unannotated")
-        for key, value in [("robustness.trials", r["trials"])] + [
-                (f"seg.{k}", g[k]) for k in seg_counts]:
-            if value < 1:
-                raise ValueError(f"{key} must be >= 1, got {value}")
+        for key, value, low in [("seg.data_seed", g["data_seed"], 0),
+                                ("robustness.trials", r["trials"], 1)] + [
+                (f"seg.{k}", g[k], 1) for k in seg_counts]:
+            if value < low:
+                raise ValueError(f"{key} must be >= {low}, got {value}")
     except ValueError as exc:
         raise ConfigError(f"bad config value: {exc}") from exc
     return merged
@@ -138,8 +124,3 @@ def synthetic_spec(cfg: dict) -> SyntheticSpec:
 
 def parse_int_list(raw: str):
     return [int(x) for x in str(raw).split(",") if x.strip() != ""]
-
-
-def repeated_value(values):
-    """The first value that also occurs earlier in `values`, else None."""
-    return next((v for i, v in enumerate(values) if v in values[:i]), None)

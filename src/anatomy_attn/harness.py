@@ -30,7 +30,8 @@ SEG_NOISE = 0.1  # pixel noise std of the toy segmentation images
 class SyntheticSpec:
     """Desk-scale stand-in dataset: per-sample jittered lung/heart regions
     and identical-looking lesion blobs whose class is defined purely by
-    where they sit (inside lung, inside heart, outside anatomy)."""
+    where they sit (inside lung, inside heart, outside anatomy). A field out
+    of range, or not an integer where one is needed, raises ValueError."""
 
     image_size: int = 32
     n_train: int = 480
@@ -42,6 +43,22 @@ class SyntheticSpec:
     lesion_radius: int = 2
     mask_jitter: int = 1
     seed: int = 0
+
+    def __post_init__(self):
+        for key, low in (("n_train", 0), ("n_val", 0), ("n_test", 0),
+                         ("image_size", 1), ("lesion_radius", 0),
+                         ("mask_jitter", 0), ("seed", 0)):
+            value = getattr(self, key)
+            if not isinstance(value, (int, np.integer)):
+                raise ValueError(f"{key} must be an integer, got {value!r}")
+            if value < low:
+                raise ValueError(f"{key} must be >= {low}, got {value}")
+        if not (math.isfinite(self.noise) and self.noise >= 0):
+            raise ValueError(f"noise must be finite and >= 0, got {self.noise}")
+        for key in ("anatomy_contrast", "lesion_amplitude"):
+            value = getattr(self, key)
+            if not math.isfinite(value):
+                raise ValueError(f"{key} must be finite, got {value}")
 
 
 def _ellipse_on(ii: np.ndarray, jj: np.ndarray, ci, cj, ri, rj) -> np.ndarray:
@@ -159,24 +176,8 @@ def gen_synthetic(spec: SyntheticSpec) -> dict:
 
     Labels follow the three archetypes in CLASS_NAMES; each lesion is
     present independently with probability 0.5 and is contained in its
-    archetype region by construction. Before any draw, raises ValueError
-    naming the first spec field that is out of range, or not an integer
-    where one is needed.
+    archetype region by construction.
     """
-    for key, low in (("n_train", 0), ("n_val", 0), ("n_test", 0),
-                     ("image_size", 1), ("lesion_radius", 0),
-                     ("mask_jitter", 0), ("seed", 0)):
-        value = getattr(spec, key)
-        if not isinstance(value, (int, np.integer)):
-            raise ValueError(f"{key} must be an integer, got {value!r}")
-        if value < low:
-            raise ValueError(f"{key} must be >= {low}, got {value}")
-    if not (math.isfinite(spec.noise) and spec.noise >= 0):
-        raise ValueError(f"noise must be finite and >= 0, got {spec.noise}")
-    for key in ("anatomy_contrast", "lesion_amplitude"):
-        if not math.isfinite(getattr(spec, key)):
-            raise ValueError(f"{key} must be finite, got {getattr(spec, key)}")
-
     rng = np.random.default_rng(spec.seed)
     n = spec.n_train + spec.n_val + spec.n_test
     size = spec.image_size
@@ -426,12 +427,28 @@ def robustness_sweep(models: dict, data: dict, windows, trials: int,
     return table
 
 
+def repeated_value(values):
+    """The first value that also occurs earlier in `values`, else None."""
+    return next((v for i, v in enumerate(values) if v in values[:i]), None)
+
+
+def check_windows(windows) -> None:
+    """Raise ValueError unless the cutout `windows` are >= 0, repeat none
+    and include 0, the reference that degradation is read against."""
+    if 0 not in windows or min(windows) < 0:
+        raise ValueError(f"windows must be >= 0 and include 0, got {windows}")
+    repeated = repeated_value(windows)
+    if repeated is not None:
+        raise ValueError(f"windows repeats window {repeated}, got {windows}")
+
+
 def robustness_experiment(spec: SyntheticSpec, seeds, windows,
                           base_config: ModelConfig, trials: int,
                           train_kwargs: dict | None = None) -> MetricsTable:
     """Train attention and hard-mask models per seed, all on one dataset,
     sweep cutout windows, and report the median AUC over seeds per
-    (model, window)."""
+    (model, window). Bad `windows` or `train_kwargs` raise first."""
+    check_windows(windows)
     train_kwargs = _train_settings(train_kwargs)
     data = _shared_dataset(spec, base_config.image_size)
     per_seed_tables = []

@@ -43,19 +43,19 @@ class ModelConfig:
 
     def __post_init__(self):
         self.backbone_widths = tuple(self.backbone_widths)
-        if self.attention_level not in ATTENTION_LEVELS:
-            raise ValueError(f"unknown attention_level {self.attention_level!r}")
-        if self.pooling not in POOLING_TYPES:
-            raise ValueError(f"unknown pooling {self.pooling!r}")
-        if self.fusion not in FUSION_TYPES:
-            raise ValueError(f"unknown fusion {self.fusion!r}")
+        for key, allowed in (("attention_level", ATTENTION_LEVELS),
+                             ("pooling", POOLING_TYPES),
+                             ("fusion", FUSION_TYPES)):
+            value = getattr(self, key)
+            if value not in allowed:
+                raise ValueError(f"{key} must be one of {', '.join(allowed)}, "
+                                 f"got {value!r}")
         if len(self.backbone_widths) != 4:
             raise ValueError("backbone_widths must list 4 stage widths")
         if min(self.backbone_widths) < 1:
             raise ValueError("backbone_widths must be >= 1")
         if not (np.isfinite(self.r) and self.r > 0):
-            raise ValueError(f"reduction ratio r must be finite and > 0, "
-                             f"got {self.r}")
+            raise ValueError(f"r must be finite and > 0, got {self.r}")
         for key in ("image_size", "mask_size", "n_classes"):
             if getattr(self, key) < 1:
                 raise ValueError(f"{key} must be >= 1")

@@ -9,7 +9,7 @@ import pytest
 
 from anatomy_attn.cli import main
 from anatomy_attn.config import ConfigError, DEFAULTS, echo_config, load_config
-from anatomy_attn.harness import SyntheticSpec
+from anatomy_attn.harness import SyntheticSpec, check_windows
 from anatomy_attn.model import ModelConfig, ToyModel, save_checkpoint
 from anatomy_attn.serialize import load_tensors, save_tensors
 
@@ -71,6 +71,32 @@ class TestConfig:
     def test_synthetic_image_size_is_not_a_key(self):
         with pytest.raises(ConfigError, match="synthetic.image_size"):
             load_config(None, ["synthetic.image_size=48"])
+
+    @pytest.mark.parametrize("section, key, value", [
+        ("synthetic", "n_train", -1), ("synthetic", "n_val", -1),
+        ("synthetic", "n_test", -1), ("synthetic", "lesion_radius", -1),
+        ("synthetic", "mask_jitter", -2), ("synthetic", "seed", -1),
+        ("synthetic", "noise", -1.0), ("synthetic", "noise", float("nan")),
+        ("synthetic", "noise", float("inf")),
+        ("synthetic", "anatomy_contrast", float("nan")),
+        ("synthetic", "lesion_amplitude", float("-inf")),
+        ("model", "attention_level", "L9"), ("model", "pooling", "median"),
+        ("model", "fusion", "soft"), ("model", "image_size", 0),
+        ("model", "mask_size", 0), ("model", "n_classes", 0),
+        ("model", "backbone_widths", (0, 1, 1, 1)),
+        ("model", "r", float("nan")), ("model", "r", float("inf")),
+        ("robustness", "windows", (2, 4)), ("robustness", "windows", (0, -2)),
+        ("robustness", "windows", (0, 4, 4))])
+    def test_bad_value_message_is_the_owners_with_its_section(self, section,
+                                                              key, value):
+        owner = {"model": ModelConfig, "synthetic": SyntheticSpec,
+                 "robustness": check_windows}[section]
+        with pytest.raises(ValueError) as own:
+            owner(**{key: value})
+        raw = ",".join(map(str, value)) if isinstance(value, tuple) else value
+        with pytest.raises(ConfigError) as config:
+            load_config(None, [f"{section}.{key}={raw}"])
+        assert str(config.value) == f"bad config value: {section}.{own.value}"
 
     def test_echoed_config_loads_back_unchanged(self, tmp_path):
         cfg = load_config(None, ["model.backbone_widths=2,3,3,4",

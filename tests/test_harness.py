@@ -233,10 +233,9 @@ class TestSyntheticData:
 
     @pytest.mark.parametrize("key", ["n_train", "n_val", "n_test"])
     def test_negative_split_size_rejected(self, key):
-        spec = SyntheticSpec(**{"n_train": 6, "n_val": 4, "n_test": 2,
-                                key: -1})
         with pytest.raises(ValueError, match=f"{key} must be >= 0, got -1"):
-            gen_synthetic(spec)
+            gen_synthetic(SyntheticSpec(**{"n_train": 6, "n_val": 4,
+                                           "n_test": 2, key: -1}))
 
     @pytest.mark.parametrize("key, value, message", [
         ("image_size", 0, "image_size must be >= 1, got 0"),
@@ -256,10 +255,9 @@ class TestSyntheticData:
                                                 monkeypatch):
         monkeypatch.setattr(np.random, "default_rng",
                             lambda *args: pytest.fail("drew"))
-        spec = replace(SyntheticSpec(n_train=6, n_val=4, n_test=2),
-                       **{key: value})
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
-            gen_synthetic(spec)
+            gen_synthetic(replace(SyntheticSpec(n_train=6, n_val=4, n_test=2),
+                                  **{key: value}))
 
     def test_empty_splits_allowed(self):
         data = gen_synthetic(SyntheticSpec(n_train=0, n_val=0, n_test=3))
@@ -587,6 +585,20 @@ class TestSweeps:
         with pytest.raises(ValueError, match=r"unknown train_kwargs key\(s\) "
                                              r"\['epoch'\]"):
             run({"epoch": 1})
+        assert generated() == []
+
+    @pytest.mark.parametrize("windows, message", [
+        ((2, 4), "windows must be >= 0 and include 0, got (2, 4)"),
+        ((0, -2), "windows must be >= 0 and include 0, got (0, -2)"),
+        ((0, 4, 4), "windows repeats window 4, got (0, 4, 4)")],
+        ids=["no 0", "negative", "repeated"])
+    def test_bad_windows_rejected_before_any_work(self, windows, message,
+                                                  monkeypatch, generated):
+        monkeypatch.setattr(harness, "train",
+                            lambda *args: pytest.fail("trained"))
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            robustness_experiment(TINY_SPEC, [0], windows, TINY_CONFIG,
+                                  trials=1, train_kwargs=TINY_TRAIN)
         assert generated() == []
 
     def test_ablation_axes_registry(self):
