@@ -49,8 +49,15 @@ def _seed_list(raw: str) -> list:
 
 
 def _out_dir(args) -> Path:
+    """The --out directory, made if missing. A path that names a file, or
+    lies under one, is a usage error: exit 2, as argparse does."""
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        print(f"anatomy-attn: error: argument --out: cannot make directory "
+              f"{out}: {exc.strerror}", file=sys.stderr)
+        raise SystemExit(2) from exc
     return out
 
 

@@ -61,11 +61,15 @@ def load_config(path=None, overrides=()) -> dict:
 
     if path is not None:
         parser = configparser.ConfigParser()
-        if not parser.read(path):
-            raise ConfigError(f"cannot read config file {path}")
-        for section in parser.sections():
-            for key, raw in parser.items(section):
-                apply(section, key, raw, f"file {path}")
+        try:
+            if not parser.read(path, encoding="utf-8"):
+                raise ConfigError(f"cannot read config file {path}")
+            items = [(section, key, raw) for section in parser.sections()
+                     for key, raw in parser.items(section)]
+        except (configparser.Error, UnicodeDecodeError) as exc:
+            raise ConfigError(f"malformed config file {path}: {exc}") from exc
+        for section, key, raw in items:
+            apply(section, key, raw, f"file {path}")
 
     for item in overrides:
         if "=" not in item or "." not in item.split("=", 1)[0]:
@@ -79,7 +83,7 @@ def load_config(path=None, overrides=()) -> dict:
     g = merged["seg"]
     # these name the bad field first; the section is prefixed here
     checks = {"model": model_config, "synthetic": synthetic_spec,
-              "robustness": lambda cfg: check_windows(r["windows"])}
+              "robustness": lambda _: check_windows(r["windows"])}
     for section, check in checks.items():
         try:
             check(merged)
@@ -90,7 +94,7 @@ def load_config(path=None, overrides=()) -> dict:
         for key, value in (("train.lr", t["lr"]), ("seg.lr", g["lr"])):
             if not (math.isfinite(value) and value > 0):
                 raise ValueError(f"{key} must be finite and > 0, got {value}")
-        # numpy's generators need seeds >= 0
+        # seeds >= 0, as numpy's generators need; counts >= 1
         seg_counts = ("steps", "size", "width", "n_annotated", "n_unannotated")
         for key, value, low in [("seg.data_seed", g["data_seed"], 0),
                                 ("robustness.trials", r["trials"], 1)] + [

@@ -26,12 +26,14 @@ SEG_NOISE = 0.1  # pixel noise std of the toy segmentation images
 # -- synthetic classification data -------------------------------------------
 
 
-@dataclass
+@dataclass(frozen=True)
 class SyntheticSpec:
     """Desk-scale stand-in dataset: per-sample jittered lung/heart regions
     and identical-looking lesion blobs whose class is defined purely by
     where they sit (inside lung, inside heart, outside anatomy). A field out
-    of range, or not an integer where one is needed, raises ValueError."""
+    of range, or not an integer where one is needed, raises ValueError; the
+    spec is frozen, so `dataclasses.replace` is the way to change a field
+    and every change is checked."""
 
     image_size: int = 32
     n_train: int = 480
@@ -412,8 +414,9 @@ def robustness_sweep(models: dict, data: dict, windows, trials: int,
     """Frozen-model AUC vs cutout window size, averaged over trials.
 
     The same window locations are applied across all models; the window=0
-    rows are the uncorrupted reference.
+    rows are the uncorrupted reference. Bad `windows` raise first.
     """
+    check_windows(windows)
     table = MetricsTable()
     for name, model in models.items():
         for window in windows:

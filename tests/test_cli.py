@@ -7,6 +7,7 @@ from dataclasses import asdict
 import numpy as np
 import pytest
 
+from anatomy_attn import cli
 from anatomy_attn.cli import main
 from anatomy_attn.config import ConfigError, DEFAULTS, echo_config, load_config
 from anatomy_attn.harness import SyntheticSpec, check_windows
@@ -317,6 +318,45 @@ class TestExitCodes:
                      str(tmp_path / "nowhere")]) == 2
         assert "nowhere" in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize("content", [
+        b"epochs = 3\n", b"[train]\nepochs = 3\nepochs = 4\n",
+        b"[train]\nepochs = 3\n[train]\nlr = 0.1\n",
+        b"[train]\nepochs = 3\xff\n"],
+        ids=["no section", "repeated key", "repeated section", "not utf-8"])
+    def test_malformed_config_file_exits_2_naming_it(self, tmp_path, capsys,
+                                                     content):
+        path = tmp_path / "cfg.ini"
+        path.write_bytes(content)
+        assert main(["--out", str(tmp_path / "seg"), "--config", str(path),
+                     "seg-toy"]) == 2
+        assert str(path) in capsys.readouterr().err
+        assert list(tmp_path.rglob("*")) == [path]
+
+    @pytest.mark.parametrize("command, trainer", [
+        ("train", "train"), ("seg-toy", "train_cyclegan_toy")])
+    @pytest.mark.parametrize("under", [False, True],
+                             ids=["a file", "under a file"])
+    def test_out_that_is_a_file_exits_2_before_training(
+            self, tmp_path, capsys, monkeypatch, command, trainer, under):
+        monkeypatch.setattr(cli, trainer, lambda *args: pytest.fail("trained"))
+        afile = tmp_path / "afile"
+        afile.write_text("")
+        out = afile / "run" if under else afile
+        with pytest.raises(SystemExit) as exc:
+            main(["--out", str(out), command])
+        assert exc.value.code == 2
+        assert f"argument --out: cannot make directory {out}" in (
+            capsys.readouterr().err)
+        assert list(tmp_path.rglob("*")) == [afile]
+
+    def test_gradcam_checks_its_checkpoint_before_out(self, tmp_path,
+                                                      capsys):
+        afile = tmp_path / "afile"
+        afile.write_text("")
+        assert main(["--out", str(afile), "gradcam", "--checkpoint",
+                     str(tmp_path / "nowhere")]) == 2
+        assert "nowhere" in capsys.readouterr().err
 
     def test_unknown_subcommand_exits_2(self):
         with pytest.raises(SystemExit) as exc:

@@ -8,7 +8,7 @@ import subprocess
 import sys
 import threading
 from concurrent.futures.process import BrokenProcessPool
-from dataclasses import replace
+from dataclasses import FrozenInstanceError, replace
 
 import numpy as np
 import pytest
@@ -22,8 +22,8 @@ from anatomy_attn.harness import (ABLATION_AXES, CLASS_NAMES, MetricsTable,
                                   SyntheticSpec, ablation_sweep, auc,
                                   evaluate_with_cutout, gen_seg_batches,
                                   gen_synthetic, parallel_map,
-                                  robustness_experiment, train_condition,
-                                  _ellipse, _test_aucs)
+                                  robustness_experiment, robustness_sweep,
+                                  train_condition, _ellipse, _test_aucs)
 from anatomy_attn.model import ModelConfig
 
 TINY_CONFIG = ModelConfig(image_size=16, mask_size=4,
@@ -258,6 +258,13 @@ class TestSyntheticData:
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             gen_synthetic(replace(SyntheticSpec(n_train=6, n_val=4, n_test=2),
                                   **{key: value}))
+
+    def test_spec_fields_change_only_through_the_checks(self):
+        spec = SyntheticSpec()
+        with pytest.raises(FrozenInstanceError):
+            spec.noise = -1.0
+        with pytest.raises(ValueError, match="noise must be finite"):
+            replace(spec, noise=-1.0)
 
     def test_empty_splits_allowed(self):
         data = gen_synthetic(SyntheticSpec(n_train=0, n_val=0, n_test=3))
@@ -592,13 +599,18 @@ class TestSweeps:
         ((0, -2), "windows must be >= 0 and include 0, got (0, -2)"),
         ((0, 4, 4), "windows repeats window 4, got (0, 4, 4)")],
         ids=["no 0", "negative", "repeated"])
-    def test_bad_windows_rejected_before_any_work(self, windows, message,
+    @pytest.mark.parametrize("run", [
+        lambda windows: robustness_experiment(TINY_SPEC, [0], windows,
+                                              TINY_CONFIG, trials=1,
+                                              train_kwargs=TINY_TRAIN),
+        lambda windows: robustness_sweep({}, {}, windows, 1, 0)],
+        ids=["robustness_experiment", "robustness_sweep"])
+    def test_bad_windows_rejected_before_any_work(self, run, windows, message,
                                                   monkeypatch, generated):
         monkeypatch.setattr(harness, "train",
                             lambda *args: pytest.fail("trained"))
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
-            robustness_experiment(TINY_SPEC, [0], windows, TINY_CONFIG,
-                                  trials=1, train_kwargs=TINY_TRAIN)
+            run(windows)
         assert generated() == []
 
     def test_ablation_axes_registry(self):
