@@ -3,8 +3,12 @@
 The attention block recalibrates a feature map with three coupled
 channel-attention vectors: a lung enhancer and a heart enhancer gated by
 binary anatomy masks, plus a background suppressor that sees the whole
-feature map. Pooling weights come from a learned 1x1 conv + sigmoid,
-normalized by their spatial sum.
+feature map. The three vectors travel as one stacked [3,N,C] tensor
+(rows: encoder 1, 2, 3, then A_LE, A_HE, A_BkS): `encode_attention` runs
+the three encoders as one graph node on a leading group axis, in the
+manner of grouped branches (Xie et al. 2017), and `couple_attention`
+couples them as a second node. Pooling weights come from a learned 1x1
+conv + sigmoid, normalized by their spatial sum.
 """
 
 from __future__ import annotations
@@ -13,9 +17,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ops import (BN_EPSILON, BatchNormState, LinearParams, batch_norm,
-                  conv_1x1, fully_connected, interp_matrix, softmax_pair)
-from .tensor import Tensor, ignore_fp_errors
+from .ops import (BN_EPSILON, BatchNormState, LinearParams, bn_arrays,
+                  conv_1x1, interp_matrix)
+from .tensor import Tensor, ignore_fp_errors, logistic
 
 PWAP_EPSILON = 1e-8
 
@@ -58,9 +62,10 @@ class AttentionEncoderParams:
                    LinearParams.init(hidden, channels, rng),
                    BatchNormState.init(channels))
 
-    def apply(self, v: Tensor, train: bool) -> Tensor:
-        h = batch_norm(fully_connected(v, self.fc1).relu(), self.bn1, train)
-        return batch_norm(fully_connected(h, self.fc2).relu(), self.bn2, train)
+    def leaves(self) -> tuple:
+        """The learnable tensors, in checkpoint-name order."""
+        return (self.fc1.weight, self.fc1.bias, self.bn1.gamma, self.bn1.beta,
+                self.fc2.weight, self.fc2.bias, self.bn2.gamma, self.bn2.beta)
 
 
 @dataclass
@@ -140,18 +145,94 @@ def pwap(feat: Tensor, p: PwapParams):
     return pooled, prob
 
 
-def couple_attention(a1: Tensor, a2: Tensor, a3: Tensor):
-    """Coupled two-way softmaxes producing (A_LE, A_HE, A_BkS).
+@ignore_fp_errors
+def encode_attention(pooled: Tensor, encoders, train: bool) -> Tensor:
+    """pooled[N,C] -> [3,N,C]: row k is encoder k's
+    FC -> ReLU -> BN -> FC -> ReLU -> BN, all three as one graph node.
 
+    Each layer stacks the three encoders' parameters on a leading group
+    axis: batched matmuls (equal bit for bit to one `v @ W.T` per
+    encoder) and batch norms over axis 1 by `ops.bn_arrays`. The parents
+    are pooled and the 24 per-encoder leaves, so parameters and their
+    names do not change; the backward returns one slice per leaf and
+    sums pooled's three input gradients in encoder order. With `train`,
+    each of the six batch-norm states tracks its own batch statistics
+    once the output has passed the finiteness check.
+    """
+    n, c = pooled.shape
+    widths = sorted({e.fc1.weight.shape[1] for e in encoders})
+    if widths != [c]:
+        raise ValueError(f"encode_attention: pooled width {c} != encoder "
+                         f"input widths {widths}")
+    if train and n < 2:
+        raise ValueError("train-mode batch_norm needs >= 2 elements "
+                         "per channel for the variance")
+    layers = [(tuple(e.fc1 for e in encoders), tuple(e.bn1 for e in encoders)),
+              (tuple(e.fc2 for e in encoders), tuple(e.bn2 for e in encoders))]
+
+    def stacked(arrays):                                      # [3,1,width]
+        return np.array(arrays)[:, None, :]
+
+    v, saved, tracked = pooled.data, [], []
+    for fcs, bns in layers:
+        w = np.array([fc.weight.data for fc in fcs])          # [3,out,in]
+        h = np.matmul(v, w.transpose(0, 2, 1)) + stacked(
+            [fc.bias.data for fc in fcs])
+        mask = h > 0.0
+        running = None if train else (stacked([s.running_mean for s in bns]),
+                                      stacked([s.running_var for s in bns]))
+        out, mean, var, bn_bwd = bn_arrays(
+            h * mask, (1,), stacked([s.gamma.data for s in bns]),
+            stacked([s.beta.data for s in bns]), running)
+        saved.append((v, w, mask, bn_bwd))
+        if train:
+            tracked += zip(bns, mean, var)
+        v = out
+
+    leaves = tuple(t for e in encoders for t in e.leaves())
+
+    def bwd(g):
+        grads = []                       # [3,...] arrays in `leaves` order
+        for v, w, mask, bn_bwd in reversed(saved):
+            g, d_gamma, d_beta = bn_bwd(g)
+            g = g * mask
+            d_w = np.matmul(np.swapaxes(v, -1, -2), g).transpose(0, 2, 1)
+            grads[:0] = [d_w, g.sum(axis=1), d_gamma, d_beta]
+            g = np.matmul(g, w)
+        return [(pooled, g[0] + g[1] + g[2])] + list(zip(
+            leaves, (d[k] for k in range(len(encoders)) for d in grads)))
+
+    out = Tensor._from_op(v, (pooled,) + leaves, bwd, "encode_attention")
+    for s, mean, var in tracked:
+        s.track(mean.reshape(-1), var.reshape(-1))
+    return out
+
+
+def couple_attention(a: Tensor) -> Tensor:
+    """Coupled two-way softmaxes, [3,N,C] logits (a1, a2, a3) ->
+    [3,N,C] rows (A_LE, A_HE, A_BkS), as one graph node.
+
+    With d = (a1 - a2, a2 - a3) and the logistic sigma:
+    A_LE = sigma(d1), A_HE = sigma(-d2), A_BkS = (sigma(-d1) + sigma(d2))/2.
     a2 feeds both pairs: the lung and heart enhancers stay independent of
     each other while the background suppressor averages their complements.
     """
-    if not a1.shape == a2.shape == a3.shape:
-        raise ValueError("couple_attention shape mismatch")
-    a_le, a_le_bar = softmax_pair(a1, a2)
-    a_he_bar, a_he = softmax_pair(a2, a3)
-    a_bks = (a_le_bar + a_he_bar) * 0.5
-    return a_le, a_he, a_bks
+    if a.data.ndim != 3 or a.shape[0] != 3:
+        raise ValueError(f"couple_attention expects [3,N,C] logits, got "
+                         f"shape {a.shape}")
+    d = a.data[:2] - a.data[1:]
+    pos, neg = logistic(d), logistic(-d)
+
+    # rounds as the sub/neg/sigmoid/add/mul chain it replaces did:
+    # (g * s) * (1 - s) per sigmoid, and a2's two terms in one subtraction
+    def bwd(g):
+        half = g[2] * 0.5
+        gd = (np.array((g[0], half)) * pos * (1.0 - pos)
+              - np.array((half, g[1])) * neg * (1.0 - neg))
+        return [(a, np.array((gd[0], gd[1] - gd[0], -gd[1])))]
+
+    return Tensor._from_op(np.array((pos[0], neg[1], (neg[0] + pos[1]) * 0.5)),
+                           (a,), bwd, "couple_attention")
 
 
 # Region mask of each branch over the pixel partition (lung, heart, rest):
@@ -167,28 +248,29 @@ def aaa_forward(feat_us: Tensor, masks: AnatomyMasks, p: AaaParams,
 
     The caller resizes masks to the feature resolution. Attention vectors
     broadcast over space; masks broadcast over channels. Every batch norm
-    of the block follows `train`, as in `ops.batch_norm`. The gate and
-    batch-norm tail is the single node `_gated_fuse`, which factors over
-    the pixel regions lung, heart and rest; that is exact only because
-    the masks are binary and disjoint, as `AnatomyMasks` enforces.
+    of the block follows `train`, as in `ops.batch_norm`. The three
+    encoders are the single node `encode_attention` and their coupling the
+    single node `couple_attention`. The gate and batch-norm tail is the
+    single node `_gated_fuse`, which factors over the pixel regions lung,
+    heart and rest; that is exact only because the masks are binary and
+    disjoint, as `AnatomyMasks` enforces.
     """
     n, c, h, w = feat_us.shape
     if masks.spatial != (h, w):
         raise ValueError(f"mask spatial {masks.spatial} != feature ({h},{w})")
     pooled, _ = pwap(feat_us, p.intra_pwap)
-    a1 = p.enc1.apply(pooled, train)
-    a2 = p.enc2.apply(pooled, train)
-    a3 = p.enc3.apply(pooled, train)
-    a_le, a_he, a_bks = couple_attention(a1, a2, a3)
-    return _gated_fuse(feat_us, a_le, a_he, a_bks, masks, p, train)
+    att = couple_attention(
+        encode_attention(pooled, (p.enc1, p.enc2, p.enc3), train))
+    return _gated_fuse(feat_us, att, masks, p, train)
 
 
 @ignore_fp_errors
-def _gated_fuse(feat: Tensor, a_le: Tensor, a_he: Tensor, a_bks: Tensor,
-                masks: AnatomyMasks, p: AaaParams, train: bool) -> Tensor:
+def _gated_fuse(feat: Tensor, att: Tensor, masks: AnatomyMasks, p: AaaParams,
+                train: bool) -> Tensor:
     """bn_fuse(bn_le(a_le*lung*f) + bn_he(a_he*heart*f) + bn_bks(a_bks*f))
-    as one graph node with parents feat, the three [N,C] attention vectors
-    and the eight batch-norm gammas and betas.
+    as one graph node with parents feat, the stacked [3,N,C] attention
+    vectors att = (a_le, a_he, a_bks) and the eight batch-norm gammas and
+    betas.
 
     Relies on the masks being binary and disjoint, which `AnatomyMasks`
     enforces: the pixels split into regions R = (lung, heart, rest), each
@@ -225,19 +307,18 @@ def _gated_fuse(feat: Tensor, a_le: Tensor, a_he: Tensor, a_bks: Tensor,
     q2 = (f * f) @ region_t
 
     # branch k is f * (A[k] @ R), A[k] of shape [N,C,3]
-    a = (np.stack((a_le.data, a_he.data, a_bks.data))[..., None]
-         * _BRANCH_REGIONS[:, None, None, :])
+    a = att.data[..., None] * _BRANCH_REGIONS[:, None, None, :]
     batch_mean = (a * q1).sum(axis=(1, 3)) / count            # [3,C]
     batch_var = np.maximum((a * a * q2).sum(axis=(1, 3)) / count
                            - batch_mean ** 2, 0.0)
     if train:
         centre, var = batch_mean, batch_var
     else:
-        centre = np.stack([s.running_mean for s in branches])
-        var = np.stack([s.running_var for s in branches])
+        centre = np.array([s.running_mean for s in branches])
+        var = np.array([s.running_var for s in branches])
     std = np.sqrt(var + BN_EPSILON)
-    gamma = np.stack([s.gamma.data for s in branches])
-    beta = np.stack([s.beta.data for s in branches])
+    gamma = np.array([s.gamma.data for s in branches])
+    beta = np.array([s.beta.data for s in branches])
     scale = gamma / std
 
     # fused = f * (B @ R) + shift[c]; bn_fuse sees z = f * (B @ R)
@@ -285,9 +366,8 @@ def _gated_fuse(feat: Tensor, a_le: Tensor, a_he: Tensor, a_bks: Tensor,
               ).sum(axis=0)
         d_feat = (c1 @ region) * gf + (c2 @ region) * f + c3 @ region
         return [(feat, d_feat.reshape(n, c, h, w)),
-                (a_le, d_a[0, :, :, 0]),
-                (a_he, d_a[1, :, :, 1]),
-                (a_bks, d_a[2].sum(axis=2)),
+                (att, np.array((d_a[0, :, :, 0], d_a[1, :, :, 1],
+                                d_a[2].sum(axis=2)))),
                 (p.bn_le.gamma, d_gamma[0]), (p.bn_le.beta, sum_s0),
                 (p.bn_he.gamma, d_gamma[1]), (p.bn_he.beta, sum_s0),
                 (p.bn_bks.gamma, d_gamma[2]), (p.bn_bks.beta, sum_s0),
@@ -295,7 +375,7 @@ def _gated_fuse(feat: Tensor, a_le: Tensor, a_he: Tensor, a_bks: Tensor,
 
     out = Tensor._from_op(
         out_data.reshape(n, c, h, w),
-        (feat, a_le, a_he, a_bks) + tuple(t for s in states
+        (feat, att) + tuple(t for s in states
                                           for t in (s.gamma, s.beta)),
         bwd, "gated_fuse")
     if train:

@@ -248,15 +248,52 @@ def resize(x: Tensor, target: tuple, method: str = "bilinear") -> Tensor:
     return Tensor._from_op(rm @ x.data @ cm.T, (x,), bwd, f"resize_{method}")
 
 
+def bn_arrays(x: np.ndarray, axes: tuple, gamma: np.ndarray,
+              beta: np.ndarray, running=None):
+    """Batch normalization of the array `x` over `axes`, outside the graph:
+    the math of `batch_norm` and of `attention.encode_attention`.
+
+    `gamma`, `beta` and the `running` (mean, var) pair broadcast against
+    x. Returns (out, mean, var, backward); backward(g) gives (dx, dgamma,
+    dbeta), the last two summed over `axes`. Without `running`, x is
+    normalized with its batch statistics, returned with the reduced axes
+    kept, and the backward differentiates through them in closed form
+    (Ioffe & Szegedy 2015): with g_hat = g * gamma,
+    dx = (g_hat - mean(g_hat) - x_hat * mean(g_hat * x_hat)) / std.
+    With `running`, mean and var are None and the statistics are
+    constants: dx = g_hat / std.
+    """
+    if running is None:
+        mean = x.mean(axis=axes, keepdims=True)
+        xm = x - mean
+        var = (xm * xm).mean(axis=axes, keepdims=True)
+        std = np.sqrt(var + BN_EPSILON)
+        x_hat = xm / std
+    else:
+        mean = var = None
+        std = np.sqrt(running[1] + BN_EPSILON)
+        x_hat = (x - running[0]) / std
+
+    def backward(g):
+        g_hat = g * gamma
+        if running is None:
+            dx = (g_hat - g_hat.mean(axis=axes, keepdims=True)
+                  - x_hat * (g_hat * x_hat).mean(axis=axes, keepdims=True)
+                  ) / std
+        else:
+            dx = g_hat / std
+        return dx, (g * x_hat).sum(axis=axes), g.sum(axis=axes)
+
+    return x_hat * gamma + beta, mean, var, backward
+
+
 def batch_norm(x: Tensor, s: BatchNormState, train: bool) -> Tensor:
     """Batch normalization over [N] (rank-2 input) or [N,H,W] (rank-4).
 
-    One graph node with parents x, gamma and beta. With `train`, it
-    normalizes with the batch statistics, folds them into the running
-    ones with BN_MOMENTUM, and differentiates through them in closed form
-    (Ioffe & Szegedy 2015): with g_hat = g * gamma,
-    dx = (g_hat - mean(g_hat) - x_hat * mean(g_hat * x_hat)) / std.
-    Otherwise the running statistics are constants: dx = g_hat / std.
+    One graph node with parents x, gamma and beta, computed by
+    `bn_arrays`. With `train`, it normalizes with the batch statistics,
+    folds them into the running ones with BN_MOMENTUM, and differentiates
+    through them. Otherwise the running statistics are constants.
     """
     if x.data.ndim == 2:
         axes, param_shape = (0,), (1, s.channels)
@@ -270,41 +307,22 @@ def batch_norm(x: Tensor, s: BatchNormState, train: bool) -> Tensor:
     count = math.prod(x.shape[a] for a in axes)
     if count < 1:
         raise ValueError("batch_norm needs at least one element per channel")
+    if train and count < 2:
+        raise ValueError("train-mode batch_norm needs >= 2 elements "
+                         "per channel for the variance")
 
-    gamma = s.gamma.data.reshape(param_shape)
-    beta = s.beta.data.reshape(param_shape)
-
-    if train:
-        if count < 2:
-            raise ValueError("train-mode batch_norm needs >= 2 elements "
-                             "per channel for the variance")
-        mu = x.data.mean(axis=axes, keepdims=True)
-        xm = x.data - mu
-        var = (xm * xm).mean(axis=axes, keepdims=True)
-        std = np.sqrt(var + BN_EPSILON)
-        x_hat = xm / std
-
-        def dx(g_hat):
-            return (g_hat - g_hat.mean(axis=axes, keepdims=True)
-                    - x_hat * (g_hat * x_hat).mean(axis=axes, keepdims=True)
-                    ) / std
-    else:
-        rm = s.running_mean.reshape(param_shape)
-        std = np.sqrt(s.running_var + BN_EPSILON).reshape(param_shape)
-        x_hat = (x.data - rm) / std
-
-        def dx(g_hat):
-            return g_hat / std
+    running = None if train else (s.running_mean.reshape(param_shape),
+                                  s.running_var.reshape(param_shape))
+    out, mean, var, bn_bwd = bn_arrays(
+        x.data, axes, s.gamma.data.reshape(param_shape),
+        s.beta.data.reshape(param_shape), running)
 
     def bwd(g):
-        return [(x, dx(g * gamma)),
-                (s.gamma, (g * x_hat).sum(axis=axes).reshape(s.gamma.shape)),
-                (s.beta, g.sum(axis=axes).reshape(s.beta.shape))]
+        return list(zip((x, s.gamma, s.beta), bn_bwd(g)))
 
-    out = Tensor._from_op(x_hat * gamma + beta, (x, s.gamma, s.beta), bwd,
-                          "batch_norm")
+    out = Tensor._from_op(out, (x, s.gamma, s.beta), bwd, "batch_norm")
     if train:
-        s.track(mu.reshape(-1), var.reshape(-1))
+        s.track(mean.reshape(-1), var.reshape(-1))
     return out
 
 

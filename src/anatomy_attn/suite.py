@@ -91,6 +91,11 @@ def _op_targets(rng):
 _LABELS = np.array([[1, 0, 1], [0, 1, 0], [1, 1, 0], [0, 0, 1]], float)
 
 
+# one-hot [3,1,1] row selectors: (x * _ROWS[k]).sum(axis=0) is row k of a
+# [3,N,C] x exactly, so the couple_attention target keeps its old value
+_ROWS = np.eye(3)[:, :, None, None]
+
+
 def _attention_targets(rng):
     targets = []
     feat = _rand(rng, 2, 4, 5, 5)
@@ -103,9 +108,9 @@ def _attention_targets(rng):
 
     targets.append(("pwap", pwap_target, [feat, kernel, kbias]))
 
-    targets.append(("couple_attention", lambda a, b, c: (
-        sum((t ** 2).sum() for t in couple_attention(a, b, c))),
-        [_rand(rng, 2, 6), _rand(rng, 2, 6), _rand(rng, 2, 6)]))
+    targets.append(("couple_attention", lambda a: sum(
+        ((couple_attention(a) * row).sum(axis=0) ** 2).sum() for row in _ROWS),
+        [_rand(rng, 3, 2, 6)]))
 
     params = AaaParams.init(4, 0.5, rng)
     masks = _binary_masks(rng, 2, 5, 5)

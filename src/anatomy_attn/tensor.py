@@ -41,6 +41,13 @@ def _unbroadcast(grad: np.ndarray, shape: tuple) -> np.ndarray:
     return grad
 
 
+def logistic(x: np.ndarray) -> np.ndarray:
+    """Overflow-safe logistic sigmoid of an array: 1 / (1 + e^-x) for
+    x >= 0 and e^x / (1 + e^x) below, both from e = e^-|x|."""
+    e = np.exp(-np.abs(x))
+    return np.where(x >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
+
+
 def _spread(g, axis, keepdims: bool, shape: tuple) -> np.ndarray:
     """Gradient of a sum over `axis` of a `shape` array: `g` copied back
     over the summed axes."""
@@ -202,8 +209,7 @@ class Tensor:
         return Tensor._from_op(self.data * mask, (self,), bwd, "relu")
 
     def sigmoid(self):
-        e = np.exp(-np.abs(self.data))
-        out_data = np.where(self.data >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
+        out_data = logistic(self.data)
 
         def bwd(g):
             return [(self, g * out_data * (1.0 - out_data))]
@@ -311,7 +317,7 @@ def _operand(v, op: str) -> np.ndarray:
     if isinstance(v, Tensor):
         return v.data
     v = np.asarray(v, dtype=np.float64)
-    if not np.all(np.isfinite(v)):
+    if not (math.isfinite(v) if v.ndim == 0 else np.isfinite(v).all()):
         raise NonFiniteError(f"non-finite constant operand of op '{op}'")
     return v
 

@@ -100,16 +100,15 @@ class TestAcceptance:
     def test_02_attention_identities(self):
         from anatomy_attn.attention import couple_attention
         a_le, a_he, a_bks = couple_attention(
-            Tensor([[np.log(2.0)]]), Tensor([[0.0]]), Tensor([[0.0]]))
-        errs = [abs(float(a_le.data.item()) - 2 / 3),
-                abs(float(a_he.data.item()) - 1 / 2),
-                abs(float(a_bks.data.item()) - 5 / 12)]
+            Tensor([[[np.log(2.0)]], [[0.0]], [[0.0]]])).data
+        errs = [abs(float(a_le.item()) - 2 / 3),
+                abs(float(a_he.item()) - 1 / 2),
+                abs(float(a_bks.item()) - 5 / 12)]
         rng = np.random.default_rng(0)
         for _ in range(100):
-            t1, t2, t3 = (Tensor(rng.normal(size=(2, 4))) for _ in range(3))
-            le, he, bks = couple_attention(t1, t2, t3)
-            errs.append(np.abs(bks.data - ((1 - le.data)
-                                           + (1 - he.data)) / 2).max())
+            t1, t2, t3 = (rng.normal(size=(2, 4)) for _ in range(3))
+            le, he, bks = couple_attention(Tensor(np.stack((t1, t2, t3)))).data
+            errs.append(np.abs(bks - ((1 - le) + (1 - he)) / 2).max())
         _line(2, "attention coupling identities hold to 1e-12",
               max(errs) <= 1e-12, f"max_err={max(errs):.2e}")
 

@@ -7,9 +7,10 @@ from hypothesis import strategies as st
 
 from anatomy_attn.attention import (AaaParams, AnatomyMasks, PwapParams,
                                     _gated_fuse, aaa_forward,
-                                    couple_attention, pwap)
-from anatomy_attn.ops import batch_norm, named_tensors, resize
-from anatomy_attn.tensor import NonFiniteError, Tensor
+                                    couple_attention, encode_attention, pwap)
+from anatomy_attn.ops import (batch_norm, bn_states, fully_connected,
+                              named_tensors, resize, softmax_pair)
+from anatomy_attn.tensor import NonFiniteError, Tensor, concat
 
 
 def _masks(rng, n, h, w):
@@ -56,58 +57,57 @@ class TestPwap:
             pwap(Tensor(rng.normal(size=(1, 3, 2, 2))), PwapParams.init(4))
 
 
+def _couple(*logits):
+    """The three [N,C] rows (A_LE, A_HE, A_BkS) of `couple_attention` on
+    the stacked logits."""
+    return couple_attention(Tensor(np.stack(logits))).data
+
+
 class TestCoupleAttention:
     def test_log2_identity(self):
         # logits (ln 2, 0, 0): A_LE = 2/3, A_HE = 1/2,
         # A_BkS = (1/3 + 1/2)/2 = 5/12
-        a_le, a_he, a_bks = couple_attention(
-            Tensor([[np.log(2.0)]]), Tensor([[0.0]]), Tensor([[0.0]]))
-        np.testing.assert_allclose(a_le.data, 2 / 3, atol=1e-12)
-        np.testing.assert_allclose(a_he.data, 1 / 2, atol=1e-12)
-        np.testing.assert_allclose(a_bks.data, 5 / 12, atol=1e-12)
+        a_le, a_he, a_bks = _couple([[np.log(2.0)]], [[0.0]], [[0.0]])
+        np.testing.assert_allclose(a_le, 2 / 3, atol=1e-12)
+        np.testing.assert_allclose(a_he, 1 / 2, atol=1e-12)
+        np.testing.assert_allclose(a_bks, 5 / 12, atol=1e-12)
 
     def test_equal_logits_give_halves(self, rng):
         z = rng.normal(size=(2, 4))
-        a_le, a_he, a_bks = couple_attention(Tensor(z), Tensor(z), Tensor(z))
-        for t in (a_le, a_he, a_bks):
-            np.testing.assert_allclose(t.data, 0.5, atol=1e-12)
+        np.testing.assert_allclose(_couple(z, z, z), 0.5, atol=1e-12)
 
     def test_complement_identity(self, rng):
         # A_BkS = ((1 - A_LE) + (1 - A_HE)) / 2 by construction
-        a1, a2, a3 = (Tensor(rng.normal(size=(3, 5))) for _ in range(3))
-        a_le, a_he, a_bks = couple_attention(a1, a2, a3)
+        a_le, a_he, a_bks = _couple(*rng.normal(size=(3, 3, 5)))
         np.testing.assert_allclose(
-            a_bks.data, ((1 - a_le.data) + (1 - a_he.data)) / 2, atol=1e-12)
+            a_bks, ((1 - a_le) + (1 - a_he)) / 2, atol=1e-12)
 
     def test_lung_heart_symmetry(self, rng):
         # swapping the outer logits swaps the enhancer roles and leaves the
         # background suppressor unchanged
-        a1, a2, a3 = (Tensor(rng.normal(size=(2, 4))) for _ in range(3))
-        le, he, bks = couple_attention(a1, a2, a3)
-        le2, he2, bks2 = couple_attention(a3, a2, a1)
-        np.testing.assert_allclose(le2.data, he.data, atol=1e-12)
-        np.testing.assert_allclose(he2.data, le.data, atol=1e-12)
-        np.testing.assert_allclose(bks2.data, bks.data, atol=1e-12)
+        a1, a2, a3 = rng.normal(size=(3, 2, 4))
+        le, he, bks = _couple(a1, a2, a3)
+        le2, he2, bks2 = _couple(a3, a2, a1)
+        np.testing.assert_allclose(le2, he, atol=1e-12)
+        np.testing.assert_allclose(he2, le, atol=1e-12)
+        np.testing.assert_allclose(bks2, bks, atol=1e-12)
 
     def test_outputs_in_unit_interval(self, rng):
-        outs = couple_attention(*(Tensor(rng.normal(size=(2, 6)) * 10)
-                                  for _ in range(3)))
-        for t in outs:
-            assert ((t.data >= 0) & (t.data <= 1)).all()
+        outs = _couple(*rng.normal(size=(3, 2, 6)) * 10)
+        assert ((outs >= 0) & (outs <= 1)).all()
 
     def test_shape_mismatch_rejected(self):
-        with pytest.raises(ValueError):
-            couple_attention(Tensor(np.zeros((1, 2))),
-                             Tensor(np.zeros((1, 2))),
-                             Tensor(np.zeros((1, 3))))
+        # anything but three stacked [N,C] logit rows
+        for shape in [(2, 1, 2), (4, 1, 2), (3, 2), (3, 1, 2, 2)]:
+            with pytest.raises(ValueError, match=r"\[3,N,C\]"):
+                couple_attention(Tensor(np.zeros(shape)))
 
     @given(st.floats(-30, 30), st.floats(-30, 30), st.floats(-30, 30))
     @settings(max_examples=50, deadline=None)
     def test_bks_averages_complements(self, x, y, z):
-        a_le, a_he, a_bks = couple_attention(
-            Tensor([[x]]), Tensor([[y]]), Tensor([[z]]))
-        expected = ((1 - a_le.data) + (1 - a_he.data)) / 2
-        np.testing.assert_allclose(a_bks.data, expected, atol=1e-12)
+        a_le, a_he, a_bks = _couple([[x]], [[y]], [[z]])
+        expected = ((1 - a_le) + (1 - a_he)) / 2
+        np.testing.assert_allclose(a_bks, expected, atol=1e-12)
 
 
 class TestAnatomyMasks:
@@ -218,12 +218,19 @@ class TestAaaForward:
         np.testing.assert_array_equal(a, b)
 
 
-def _composite_gated_fuse(feat, a_le, a_he, a_bks, masks, p, train):
+# one-hot [3,1,1] row selectors: (x * _ROWS[k]).sum(axis=0) is row k of a
+# [3,N,C] x exactly, and its gradient lands in row k only
+_ROWS = np.eye(3)[:, :, None, None]
+
+
+def _composite_gated_fuse(feat, att, masks, p, train):
     """The AAA tail assembled from primitive ops (the unfused form)."""
     n, c, _, _ = feat.shape
-    r_le = a_le.reshape((n, c, 1, 1)) * masks.lung * feat
-    r_he = a_he.reshape((n, c, 1, 1)) * masks.heart * feat
-    r_bks = a_bks.reshape((n, c, 1, 1)) * feat
+    a_le, a_he, a_bks = ((att * row).sum(axis=0).reshape((n, c, 1, 1))
+                         for row in _ROWS)
+    r_le = a_le * masks.lung * feat
+    r_he = a_he * masks.heart * feat
+    r_bks = a_bks * feat
     fused = (batch_norm(r_le, p.bn_le, train)
              + batch_norm(r_he, p.bn_he, train)
              + batch_norm(r_bks, p.bn_bks, train))
@@ -235,8 +242,8 @@ def _bn_tail(p):
 
 
 def _tail_case(shape, empty_masks):
-    """Fresh (feat, a_le, a_he, a_bks, masks, params) with random gammas,
-    betas and running statistics, the same for every call."""
+    """Fresh (feat, att, masks, params) with random gammas, betas and
+    running statistics, the same for every call."""
     rng = np.random.default_rng(3)
     n, c, h, w = shape
     params = AaaParams.init(c, 0.5, rng)
@@ -249,8 +256,8 @@ def _tail_case(shape, empty_masks):
     if empty_masks:
         masks = AnatomyMasks(np.zeros((n, 1, h, w)), np.zeros((n, 1, h, w)))
     feat = Tensor(rng.normal(size=shape) * 2 + 1)
-    attn = [Tensor(rng.uniform(size=(n, c))) for _ in range(3)]
-    return (feat, *attn, masks, params)
+    att = Tensor(rng.uniform(size=(3, n, c)))
+    return feat, att, masks, params
 
 
 class TestGatedFuse:
@@ -262,12 +269,12 @@ class TestGatedFuse:
         g = np.random.default_rng(4).normal(size=shape)
         results = []
         for fn in (_gated_fuse, _composite_gated_fuse):
-            feat, a_le, a_he, a_bks, masks, p = _tail_case(shape, empty_masks)
-            leaves = [feat, a_le, a_he, a_bks] + [
+            feat, att, masks, p = _tail_case(shape, empty_masks)
+            leaves = [feat, att] + [
                 t for s in _bn_tail(p) for t in (s.gamma, s.beta)]
             for t in leaves:
                 t.requires_grad = True
-            out = fn(feat, a_le, a_he, a_bks, masks, p, train)
+            out = fn(feat, att, masks, p, train)
             out.backward(g)
             results.append(([out.data], [t.grad for t in leaves],
                             [a for s in _bn_tail(p)
@@ -287,20 +294,113 @@ class TestGatedFuse:
         params = AaaParams.init(4, 0.5, rng)
         out = aaa_forward(feat, _masks(rng, 2, 5, 5), params, train)
         assert out._parents[0] is feat
-        assert out._parents[4:] == tuple(
+        assert out._parents[2:] == tuple(
             t for s in _bn_tail(params) for t in (s.gamma, s.beta))
-        # the attention vectors come straight from couple_attention
-        assert all(a.shape == (2, 4) for a in out._parents[1:4])
+        # the stacked attention vectors come straight from couple_attention
+        # (one node), whose one parent is the encoders' node
+        att = out._parents[1]
+        assert att.shape == (3, 2, 4)
+        (logits,) = att._parents
+        assert logits.shape == (3, 2, 4)
+        assert logits._parents[1:] == tuple(
+            t for e in (params.enc1, params.enc2, params.enc3)
+            for _, t in named_tensors(e, "e"))
+        assert logits._parents[0]._parents  # pooled, built by pwap
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_non_finite_input_names_op_and_keeps_running_stats(self, bad):
-        feat, a_le, a_he, a_bks, masks, p = _tail_case((2, 4, 5, 5), False)
+        feat, att, masks, p = _tail_case((2, 4, 5, 5), False)
         before = [a.copy() for s in _bn_tail(p)
                   for a in (s.running_mean, s.running_var)]
         feat.data[1, 2, 3, 4] = bad
         with pytest.raises(NonFiniteError, match="gated_fuse"):
-            _gated_fuse(feat, a_le, a_he, a_bks, masks, p, True)
+            _gated_fuse(feat, att, masks, p, True)
         after = [a for s in _bn_tail(p)
                  for a in (s.running_mean, s.running_var)]
         for x, y in zip(after, before):
             np.testing.assert_array_equal(x, y)
+
+
+def _primitive_attention(pooled, encoders, train):
+    """Encoders and coupling from primitive ops, one node per layer: the
+    form `encode_attention` and `couple_attention` replace. The concat
+    root takes (a_le, a_he, a_bks) in `_gated_fuse`'s parent order, so
+    pooled's three gradients add up in the model's order."""
+    def encode(e):
+        h = batch_norm(fully_connected(pooled, e.fc1).relu(), e.bn1, train)
+        return batch_norm(fully_connected(h, e.fc2).relu(), e.bn2, train)
+
+    a1, a2, a3 = (encode(e) for e in encoders)
+    a_le, a_le_bar = softmax_pair(a1, a2)
+    a_he_bar, a_he = softmax_pair(a2, a3)
+    a_bks = (a_le_bar + a_he_bar) * 0.5
+    n, c = pooled.shape
+    return concat([t.reshape((1, n, c)) for t in (a_le, a_he, a_bks)], axis=0)
+
+
+def _fused_attention(pooled, encoders, train):
+    return couple_attention(encode_attention(pooled, encoders, train))
+
+
+def _states(encoders):
+    return [s for e in encoders for s in bn_states(e)]
+
+
+def _encoder_case(n, c):
+    """Fresh (pooled, encoders) with jittered weights and random gammas,
+    betas and running statistics, the same for every call."""
+    rng = np.random.default_rng(5)
+    params = AaaParams.init(c, 0.5, rng)
+    encoders = (params.enc1, params.enc2, params.enc3)
+    for _, t in named_tensors(params, "p"):
+        t.data = t.data + 0.3 * rng.normal(size=t.shape)
+    for s in _states(encoders):
+        s.running_mean = rng.normal(size=s.channels)
+        s.running_var = rng.uniform(0.5, 2.0, size=s.channels)
+    return Tensor(rng.normal(size=(n, c))), encoders
+
+
+class TestGroupedAttention:
+    @pytest.mark.parametrize("train", [True, False], ids=["train", "eval"])
+    @pytest.mark.parametrize("n, c", [(2, 4), (16, 16), (16, 32), (5, 16)],
+                             ids=["2x4", "16x16", "16x32", "odd last batch"])
+    def test_equals_primitive_chain_bit_for_bit(self, n, c, train):
+        g = np.random.default_rng(6).normal(size=(3, n, c))
+        results = []
+        for fn in (_fused_attention, _primitive_attention):
+            pooled, encoders = _encoder_case(n, c)
+            leaves = [pooled] + [t for e in encoders
+                                 for _, t in named_tensors(e, "e")]
+            for t in leaves:
+                t.requires_grad = True
+            out = fn(pooled, encoders, train)
+            out.backward(g)
+            results.append([out.data] + [t.grad for t in leaves] + [
+                a for s in _states(encoders)
+                for a in (s.running_mean, s.running_var)])
+        fused, primitive = results
+        assert len(fused) == len(primitive) == 1 + 25 + 12
+        for x, y in zip(fused, primitive):
+            np.testing.assert_array_equal(x, y)
+
+    @pytest.mark.parametrize("train", [True, False], ids=["train", "eval"])
+    def test_running_statistics_move_only_in_train(self, train):
+        pooled, encoders = _encoder_case(4, 8)
+        before = [a.copy() for s in _states(encoders)
+                  for a in (s.running_mean, s.running_var)]
+        encode_attention(pooled, encoders, train)
+        after = [a for s in _states(encoders)
+                 for a in (s.running_mean, s.running_var)]
+        assert [not np.array_equal(x, y)
+                for x, y in zip(after, before)] == [train] * 12
+
+    def test_one_sample_rejected_in_train(self):
+        pooled, encoders = _encoder_case(1, 4)
+        with pytest.raises(ValueError, match=">= 2 elements"):
+            encode_attention(pooled, encoders, True)
+        assert encode_attention(pooled, encoders, False).shape == (3, 1, 4)
+
+    def test_width_mismatch_rejected(self):
+        pooled, encoders = _encoder_case(4, 8)
+        with pytest.raises(ValueError, match="pooled width 6"):
+            encode_attention(Tensor(np.zeros((4, 6))), encoders, True)

@@ -1,8 +1,9 @@
 """Import hygiene of the package source: no unused imports, no imports
-inside function bodies, no private names imported across modules, and no
-scipy."""
+inside function bodies, no private names imported across modules, no
+scipy, and every function the benchmark's tracer wraps by name."""
 
 import ast
+import importlib
 import os
 import subprocess
 import sys
@@ -73,3 +74,30 @@ def test_package_import_loads_no_scipy():
     out = subprocess.run([sys.executable, "-c", script], env=env,
                          check=True, capture_output=True, text=True)
     assert out.stdout.strip() == "[]"
+
+
+def _tracer_table(name):
+    """A list literal assigned at the top level of perfbench/tracer.py."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+    for node in _tree(path).body:
+        if (isinstance(node, ast.Assign)
+                and [t.id for t in node.targets
+                     if isinstance(t, ast.Name)] == [name]):
+            return ast.literal_eval(node.value)
+    raise AssertionError(f"{name} not found in {path}")
+
+
+@pytest.mark.parametrize("entry", _tracer_table("FUNCTIONS"),
+                         ids=lambda e: e[0])
+def test_traced_function_exists(entry):
+    # `perfbench/run.py --trace 1` looks each one up by name
+    _, module, attr = entry
+    assert callable(getattr(importlib.import_module(f"anatomy_attn.{module}"),
+                            attr, None))
+
+
+@pytest.mark.parametrize("entry", _tracer_table("METHODS"), ids=lambda e: e[0])
+def test_traced_method_exists(entry):
+    _, module, cls_name, attr = entry
+    cls = getattr(importlib.import_module(f"anatomy_attn.{module}"), cls_name)
+    assert callable(cls.__dict__.get(attr))

@@ -21,6 +21,20 @@ def _masks(rng, n, size):
     return AnatomyMasks(lung, heart)
 
 
+@pytest.fixture
+def built(monkeypatch):
+    """Names of the ops built through `Tensor._from_op`, in order."""
+    names = []
+    from_op = Tensor.__dict__["_from_op"].__func__
+
+    def recording_from_op(cls, data, parents, backward_fn, op):
+        names.append(op)
+        return from_op(cls, data, parents, backward_fn, op)
+
+    monkeypatch.setattr(Tensor, "_from_op", classmethod(recording_from_op))
+    return names
+
+
 def _cfg(**kw):
     base = dict(image_size=16, mask_size=4, backbone_widths=(2, 3, 3, 4),
                 n_classes=2)
@@ -107,22 +121,27 @@ class TestForward:
             model.forward(Tensor(rng.normal(size=(4, 1, 16, 16))),
                           _masks(rng, 1, 16), True)
 
-    def test_forward_resizes_masks_outside_the_graph(self, rng, monkeypatch):
-        built = []
-        from_op = Tensor.__dict__["_from_op"].__func__
-
-        def recording_from_op(cls, data, parents, backward_fn, op):
-            built.append(op)
-            return from_op(cls, data, parents, backward_fn, op)
-
-        monkeypatch.setattr(Tensor, "_from_op",
-                            classmethod(recording_from_op))
+    def test_forward_resizes_masks_outside_the_graph(self, rng, built):
         for fusion in ("aaa", "hardmask"):
             model = ToyModel(_cfg(fusion=fusion), seed=0)
             model.forward(Tensor(rng.normal(size=(2, 1, 16, 16))),
                           _masks(rng, 2, 16), True)
         assert "gated_fuse" in built and "resize_bilinear" in built
         assert "resize_nearest" not in built
+
+    def test_l2_training_step_builds_at_most_56_op_nodes(self, rng, built):
+        # per AAA block: pwap's 7 nodes, one node for the three encoders,
+        # one for their coupling and one for the gated tail
+        model = ToyModel(ModelConfig(attention_level="L2"), seed=0)
+        labels = (rng.random((16, 3)) < 0.5).astype(float)
+        bce_loss(model.forward(Tensor(rng.normal(size=(16, 1, 32, 32))),
+                               _masks(rng, 16, 32), True), labels)
+        assert len(built) <= 56
+        for op in ("encode_attention", "couple_attention", "gated_fuse"):
+            assert built.count(op) == 2
+        # the classifier is the only fully connected layer left
+        assert built.count("fully_connected") == 1
+        assert "batch_norm" not in built and "sigmoid" in built
 
     def test_batch_masks_selects_or_skips(self, rng):
         m = _masks(rng, 5, 16)
