@@ -281,7 +281,7 @@ def train(model: ToyModel, data: dict, epochs: int, lr: float,
     for epoch in range(epochs):
         perm = rng.permutation(n)
         losses = []
-        for lo in range(0, n, batch):
+        for step, lo in enumerate(range(0, n, batch)):
             idx = perm[lo:lo + batch]
             if len(idx) < 2:
                 continue  # train-mode BN needs >= 2 samples
@@ -296,7 +296,8 @@ def train(model: ToyModel, data: dict, epochs: int, lr: float,
                 opt.step()
             except NonFiniteError as exc:
                 raise DivergenceError(
-                    f"non-finite loss in epoch {epoch}: {exc}") from exc
+                    f"non-finite loss in epoch {epoch}, step {step} "
+                    f"(images {idx.tolist()}): {exc}") from exc
             losses.append(float(loss.data))
         val_auc = _mean_val_auc(model, data)
         history.append([epoch, float(np.mean(losses)), val_auc])

@@ -34,8 +34,17 @@ class SegBatch:
 
     def __post_init__(self):
         m = self.annotated_masks.data
-        if m.shape[1] != 3:
-            raise ValueError("annotated_masks must have 3 class channels")
+        if m.ndim != 4 or m.shape[1] != 3 or m.size == 0:
+            raise ValueError(f"annotated_masks must be a non-empty [N,3,H,W], "
+                             f"got {m.shape}")
+        n, _, h, w = m.shape
+        if self.annotated_cxr.shape != (n, 1, h, w):
+            raise ValueError(f"annotated_cxr must be [{n},1,{h},{w}] like the "
+                             f"masks, got {self.annotated_cxr.shape}")
+        u = self.unannotated_cxr.shape
+        if u[1:] != (1, h, w) or u[0] == 0:
+            raise ValueError(f"unannotated_cxr must be [M,1,{h},{w}] with "
+                             f"M >= 1, got {u}")
         if not np.all(np.isin(np.unique(m), (0.0, 1.0))):
             raise ValueError("annotated_masks must be one-hot binary")
         if not np.allclose(m.sum(axis=1), 1.0):
@@ -50,7 +59,7 @@ class ConvStack:
                        for cin, cout in zip(widths[:-1], widths[1:])]
         self.prefix = prefix
 
-    def apply(self, x: Tensor) -> Tensor:
+    def __call__(self, x: Tensor) -> Tensor:
         for i, layer in enumerate(self.layers):
             x = conv3x3(x, layer.weight, layer.bias)
             if i < len(self.layers) - 1:
@@ -66,21 +75,18 @@ class MaskGenerator(ConvStack):
     """Image -> per-pixel class probabilities (softmax over 3 channels)."""
 
     def __call__(self, image: Tensor) -> Tensor:
-        return softmax_channels(self.apply(image))
+        return softmax_channels(super().__call__(image))
 
 
 class ImageGenerator(ConvStack):
     """Mask probabilities -> image."""
-
-    def __call__(self, mask: Tensor) -> Tensor:
-        return self.apply(mask)
 
 
 class Discriminator(ConvStack):
     """Input -> per-sample realness score in (0,1) (global mean + sigmoid)."""
 
     def __call__(self, x: Tensor) -> Tensor:
-        return self.apply(x).mean(axis=(1, 2, 3)).sigmoid()
+        return super().__call__(x).mean(axis=(1, 2, 3)).sigmoid()
 
 
 @dataclass
@@ -124,48 +130,47 @@ def pixel_ce(theta: Tensor, theta_tilde: Tensor) -> Tensor:
     return -(theta * logp).sum() * (1.0 / n)
 
 
-def gen_losses(batch: SegBatch, nets: CycleNets) -> dict:
+def fakes(batch: SegBatch, nets: CycleNets) -> tuple:
+    """(fake_m, fake_c): masks generated from the unannotated CXRs and CXRs
+    generated from the annotated masks."""
+    return nets.g_cm(batch.unannotated_cxr), nets.g_mc(batch.annotated_masks)
+
+
+def gen_losses(batch: SegBatch, nets: CycleNets, fake_c: Tensor) -> dict:
     """Supervised generator losses on the annotated subset."""
     l_gen_m = pixel_ce(batch.annotated_masks, nets.g_cm(batch.annotated_cxr))
-    diff = nets.g_mc(batch.annotated_masks) - batch.annotated_cxr
+    diff = fake_c - batch.annotated_cxr
     l_gen_c = (diff * diff).sum() * (1.0 / batch.annotated_cxr.shape[0])
     return {"L_gen_M": l_gen_m, "L_gen_C": l_gen_c}
 
 
-def adv_losses(batch: SegBatch, nets: CycleNets) -> dict:
+def adv_losses(batch: SegBatch, nets: CycleNets, fake_m: Tensor,
+               fake_c: Tensor) -> dict:
     """Least-squares adversarial losses for the two discriminators."""
-    real_m = nets.d_m(batch.annotated_masks)
-    fake_m = nets.d_m(nets.g_cm(batch.unannotated_cxr))
-    l_disc_m = ((real_m - 1.0) ** 2).mean() + (fake_m ** 2).mean()
-    real_c = nets.d_c(batch.unannotated_cxr)
-    fake_c = nets.d_c(nets.g_mc(batch.annotated_masks))
-    l_disc_c = ((real_c - 1.0) ** 2).mean() + (fake_c ** 2).mean()
+    l_disc_m = (((nets.d_m(batch.annotated_masks) - 1.0) ** 2).mean()
+                + (nets.d_m(fake_m) ** 2).mean())
+    l_disc_c = (((nets.d_c(batch.unannotated_cxr) - 1.0) ** 2).mean()
+                + (nets.d_c(fake_c) ** 2).mean())
     return {"L_disc_M": l_disc_m, "L_disc_C": l_disc_c}
 
 
-def cycle_losses(batch: SegBatch, nets: CycleNets) -> dict:
+def cycle_losses(batch: SegBatch, nets: CycleNets, fake_m: Tensor,
+                 fake_c: Tensor) -> dict:
     """L1 image cycle and cross-entropy mask cycle consistency losses."""
-    regen = nets.g_mc(nets.g_cm(batch.unannotated_cxr))
-    l_cycle_c = (regen - batch.unannotated_cxr).abs().sum() \
+    l_cycle_c = (nets.g_mc(fake_m) - batch.unannotated_cxr).abs().sum() \
         * (1.0 / batch.unannotated_cxr.shape[0])
-    l_cycle_m = pixel_ce(batch.annotated_masks,
-                         nets.g_cm(nets.g_mc(batch.annotated_masks)))
+    l_cycle_m = pixel_ce(batch.annotated_masks, nets.g_cm(fake_c))
     return {"L_cycle_C": l_cycle_c, "L_cycle_M": l_cycle_m}
 
 
-def total_loss(parts: dict):
+def total_loss(parts: dict) -> float:
     """Reporting combination: generator terms minus discriminator terms.
 
     Training never descends this directly; it alternates the generator and
     discriminator objectives (see train_cyclegan_toy).
     """
-
-    def val(x):
-        return float(x.data) if isinstance(x, Tensor) else float(x)
-
-    return (val(parts["L_gen_M"]) + val(parts["L_gen_C"])
-            + val(parts["L_cycle_M"]) + val(parts["L_cycle_C"])
-            - val(parts["L_disc_M"]) - val(parts["L_disc_C"]))
+    return (parts["L_gen_M"] + parts["L_gen_C"] + parts["L_cycle_M"]
+            + parts["L_cycle_C"] - parts["L_disc_M"] - parts["L_disc_C"])
 
 
 # -- alternating trainer ------------------------------------------------------
@@ -178,40 +183,34 @@ def train_cyclegan_toy(batches, nets: CycleNets, steps: int, lr: float):
     """Alternating least-squares GAN training.
 
     Per step: generators descend the supervised + cycle losses plus the
-    generator-side adversarial terms (discriminators frozen, target 1),
-    then discriminators descend their least-squares losses (generators
-    frozen). `batches` is an iterator of SegBatch that lasts at least
-    `steps` batches.
+    generator-side adversarial terms (discriminators frozen, target 1) on
+    one `fakes` forward; then discriminators descend their least-squares
+    losses on constant fakes from the updated generators, so that backward
+    skips the generators. `batches` yields at least `steps` SegBatches.
 
     Returns (nets, curves) with one curve row per step.
     """
-    gen_params = [t for _, t in nets.generator_parameters()]
-    disc_params = [t for _, t in nets.discriminator_parameters()]
-    opt_g = Adam(gen_params, lr)
-    opt_d = Adam(disc_params, lr)
+    opt_g = Adam([t for _, t in nets.generator_parameters()], lr)
+    opt_d = Adam([t for _, t in nets.discriminator_parameters()], lr)
 
     curves = []
     for step in range(steps):
         batch = next(batches)
         try:
-            parts = {}
-            parts.update(gen_losses(batch, nets))
-            parts.update(cycle_losses(batch, nets))
-            g_adv_m = ((nets.d_m(nets.g_cm(batch.unannotated_cxr)) - 1.0) ** 2
-                       ).mean()
-            g_adv_c = ((nets.d_c(nets.g_mc(batch.annotated_masks)) - 1.0) ** 2
-                       ).mean()
+            fake_m, fake_c = fakes(batch, nets)
+            parts = {**gen_losses(batch, nets, fake_c),
+                     **cycle_losses(batch, nets, fake_m, fake_c)}
             loss_g = (parts["L_gen_M"] + parts["L_gen_C"] + parts["L_cycle_M"]
-                      + parts["L_cycle_C"] + g_adv_m + g_adv_c)
+                      + parts["L_cycle_C"]
+                      + ((nets.d_m(fake_m) - 1.0) ** 2).mean()
+                      + ((nets.d_c(fake_c) - 1.0) ** 2).mean())
             opt_g.zero_grad()
-            opt_d.zero_grad()
             loss_g.backward()
             opt_g.step()
 
-            adv = adv_losses(batch, nets)
-            parts.update(adv)
-            loss_d = adv["L_disc_M"] + adv["L_disc_C"]
-            opt_g.zero_grad()
+            fake_m, fake_c = (Tensor(f.data) for f in fakes(batch, nets))
+            parts.update(adv_losses(batch, nets, fake_m, fake_c))
+            loss_d = parts["L_disc_M"] + parts["L_disc_C"]
             opt_d.zero_grad()
             loss_d.backward()
             opt_d.step()
@@ -219,9 +218,8 @@ def train_cyclegan_toy(batches, nets: CycleNets, steps: int, lr: float):
             raise DivergenceError(
                 f"non-finite loss at step {step}: {exc}") from exc
 
-        row = [step + 1] + [float(parts[k].data) for k in CURVE_HEADER[1:-1]]
-        row.append(total_loss(parts))
-        curves.append(row)
+        row = {k: float(parts[k].data) for k in CURVE_HEADER[1:-1]}
+        curves.append([step + 1, *row.values(), total_loss(row)])
     return nets, curves
 
 

@@ -15,7 +15,8 @@ from .model import ModelConfig, ToyModel, bce_loss
 from .ops import (BatchNormState, LinearParams, batch_norm, conv3x3, conv_1x1,
                   fully_connected, named_tensors, resize, softmax_channels,
                   softmax_pair)
-from .seg import CycleNets, SegBatch, adv_losses, cycle_losses, gen_losses, pixel_ce
+from .seg import (CycleNets, SegBatch, adv_losses, cycle_losses, fakes,
+                  gen_losses, pixel_ce)
 from .tensor import Tensor
 
 
@@ -146,23 +147,23 @@ def _seg_targets(rng):
         Tensor(rng.normal(size=(2, 1, 6, 6))))
     net_tensors = [t for _, t in nets.parameters()]
 
-    def make(fn):
+    # fakes built inside each target, so the differences see the generators
+    def make(fn, build):
         def target(*tensors):
-            parts = fn(batch, nets)
-            out = None
-            for v in parts.values():
-                out = v if out is None else out + v
-            return out
+            first, *rest = fn(batch, nets, *build()).values()
+            return sum(rest, first)
         return target
 
     onehot = Tensor(_onehot_masks(rng, 1, 4, 4))
     targets = [("pixel_ce",
                 lambda x: pixel_ce(onehot, softmax_channels(x)),
                 [Tensor(np.random.default_rng(11).normal(size=(1, 3, 4, 4)))])]
-    for name, fn in (("gen_losses", gen_losses),
-                     ("adv_losses", adv_losses),
-                     ("cycle_losses", cycle_losses)):
-        targets.append((name, make(fn), net_tensors))
+    for name, fn, build in (
+            ("gen_losses", gen_losses,
+             lambda: (nets.g_mc(batch.annotated_masks),)),
+            ("adv_losses", adv_losses, lambda: fakes(batch, nets)),
+            ("cycle_losses", cycle_losses, lambda: fakes(batch, nets))):
+        targets.append((name, make(fn, build), net_tensors))
     return targets
 
 

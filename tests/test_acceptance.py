@@ -175,7 +175,6 @@ class TestAcceptance:
                  "invariance on 1000 instances", ok)
 
     def test_06_seg_toy_loss_halves(self):
-        ratios = []
         def run(seed):
             nets = CycleNets.init(width=8, seed=seed)
             batches = gen_seg_batches(size=16, n_annotated=4,
@@ -183,10 +182,13 @@ class TestAcceptance:
             _, curves = train_cyclegan_toy(batches, nets, steps=500, lr=3e-3)
             by_step = {row[0]: row[1] for row in curves}
             return by_step[500] / by_step[10]
+        t0 = _cpu_seconds()
         ratios = parallel_map(run, list(SEEDS))
+        elapsed = _cpu_seconds() - t0
         med = float(np.median(ratios))
         _line(6, "supervised mask loss at step 500 is <= 50% of step 10 "
-                 "(median of 3 seeds)", med <= 0.5, f"ratio={med:.3f}")
+                 "(median of 3 seeds)", med <= 0.5,
+              f"ratio={med:.3f}, {elapsed:.0f}s cpu")
 
     def test_07_attention_beats_baseline(self, trained):
         def median_auc(name):

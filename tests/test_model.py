@@ -10,7 +10,7 @@ from anatomy_attn.attention import AnatomyMasks
 from anatomy_attn.model import (ModelConfig, ToyModel, batch_masks, bce_loss,
                                 gradcam, load_checkpoint, predict,
                                 save_checkpoint, train)
-from anatomy_attn.tensor import Tensor
+from anatomy_attn.tensor import DivergenceError, Tensor
 
 
 def _masks(rng, n, size):
@@ -253,6 +253,26 @@ class TestTraining:
         final_auc = _mean_val_auc(model, data)
         best_logged = max(h[2] for h in history)
         np.testing.assert_allclose(final_auc, best_logged, atol=1e-9)
+
+    @pytest.mark.parametrize("poison", ["weights", "label"])
+    def test_divergence_names_epoch_step_and_images(self, rng, poison):
+        data = self._data(rng)
+        model = ToyModel(_cfg(attention_level="L0", fusion="none"), seed=0)
+        perm = np.random.default_rng(3).permutation(24)
+        if poison == "weights":
+            for _, t in model.parameters():
+                t.data[...] = 1e200
+            step = 0
+        else:  # only the third batch holds the poisoned label
+            data["train_labels"] = data["train_labels"].copy()
+            data["train_labels"][perm[20]] = np.nan
+            step = 2
+        idx = perm[8 * step:8 * step + 8].tolist()
+        with pytest.raises(DivergenceError) as info:
+            train(model, data, epochs=1, lr=1e-3, batch=8, seed=3)
+        assert str(info.value).startswith(
+            f"non-finite loss in epoch 0, step {step} (images {idx}): "
+            f"non-finite ")
 
     @pytest.mark.parametrize("n, batch", [(24, 1), (1, 8)])
     def test_no_runnable_step_rejected_before_training(self, rng, n, batch):

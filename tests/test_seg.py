@@ -6,12 +6,13 @@ import pytest
 from anatomy_attn.attention import AnatomyMasks
 from anatomy_attn.seg import (CURVE_HEADER, CycleNets, SegBatch, adv_losses,
                               apply_cutout, binarize_masks,
-                              cycle_losses, gen_losses, pixel_ce,
+                              cycle_losses, fakes, gen_losses, pixel_ce,
                               sample_cutout_windows, total_loss,
                               train_cyclegan_toy, write_curves)
-from anatomy_attn import model
+from anatomy_attn import model, seg
 from anatomy_attn.harness import gen_seg_batches
 from anatomy_attn.ops import softmax_channels
+from anatomy_attn.optim import Adam
 from anatomy_attn.tensor import Tensor
 
 
@@ -24,6 +25,35 @@ def _batch(rng, n=2, size=6):
     return SegBatch(Tensor(rng.normal(size=(n, 1, size, size))),
                     Tensor(_onehot(rng, n, size, size)),
                     Tensor(rng.normal(size=(n, 1, size, size))))
+
+
+class TestSegBatch:
+    @pytest.mark.parametrize("field, cxr, masks, unannotated", [
+        ("annotated_cxr", (1, 1, 6, 6), (2, 3, 6, 6), (2, 1, 6, 6)),
+        ("annotated_cxr", (2, 1, 5, 5), (2, 3, 6, 6), (2, 1, 6, 6)),
+        ("annotated_cxr", (2, 3, 6, 6), (2, 3, 6, 6), (2, 1, 6, 6)),
+        ("unannotated_cxr", (2, 1, 6, 6), (2, 3, 6, 6), (2, 1, 5, 5)),
+        ("unannotated_cxr", (2, 1, 6, 6), (2, 3, 6, 6), (2, 2, 6, 6)),
+        ("unannotated_cxr", (2, 1, 6, 6), (2, 3, 6, 6), (2, 6, 6)),
+        ("unannotated_cxr", (2, 1, 6, 6), (2, 3, 6, 6), (0, 1, 6, 6)),
+        ("annotated_masks", (2, 1, 6, 6), (2, 4, 6, 6), (2, 1, 6, 6)),
+        ("annotated_masks", (0, 1, 6, 6), (0, 3, 6, 6), (2, 1, 6, 6)),
+    ], ids=["annotated count", "annotated size", "annotated channels",
+            "unannotated size", "unannotated channels", "unannotated rank",
+            "no unannotated", "mask channels", "no annotated"])
+    def test_malformed_shape_names_the_field(self, field, cxr, masks,
+                                             unannotated):
+        onehot = np.zeros(masks)
+        onehot[:, 0] = 1.0
+        with pytest.raises(ValueError, match=f"^{field} must be"):
+            SegBatch(Tensor(np.zeros(cxr)), Tensor(onehot),
+                     Tensor(np.zeros(unannotated)))
+
+    def test_unannotated_count_may_differ(self, rng):
+        batch = SegBatch(Tensor(rng.normal(size=(2, 1, 6, 6))),
+                         Tensor(_onehot(rng, 2, 6, 6)),
+                         Tensor(rng.normal(size=(3, 1, 6, 6))))
+        assert batch.unannotated_cxr.shape == (3, 1, 6, 6)
 
 
 class TestPixelCe:
@@ -65,7 +95,8 @@ class TestPixelCe:
 class TestAdversarialLosses:
     def test_losses_are_nonnegative(self, rng):
         nets = CycleNets.init(width=4, seed=0)
-        parts = adv_losses(_batch(rng), nets)
+        batch = _batch(rng)
+        parts = adv_losses(batch, nets, *fakes(batch, nets))
         for v in parts.values():
             assert float(v.data) >= 0.0
 
@@ -78,7 +109,8 @@ class TestAdversarialLosses:
         nets = CycleNets.init(width=4, seed=0)
         nets.d_m = HalfDisc()
         nets.d_c = HalfDisc()
-        parts = adv_losses(_batch(rng), nets)
+        batch = _batch(rng)
+        parts = adv_losses(batch, nets, *fakes(batch, nets))
         np.testing.assert_allclose(float(parts["L_disc_M"].data), 0.5,
                                    atol=1e-12)
         np.testing.assert_allclose(float(parts["L_disc_C"].data), 0.5,
@@ -100,7 +132,7 @@ class TestAdversarialLosses:
         batch = _batch(rng)
         nets.d_m = Oracle([batch.annotated_masks])
         nets.d_c = Oracle([batch.unannotated_cxr])
-        parts = adv_losses(batch, nets)
+        parts = adv_losses(batch, nets, *fakes(batch, nets))
         assert float(parts["L_disc_M"].data) == 0.0
         assert float(parts["L_disc_C"].data) == 0.0
 
@@ -109,10 +141,10 @@ class TestGenAndCycleLosses:
     def test_all_parts_finite_and_nonnegative(self, rng):
         nets = CycleNets.init(width=4, seed=1)
         batch = _batch(rng)
-        parts = {}
-        parts.update(gen_losses(batch, nets))
-        parts.update(cycle_losses(batch, nets))
-        parts.update(adv_losses(batch, nets))
+        fake_m, fake_c = fakes(batch, nets)
+        parts = {**gen_losses(batch, nets, fake_c),
+                 **cycle_losses(batch, nets, fake_m, fake_c),
+                 **adv_losses(batch, nets, fake_m, fake_c)}
         for k, v in parts.items():
             assert float(v.data) >= 0.0, k
 
@@ -128,7 +160,7 @@ class TestGenAndCycleLosses:
         cxr = nets.g_mc(masks)
         batch = SegBatch(Tensor(cxr.data), masks,
                          Tensor(rng.normal(size=(2, 1, 4, 4))))
-        parts = gen_losses(batch, nets)
+        parts = gen_losses(batch, nets, fakes(batch, nets)[1])
         np.testing.assert_allclose(float(parts["L_gen_C"].data), 0.0,
                                    atol=1e-18)
 
@@ -163,6 +195,47 @@ class TestTrainingLoop:
         assert [row[0] for row in curves] == [1, 2]
         assert len(curves[0]) == len(CURVE_HEADER)
 
+    def test_one_step_builds_39_conv_forwards_and_33_backwards(
+            self, monkeypatch):
+        # the generator step reads one forward of each fake; the
+        # discriminator step's fakes are constants, so their 6 convs
+        # run no backward
+        calls = {"forward": 0, "backward": 0}
+        conv3x3 = seg.conv3x3
+
+        def counting_conv3x3(*args, **kwargs):
+            out = conv3x3(*args, **kwargs)
+            calls["forward"] += 1
+            backward_fn = out._backward_fn
+
+            def counting_backward(g):
+                calls["backward"] += 1
+                return backward_fn(g)
+
+            out._backward_fn = counting_backward
+            return out
+
+        monkeypatch.setattr(seg, "conv3x3", counting_conv3x3)
+        batches = gen_seg_batches(size=8, n_annotated=2, n_unannotated=2,
+                                  seed=0)
+        train_cyclegan_toy(batches, CycleNets.init(width=4, seed=0), steps=1,
+                           lr=1e-3)
+        assert calls["forward"] <= 39
+        assert calls["backward"] <= 33
+
+    def test_matches_per_term_reference_trainer(self):
+        # sharing the fakes only regroups sums of gradients, so the curves
+        # agree to rounding; a discriminator step that read fakes from
+        # before the generator update would not
+        def run(train):
+            nets = CycleNets.init(width=4, seed=0)
+            batches = gen_seg_batches(size=8, n_annotated=2,
+                                      n_unannotated=2, seed=0)
+            return np.array(train(batches, nets, steps=20, lr=3e-3)[1])
+
+        np.testing.assert_allclose(run(train_cyclegan_toy),
+                                   run(_reference_train), rtol=1e-12, atol=0)
+
     def test_curve_files_are_byte_identical(self, tmp_path):
         rows = [[1, 0.5, 0.25, 1.0, 2.0, 0.125, 0.0625, 3.5625]]
         p1, p2 = tmp_path / "a.csv", tmp_path / "b.csv"
@@ -171,6 +244,45 @@ class TestTrainingLoop:
         assert p1.read_bytes() == p2.read_bytes()
         header = p1.read_text().splitlines()[0]
         assert header == ",".join(CURVE_HEADER)
+
+
+def _reference_train(batches, nets, steps, lr):
+    """The alternating trainer composed term by term: every loss term
+    builds its own generator forwards, and the discriminator loss
+    backpropagates through the generators too."""
+    opt_g = Adam([t for _, t in nets.generator_parameters()], lr)
+    opt_d = Adam([t for _, t in nets.discriminator_parameters()], lr)
+    curves = []
+    for step in range(steps):
+        batch = next(batches)
+
+        def fake_m():
+            return nets.g_cm(batch.unannotated_cxr)
+
+        def fake_c():
+            return nets.g_mc(batch.annotated_masks)
+
+        parts = {**gen_losses(batch, nets, fake_c()),
+                 **cycle_losses(batch, nets, fake_m(), fake_c())}
+        loss_g = (parts["L_gen_M"] + parts["L_gen_C"] + parts["L_cycle_M"]
+                  + parts["L_cycle_C"]
+                  + ((nets.d_m(fake_m()) - 1.0) ** 2).mean()
+                  + ((nets.d_c(fake_c()) - 1.0) ** 2).mean())
+        opt_g.zero_grad()
+        opt_d.zero_grad()
+        loss_g.backward()
+        opt_g.step()
+
+        parts.update(adv_losses(batch, nets, fake_m(), fake_c()))
+        loss_d = parts["L_disc_M"] + parts["L_disc_C"]
+        opt_g.zero_grad()
+        opt_d.zero_grad()
+        loss_d.backward()
+        opt_d.step()
+
+        row = {k: float(parts[k].data) for k in CURVE_HEADER[1:-1]}
+        curves.append([step + 1, *row.values(), total_loss(row)])
+    return nets, curves
 
 
 class TestBinarize:
