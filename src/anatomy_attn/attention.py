@@ -62,11 +62,6 @@ class AttentionEncoderParams:
                    LinearParams.init(hidden, channels, rng),
                    BatchNormState.init(channels))
 
-    def leaves(self) -> tuple:
-        """The learnable tensors, in checkpoint-name order."""
-        return (self.fc1.weight, self.fc1.bias, self.bn1.gamma, self.bn1.beta,
-                self.fc2.weight, self.fc2.bias, self.bn2.gamma, self.bn2.beta)
-
 
 @dataclass
 class AnatomyMasks:
@@ -153,11 +148,13 @@ def encode_attention(pooled: Tensor, encoders, train: bool) -> Tensor:
     Each layer stacks the three encoders' parameters on a leading group
     axis: batched matmuls (equal bit for bit to one `v @ W.T` per
     encoder) and batch norms over axis 1 by `ops.bn_arrays`. The parents
-    are pooled and the 24 per-encoder leaves, so parameters and their
-    names do not change; the backward returns one slice per leaf and
-    sums pooled's three input gradients in encoder order. With `train`,
-    each of the six batch-norm states tracks its own batch statistics
-    once the output has passed the finiteness check.
+    are pooled and the 24 per-encoder leaves, read from `layers` in the
+    order the backward returns their gradients (encoder by encoder, then
+    per layer weight, bias, gamma, beta: their checkpoint-name order), so
+    parameters and their names do not change. The backward sums pooled's
+    three input gradients in encoder order. With `train`, each of the six
+    batch-norm states tracks its own batch statistics once the output has
+    passed the finiteness check.
     """
     n, c = pooled.shape
     widths = sorted({e.fc1.weight.shape[1] for e in encoders})
@@ -183,25 +180,26 @@ def encode_attention(pooled: Tensor, encoders, train: bool) -> Tensor:
                                       stacked([s.running_var for s in bns]))
         out, mean, var, bn_bwd = bn_arrays(
             h * mask, (1,), stacked([s.gamma.data for s in bns]),
-            stacked([s.beta.data for s in bns]), running)
+            stacked([s.beta.data for s in bns]), running, "encode_attention")
         saved.append((v, w, mask, bn_bwd))
         if train:
             tracked += zip(bns, mean, var)
         v = out
 
-    leaves = tuple(t for e in encoders for t in e.leaves())
-
     def bwd(g):
-        grads = []                       # [3,...] arrays in `leaves` order
+        grads = []              # per layer: [3,...] weight, bias, gamma, beta
         for v, w, mask, bn_bwd in reversed(saved):
             g, d_gamma, d_beta = bn_bwd(g)
             g = g * mask
             d_w = np.matmul(np.swapaxes(v, -1, -2), g).transpose(0, 2, 1)
             grads[:0] = [d_w, g.sum(axis=1), d_gamma, d_beta]
             g = np.matmul(g, w)
-        return [(pooled, g[0] + g[1] + g[2])] + list(zip(
-            leaves, (d[k] for k in range(len(encoders)) for d in grads)))
+        return [g[0] + g[1] + g[2]] + [d[k] for k in range(len(encoders))
+                                       for d in grads]
 
+    leaves = tuple(t for k in range(len(encoders)) for fcs, bns in layers
+                   for t in (fcs[k].weight, fcs[k].bias, bns[k].gamma,
+                             bns[k].beta))
     out = Tensor._from_op(v, (pooled,) + leaves, bwd, "encode_attention")
     for s, mean, var in tracked:
         s.track(mean.reshape(-1), var.reshape(-1))
@@ -229,7 +227,7 @@ def couple_attention(a: Tensor) -> Tensor:
         half = g[2] * 0.5
         gd = (np.array((g[0], half)) * pos * (1.0 - pos)
               - np.array((half, g[1])) * neg * (1.0 - neg))
-        return [(a, np.array((gd[0], gd[1] - gd[0], -gd[1])))]
+        return (np.array((gd[0], gd[1] - gd[0], -gd[1])),)
 
     return Tensor._from_op(np.array((pos[0], neg[1], (neg[0] + pos[1]) * 0.5)),
                            (a,), bwd, "couple_attention")
@@ -365,18 +363,15 @@ def _gated_fuse(feat: Tensor, att: Tensor, masks: AnatomyMasks, p: AaaParams,
         c3 = (scale[k4] * a * (e0 - mean_d + centre * mean_dx / std)[k4]
               ).sum(axis=0)
         d_feat = (c1 @ region) * gf + (c2 @ region) * f + c3 @ region
-        return [(feat, d_feat.reshape(n, c, h, w)),
-                (att, np.array((d_a[0, :, :, 0], d_a[1, :, :, 1],
-                                d_a[2].sum(axis=2)))),
-                (p.bn_le.gamma, d_gamma[0]), (p.bn_le.beta, sum_s0),
-                (p.bn_he.gamma, d_gamma[1]), (p.bn_he.beta, sum_s0),
-                (p.bn_bks.gamma, d_gamma[2]), (p.bn_bks.beta, sum_s0),
-                (fuse.gamma, d_fuse_gamma), (fuse.beta, sum_g)]
+        return (d_feat.reshape(n, c, h, w),
+                np.array((d_a[0, :, :, 0], d_a[1, :, :, 1],
+                          d_a[2].sum(axis=2))),
+                d_gamma[0], sum_s0, d_gamma[1], sum_s0, d_gamma[2], sum_s0,
+                d_fuse_gamma, sum_g)
 
     out = Tensor._from_op(
         out_data.reshape(n, c, h, w),
-        (feat, att) + tuple(t for s in states
-                                          for t in (s.gamma, s.beta)),
+        (feat, att) + tuple(t for s in states for t in (s.gamma, s.beta)),
         bwd, "gated_fuse")
     if train:
         for s, m, v in zip(states, (*batch_mean, z_mean + shift),

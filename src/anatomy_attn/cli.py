@@ -62,7 +62,7 @@ def _out_dir(args) -> Path:
 
 
 def cmd_gradcheck(args, cfg) -> int:
-    reports = run_gradcheck_suite(tol=args.tol, inject_fault=args.inject_fault,
+    reports = run_gradcheck_suite(tol=args.tol,
                                   include_models=not args.skip_models)
     failed = [r for r in reports if not r.passed]
     for r in reports:
@@ -190,8 +190,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("gradcheck", help="run the finite-difference suite")
     p.add_argument("--tol", type=float, default=1e-4)
-    p.add_argument("--inject-fault", action="store_true",
-                   help=argparse.SUPPRESS)  # test hook
     p.add_argument("--skip-models", action="store_true",
                    help="check only ops and losses, not end-to-end models")
     p.set_defaults(func=cmd_gradcheck)

@@ -25,9 +25,13 @@ class GradCheckReport:
         return self.tol / self.max_rel_err if self.max_rel_err else np.inf
 
 
+# Central-difference step: its truncation error O(_EPS^2) and the rounding
+# error O(1e-16 / _EPS) of an fp64 difference both stay far below tol.
+_EPS = 1e-5
+
 # Relative disagreement between two finite-difference estimates above which
 # a coordinate is treated as sitting on a kink (ReLU/max/clamp): independent
-# estimates agree to ~O(eps) on smooth coordinates and to O(1) on kinks.
+# estimates agree to ~O(_EPS) on smooth coordinates and to O(1) on kinks.
 _KINK_DISAGREEMENT = 1e-3
 
 
@@ -35,7 +39,7 @@ def _rel_err(a: float, n: float) -> float:
     return abs(a - n) / max(1.0, abs(a), abs(n))
 
 
-def grad_check(f, inputs, eps: float = 1e-5, tol: float = 1e-4,
+def grad_check(f, inputs, tol: float = 1e-4,
                name: str = "f", max_coords: int | None = None,
                rng: np.random.Generator | None = None) -> GradCheckReport:
     """Compare reverse-mode gradients of scalar-valued `f` against central
@@ -46,8 +50,6 @@ def grad_check(f, inputs, eps: float = 1e-5, tol: float = 1e-4,
     by `rng`, fixed seed 0 by default): the comparison stays exact per
     probed coordinate, only coverage shrinks.
     """
-    if not 1e-7 <= eps <= 1e-4:
-        raise ValueError(f"eps {eps} outside [1e-7, 1e-4]")
     inputs = list(inputs)
     for t in inputs:
         t.requires_grad = True
@@ -79,25 +81,25 @@ def grad_check(f, inputs, eps: float = 1e-5, tol: float = 1e-4,
                 flat[k] = orig
                 return val
 
-            hi = probe(eps)
-            lo = probe(-eps)
-            fd = (hi - lo) / (2.0 * eps)
+            hi = probe(_EPS)
+            lo = probe(-_EPS)
+            fd = (hi - lo) / (2.0 * _EPS)
             err = _rel_err(a.reshape(-1)[k], fd)
             if err > tol:
                 # A kink (ReLU/max/clamp corner) inside the probe interval
                 # makes the central difference invalid. Two symptoms, each
                 # checked against an independent estimate that costs little:
                 #  - forward and backward one-sided slopes differ by the slope
-                #    jump when the kink sits at (or within eps of) the point;
+                #    jump when the kink sits at (or within _EPS of) the point;
                 #  - the halved-step central difference moves when the kink
                 #    sits strictly inside only the wider interval.
-                # Smooth coordinates keep all estimates within O(eps).
-                fwd = (hi - base) / eps
-                bwd = (base - lo) / eps
+                # Smooth coordinates keep all estimates within O(_EPS).
+                fwd = (hi - base) / _EPS
+                bwd = (base - lo) / _EPS
                 if _rel_err(fwd, bwd) > _KINK_DISAGREEMENT:
                     report.skipped_kinks += 1
                     continue
-                fd_half = (probe(eps / 2.0) - probe(-eps / 2.0)) / eps
+                fd_half = (probe(_EPS / 2.0) - probe(-_EPS / 2.0)) / _EPS
                 if _rel_err(fd, fd_half) > _KINK_DISAGREEMENT:
                     report.skipped_kinks += 1
                     continue

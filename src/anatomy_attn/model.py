@@ -141,6 +141,8 @@ class ToyModel:
                 raise ValueError(f"tensor {name!r} has shape "
                                  f"{np.shape(arrays[name])}, expected "
                                  f"{ref.shape}")
+            if not np.isfinite(arrays[name]).all():
+                raise ValueError(f"tensor {name!r} holds non-finite values")
         for name, t in self.parameters():
             t.data = np.array(arrays[name], dtype=np.float64)
         for name, bn, attr in self._running_stats():

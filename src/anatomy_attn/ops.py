@@ -9,7 +9,7 @@ from functools import lru_cache
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .tensor import Tensor, ignore_fp_errors
+from .tensor import NonFiniteError, Tensor, ignore_fp_errors
 
 BN_EPSILON = 1e-5
 BN_MOMENTUM = 0.1
@@ -114,7 +114,7 @@ def fully_connected(v: Tensor, p: LinearParams) -> Tensor:
                          f"weight in-dim {w.shape[1]}")
 
     def bwd(g):
-        return [(v, g @ w.data), (w, (v.data.T @ g).T), (b, g.sum(axis=0))]
+        return g @ w.data, (v.data.T @ g).T, g.sum(axis=0)
 
     return Tensor._from_op(v.data @ w.data.T + b.data, (v, w, b), bwd,
                            "fully_connected")
@@ -131,9 +131,9 @@ def conv_1x1(x: Tensor, weight: Tensor, bias: Tensor) -> Tensor:
                 + bias.data.reshape(1, -1, 1, 1))
 
     def bwd(g):
-        return [(x, np.einsum("oc,nohw->nchw", weight.data, g)),
-                (weight, np.einsum("nohw,nchw->oc", g, x.data)),
-                (bias, g.sum(axis=(0, 2, 3)).reshape(bias.shape))]
+        return (np.einsum("oc,nohw->nchw", weight.data, g),
+                np.einsum("nohw,nchw->oc", g, x.data),
+                g.sum(axis=(0, 2, 3)).reshape(bias.shape))
 
     return Tensor._from_op(out_data, (x, weight, bias), bwd, "conv_1x1")
 
@@ -196,9 +196,8 @@ def conv3x3(x: Tensor, weight: Tensor, bias: Tensor, stride: int = 1) -> Tensor:
             for dj in range(3):
                 gxp[:, :, di:di + stride * ho:stride,
                     dj:dj + stride * wo:stride] += gcols[:, :, di, dj]
-        return [(x, gxp[:, :, 1:1 + h, 1:1 + w]),
-                (weight, gw.reshape(weight.shape)),
-                (bias, g.sum(axis=(0, 2, 3)))]
+        return (gxp[:, :, 1:1 + h, 1:1 + w], gw.reshape(weight.shape),
+                g.sum(axis=(0, 2, 3)))
 
     return Tensor._from_op(out_data, (x, weight, bias), bwd, "conv3x3")
 
@@ -243,30 +242,34 @@ def resize(x: Tensor, target: tuple, method: str = "bilinear") -> Tensor:
     cm = interp_matrix(w, tw, method)
 
     def bwd(g):
-        return [(x, rm.T @ g @ cm)]
+        return (rm.T @ g @ cm,)
 
     return Tensor._from_op(rm @ x.data @ cm.T, (x,), bwd, f"resize_{method}")
 
 
+@ignore_fp_errors
 def bn_arrays(x: np.ndarray, axes: tuple, gamma: np.ndarray,
-              beta: np.ndarray, running=None):
+              beta: np.ndarray, running, op: str):
     """Batch normalization of the array `x` over `axes`, outside the graph:
     the math of `batch_norm` and of `attention.encode_attention`.
 
     `gamma`, `beta` and the `running` (mean, var) pair broadcast against
     x. Returns (out, mean, var, backward); backward(g) gives (dx, dgamma,
-    dbeta), the last two summed over `axes`. Without `running`, x is
-    normalized with its batch statistics, returned with the reduced axes
-    kept, and the backward differentiates through them in closed form
+    dbeta), the last two summed over `axes`. Without `running` (None), x
+    is normalized with its batch statistics, returned with the reduced
+    axes kept, and the backward differentiates through them in closed form
     (Ioffe & Szegedy 2015): with g_hat = g * gamma,
     dx = (g_hat - mean(g_hat) - x_hat * mean(g_hat * x_hat)) / std.
     With `running`, mean and var are None and the statistics are
-    constants: dx = g_hat / std.
+    constants: dx = g_hat / std. A non-finite batch variance raises
+    NonFiniteError naming `op`.
     """
     if running is None:
         mean = x.mean(axis=axes, keepdims=True)
         xm = x - mean
         var = (xm * xm).mean(axis=axes, keepdims=True)
+        if not np.isfinite(var).all():
+            raise NonFiniteError(f"non-finite batch variance in op '{op}'")
         std = np.sqrt(var + BN_EPSILON)
         x_hat = xm / std
     else:
@@ -315,12 +318,8 @@ def batch_norm(x: Tensor, s: BatchNormState, train: bool) -> Tensor:
                                   s.running_var.reshape(param_shape))
     out, mean, var, bn_bwd = bn_arrays(
         x.data, axes, s.gamma.data.reshape(param_shape),
-        s.beta.data.reshape(param_shape), running)
-
-    def bwd(g):
-        return list(zip((x, s.gamma, s.beta), bn_bwd(g)))
-
-    out = Tensor._from_op(out, (x, s.gamma, s.beta), bwd, "batch_norm")
+        s.beta.data.reshape(param_shape), running, "batch_norm")
+    out = Tensor._from_op(out, (x, s.gamma, s.beta), bn_bwd, "batch_norm")
     if train:
         s.track(mean.reshape(-1), var.reshape(-1))
     return out

@@ -194,27 +194,12 @@ def _model_targets(rng):
     return targets
 
 
-def _fault_target():
-    """Deliberately sign-flipped backward; must fail any sane tolerance."""
-
-    def bad_square(x):
-        return Tensor._from_op(x.data ** 2, (x,),
-                               lambda g: [(x, -2.0 * g * x.data)],
-                               "bad_square")
-
-    x = Tensor(np.linspace(0.5, 1.5, 6))
-    return ("injected_sign_flip", lambda t: bad_square(t).sum(), [x])
-
-
-def run_gradcheck_suite(tol: float = 1e-4, inject_fault: bool = False,
-                        include_models: bool = True):
+def run_gradcheck_suite(tol: float = 1e-4, include_models: bool = True):
     """Run every target; returns a list of GradCheckReport."""
     rng = np.random.default_rng(42)
     targets = _op_targets(rng) + _attention_targets(rng) + _seg_targets(rng)
     if include_models:
         targets += _model_targets(rng)
-    if inject_fault:
-        targets.append(_fault_target())
 
     reports = []
     for name, f, inputs in targets:

@@ -83,6 +83,8 @@ class Tensor:
 
     @classmethod
     def _from_op(cls, data, parents, backward_fn, op: str) -> "Tensor":
+        """The output of op `op`: `backward_fn(g)` returns the gradient
+        for each of `parents`, one per entry and in that order."""
         data = np.asarray(data, dtype=np.float64)
         _check_finite(data, op)
         out = cls.__new__(cls)
@@ -107,7 +109,9 @@ class Tensor:
     # -- autodiff -------------------------------------------------------------
 
     def backward(self, grad=None) -> None:
-        """Reverse-mode sweep from this tensor through its graph."""
+        """Reverse-mode sweep from this tensor through its graph. A node
+        whose backward returns a gradient count other than its parent
+        count raises ValueError."""
         if grad is None:
             grad = np.ones_like(self.data)
         else:
@@ -137,7 +141,8 @@ class Tensor:
                 node.grad = g.copy() if node.grad is None else node.grad + g
             if node._backward_fn is None:
                 continue
-            for parent, pg in node._backward_fn(g):
+            for parent, pg in zip(node._parents, node._backward_fn(g),
+                                  strict=True):
                 key = id(parent)
                 if key in grads:
                     grads[key] = grads[key] + pg
@@ -153,7 +158,7 @@ class Tensor:
         return _binary(other, self, "add")
 
     def __neg__(self):
-        return Tensor._from_op(-self.data, (self,), lambda g: [(self, -g)], "neg")
+        return Tensor._from_op(-self.data, (self,), lambda g: (-g,), "neg")
 
     def __sub__(self, other):
         return _binary(self, other, "sub")
@@ -178,7 +183,7 @@ class Tensor:
         out_data = self.data ** exponent
 
         def bwd(g):
-            return [(self, g * exponent * self.data ** (exponent - 1))]
+            return (g * exponent * self.data ** (exponent - 1),)
 
         return Tensor._from_op(out_data, (self,), bwd, "pow")
 
@@ -187,7 +192,7 @@ class Tensor:
         out_data = np.exp(self.data)
 
         def bwd(g):
-            return [(self, g * out_data)]
+            return (g * out_data,)
 
         return Tensor._from_op(out_data, (self,), bwd, "exp")
 
@@ -196,7 +201,7 @@ class Tensor:
         out_data = np.log(self.data)
 
         def bwd(g):
-            return [(self, g / self.data)]
+            return (g / self.data,)
 
         return Tensor._from_op(out_data, (self,), bwd, "log")
 
@@ -204,7 +209,7 @@ class Tensor:
         mask = self.data > 0.0
 
         def bwd(g):
-            return [(self, g * mask)]
+            return (g * mask,)
 
         return Tensor._from_op(self.data * mask, (self,), bwd, "relu")
 
@@ -212,7 +217,7 @@ class Tensor:
         out_data = logistic(self.data)
 
         def bwd(g):
-            return [(self, g * out_data * (1.0 - out_data))]
+            return (g * out_data * (1.0 - out_data),)
 
         return Tensor._from_op(out_data, (self,), bwd, "sigmoid")
 
@@ -220,7 +225,7 @@ class Tensor:
         sign = np.sign(self.data)
 
         def bwd(g):
-            return [(self, g * sign)]
+            return (g * sign,)
 
         return Tensor._from_op(np.abs(self.data), (self,), bwd, "abs")
 
@@ -234,20 +239,22 @@ class Tensor:
             inside &= self.data <= hi
 
         def bwd(g):
-            return [(self, g * inside)]
+            return (g * inside,)
 
         return Tensor._from_op(out_data, (self,), bwd, "clamp")
 
     # -- reductions -----------------------------------------------------------
 
+    @ignore_fp_errors
     def sum(self, axis=None, keepdims: bool = False):
         out_data = self.data.sum(axis=axis, keepdims=keepdims)
 
         def bwd(g):
-            return [(self, _spread(g, axis, keepdims, self.shape))]
+            return (_spread(g, axis, keepdims, self.shape),)
 
         return Tensor._from_op(out_data, (self,), bwd, "sum")
 
+    @ignore_fp_errors
     def mean(self, axis=None, keepdims: bool = False):
         """`sum` times the reciprocal count, as one node."""
         if axis is None:
@@ -259,7 +266,7 @@ class Tensor:
         out_data = self.data.sum(axis=axis, keepdims=keepdims) * scale
 
         def bwd(g):
-            return [(self, _spread(g * scale, axis, keepdims, self.shape))]
+            return (_spread(g * scale, axis, keepdims, self.shape),)
 
         return Tensor._from_op(out_data, (self,), bwd, "mean")
 
@@ -271,7 +278,7 @@ class Tensor:
         mask /= mask.sum(axis=axis, keepdims=True)
 
         def bwd(g):
-            return [(self, mask * np.expand_dims(g, axis))]
+            return (mask * np.expand_dims(g, axis),)
 
         return Tensor._from_op(np.squeeze(out_data, axis=axis), (self,), bwd,
                                "max")
@@ -282,7 +289,7 @@ class Tensor:
         src_shape = self.shape
 
         def bwd(g):
-            return [(self, g.reshape(src_shape))]
+            return (g.reshape(src_shape),)
 
         return Tensor._from_op(self.data.reshape(shape), (self,), bwd, "reshape")
 
@@ -308,7 +315,7 @@ def _binary(x, y, op: str) -> Tensor:
     partials = [(t, d) for t, d in ((x, dx), (y, dy)) if isinstance(t, Tensor)]
 
     def bwd(g):
-        return [(t, _unbroadcast(d(g, xd, yd), t.shape)) for t, d in partials]
+        return [_unbroadcast(d(g, xd, yd), t.shape) for t, d in partials]
 
     return Tensor._from_op(forward(xd, yd), [t for t, _ in partials], bwd, op)
 
@@ -331,10 +338,10 @@ def concat(tensors, axis: int) -> Tensor:
 
     def bwd(g):
         pieces = []
-        for t, lo, hi in zip(tensors, offsets[:-1], offsets[1:]):
+        for lo, hi in zip(offsets[:-1], offsets[1:]):
             idx = [slice(None)] * g.ndim
             idx[axis] = slice(lo, hi)
-            pieces.append((t, g[tuple(idx)]))
+            pieces.append(g[tuple(idx)])
         return pieces
 
     return Tensor._from_op(out_data, tensors, bwd, "concat")

@@ -394,6 +394,18 @@ class TestGroupedAttention:
         assert [not np.array_equal(x, y)
                 for x, y in zip(after, before)] == [train] * 12
 
+    def test_overflowing_batch_variance_raises_and_keeps_running_stats(self):
+        pooled, encoders = _encoder_case(4, 8)
+        pooled.data[2] = 1e160
+        before = [a.copy() for s in _states(encoders)
+                  for a in (s.running_mean, s.running_var)]
+        with pytest.raises(NonFiniteError, match="encode_attention"):
+            encode_attention(pooled, encoders, True)
+        after = [a for s in _states(encoders)
+                 for a in (s.running_mean, s.running_var)]
+        for x, y in zip(after, before):
+            np.testing.assert_array_equal(x, y)
+
     def test_one_sample_rejected_in_train(self):
         pooled, encoders = _encoder_case(1, 4)
         with pytest.raises(ValueError, match=">= 2 elements"):

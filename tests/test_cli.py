@@ -124,6 +124,15 @@ def _map_weights(fn):
     return edit
 
 
+def _poison(name, value):
+    """Checkpoint edit that sets the first entry of tensor `name` to
+    `value`."""
+    def poison(arrays):
+        arrays[name].flat[0] = value
+        return arrays
+    return _map_weights(poison)
+
+
 def _write(name, text):
     """Checkpoint edit that replaces file `name` with `text`."""
     def edit(ckpt):
@@ -275,10 +284,15 @@ class TestExitCodes:
         (_write("weights.bin.manifest.json", "[1]"),
          'is not {"tensors": [name, ...]}'),
         (_write("weights.bin.manifest.json", '{"tensors": [1]}'),
-         'is not {"tensors": [name, ...]}')],
+         'is not {"tensors": [name, ...]}'),
+        (_poison("classifier.weight", np.nan),
+         "tensor 'classifier.weight' holds non-finite values"),
+        (_poison("aaa2.bnstate0.running_var", np.inf),
+         "tensor 'aaa2.bnstate0.running_var' holds non-finite values")],
         ids=["wrong_shape", "missing", "unexpected", "widths_int",
              "size_str", "config_list", "r_inf", "r_nan", "manifest_int",
-             "manifest_list", "manifest_int_name"])
+             "manifest_list", "manifest_int_name", "weight_nan",
+             "running_var_inf"])
     def test_corrupt_checkpoint_exits_2_naming_the_fault(
             self, tmp_path, capsys, edit, message):
         ckpt = tmp_path / "ckpt"
@@ -363,12 +377,12 @@ class TestExitCodes:
             main(["frobnicate"])
         assert exc.value.code == 2
 
-    def test_gradcheck_fault_injection_exits_1(self, capsys):
-        code = main(["gradcheck", "--inject-fault", "--skip-models"])
+    def test_gradcheck_fault_injection_exits_1(self, capsys,
+                                               sign_flipped_suite):
+        code = main(["gradcheck", "--skip-models"])
         out = capsys.readouterr().out
         assert code == 1
-        assert "injected_sign_flip" in out
-        assert "FAIL" in out
+        assert "FAIL  injected_sign_flip" in out
 
     def test_gradcheck_impossible_tolerance_exits_1(self, capsys):
         code = main(["gradcheck", "--tol", "1e-12", "--skip-models"])

@@ -51,7 +51,7 @@ class TestGradCheck:
         def bad(x):
             # forward x^2 but backward claims d/dx = x (missing factor 2)
             return Tensor._from_op(x.data ** 2, (x,),
-                                   lambda g: [(x, g * x.data)],
+                                   lambda g: (g * x.data,),
                                    "bad").sum()
 
         report = grad_check(bad, [Tensor(np.linspace(1.0, 2.0, 4))])
@@ -60,7 +60,7 @@ class TestGradCheck:
     def test_catches_sign_flip(self):
         def flipped(x):
             return Tensor._from_op(x.data ** 2, (x,),
-                                   lambda g: [(x, -2.0 * g * x.data)],
+                                   lambda g: (-2.0 * g * x.data,),
                                    "flipped").sum()
 
         report = grad_check(flipped, [Tensor(np.linspace(0.5, 1.5, 4))])
@@ -96,13 +96,6 @@ class TestGradCheck:
                         rng=np.random.default_rng(3))
         assert r1.max_rel_err == r2.max_rel_err
 
-    def test_eps_bounds_enforced(self):
-        x = Tensor(np.ones(2))
-        with pytest.raises(ValueError):
-            grad_check(lambda t: t.sum(), [x], eps=1e-2)
-        with pytest.raises(ValueError):
-            grad_check(lambda t: t.sum(), [x], eps=1e-9)
-
     def test_non_scalar_target_rejected(self):
         with pytest.raises(ValueError):
             grad_check(lambda t: t * 2.0, [Tensor(np.ones(3))])
@@ -122,12 +115,11 @@ class TestSuite:
         failed = [r.name for r in reports if not r.passed]
         assert failed == []
 
-    def test_injected_fault_is_detected(self):
+    def test_injected_fault_is_detected(self, sign_flipped_suite):
         from anatomy_attn.suite import run_gradcheck_suite
-        reports = run_gradcheck_suite(include_models=False,
-                                      inject_fault=True)
-        by_name = {r.name: r for r in reports}
-        assert not by_name["injected_sign_flip"].passed
+        reports = run_gradcheck_suite(include_models=False)
+        failed = [r.name for r in reports if not r.passed]
+        assert failed == ["injected_sign_flip"]
 
     def test_reports_do_not_depend_on_hash_seed(self):
         # coordinate sampling must not follow the interpreter's str-hash salt

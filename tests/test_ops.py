@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from anatomy_attn.gradcheck import grad_check
-from anatomy_attn.tensor import Tensor
+from anatomy_attn.tensor import NonFiniteError, Tensor
 from anatomy_attn.ops import (BN_EPSILON, BatchNormState, LinearParams,
                               batch_norm, conv3x3, conv_1x1, fully_connected,
                               resize, softmax_channels, softmax_pair)
@@ -227,6 +227,13 @@ class TestBatchNorm:
         s = _bn_state(rng, 3)
         x = Tensor(rng.normal(size=(4, 3)))
         assert batch_norm(x, s, train)._parents == (x, s.gamma, s.beta)
+
+    def test_overflowing_batch_variance_raises_and_keeps_running_stats(self):
+        s = BatchNormState.init(1)
+        with pytest.raises(NonFiniteError, match="batch_norm"):
+            batch_norm(Tensor([[1e200], [1.0], [2.0]]), s, True)
+        np.testing.assert_array_equal(s.running_mean, [0.0])
+        np.testing.assert_array_equal(s.running_var, [1.0])
 
     @pytest.mark.parametrize("shape", [(5, 3), (2, 3, 3, 3)])
     def test_eval_mode_gradcheck(self, rng, shape):
