@@ -3,11 +3,12 @@
 The attention block recalibrates a feature map with three coupled
 channel-attention vectors: a lung enhancer and a heart enhancer gated by
 binary anatomy masks, plus a background suppressor that sees the whole
-feature map. The three vectors travel as one stacked [3,N,C] tensor
-(rows: encoder 1, 2, 3, then A_LE, A_HE, A_BkS): `encode_attention` runs
-the three encoders as one graph node on a leading group axis, in the
-manner of grouped branches (Xie et al. 2017), and `couple_attention`
-couples them as a second node. Pooling weights come from a learned 1x1
+feature map. The three encoders are one grouped layer, in the manner of
+grouped branches (Xie et al. 2017): their parameters are stored stacked
+on a leading group axis, and `encode_attention` runs them as one graph
+node. The three vectors travel as one stacked [3,N,C] tensor (rows:
+encoder 1, 2, 3, then A_LE, A_HE, A_BkS), which `couple_attention`
+couples as a second node. Pooling weights come from a learned 1x1
 conv + sigmoid, normalized by their spatial sum.
 """
 
@@ -43,7 +44,9 @@ class PwapParams:
 
 @dataclass
 class AttentionEncoderParams:
-    """FC -> ReLU -> BN -> FC -> ReLU -> BN bottleneck.
+    """The three FC -> ReLU -> BN -> FC -> ReLU -> BN bottlenecks, stacked:
+    row k of every array is encoder k (fc weights [3,out,in], the rest
+    [3,width]).
 
     Hidden width is round(C / r). With the published r = 0.5 this is an
     expansion to 2C; r is kept configurable.
@@ -57,10 +60,20 @@ class AttentionEncoderParams:
     @classmethod
     def init(cls, channels: int, r: float, rng: np.random.Generator):
         hidden = max(1, round(channels / r))
-        return cls(LinearParams.init(channels, hidden, rng),
-                   BatchNormState.init(hidden),
-                   LinearParams.init(hidden, channels, rng),
-                   BatchNormState.init(channels))
+        # encoder by encoder, fc1 before fc2: three separate encoders' draws
+        rows = [(LinearParams.init(channels, hidden, rng),
+                 LinearParams.init(hidden, channels, rng)) for _ in range(3)]
+
+        def stack(fcs):
+            return LinearParams(
+                Tensor(np.array([fc.weight.data for fc in fcs]),
+                       requires_grad=True),
+                Tensor(np.array([fc.bias.data for fc in fcs]),
+                       requires_grad=True))
+
+        fc1, fc2 = (stack(fcs) for fcs in zip(*rows))
+        return cls(fc1, BatchNormState.init((3, hidden)),
+                   fc2, BatchNormState.init((3, channels)))
 
 
 @dataclass
@@ -104,26 +117,21 @@ class AnatomyMasks:
 
 @dataclass
 class AaaParams:
-    """One attention block: three encoders sharing channel count C, an
-    intra-block pooling head, and four independent BN states."""
+    """One attention block: the three stacked encoders sharing channel
+    count C, an intra-block pooling head, the three branch batch norms
+    stacked [3,C] (rows le, he, bks) and the fusing batch norm."""
 
-    enc1: AttentionEncoderParams
-    enc2: AttentionEncoderParams
-    enc3: AttentionEncoderParams
+    enc: AttentionEncoderParams
     intra_pwap: PwapParams
-    bn_le: BatchNormState
-    bn_he: BatchNormState
-    bn_bks: BatchNormState
+    bn_branches: BatchNormState
     bn_fuse: BatchNormState
 
     @classmethod
     def init(cls, channels: int, r: float, rng: np.random.Generator):
         return cls(AttentionEncoderParams.init(channels, r, rng),
-                   AttentionEncoderParams.init(channels, r, rng),
-                   AttentionEncoderParams.init(channels, r, rng),
                    PwapParams.init(channels),
-                   BatchNormState.init(channels), BatchNormState.init(channels),
-                   BatchNormState.init(channels), BatchNormState.init(channels))
+                   BatchNormState.init((3, channels)),
+                   BatchNormState.init(channels))
 
 
 def pwap(feat: Tensor, p: PwapParams):
@@ -141,49 +149,42 @@ def pwap(feat: Tensor, p: PwapParams):
 
 
 @ignore_fp_errors
-def encode_attention(pooled: Tensor, encoders, train: bool) -> Tensor:
+def encode_attention(pooled: Tensor, enc: AttentionEncoderParams,
+                     train: bool) -> Tensor:
     """pooled[N,C] -> [3,N,C]: row k is encoder k's
     FC -> ReLU -> BN -> FC -> ReLU -> BN, all three as one graph node.
 
-    Each layer stacks the three encoders' parameters on a leading group
-    axis: batched matmuls (equal bit for bit to one `v @ W.T` per
-    encoder) and batch norms over axis 1 by `ops.bn_arrays`. The parents
-    are pooled and the 24 per-encoder leaves, read from `layers` in the
-    order the backward returns their gradients (encoder by encoder, then
-    per layer weight, bias, gamma, beta: their checkpoint-name order), so
-    parameters and their names do not change. The backward sums pooled's
-    three input gradients in encoder order. With `train`, each of the six
-    batch-norm states tracks its own batch statistics once the output has
-    passed the finiteness check.
+    Each layer reads the stacked [3,...] parameters directly: batched
+    matmuls (equal bit for bit to one `v @ W.T` per encoder) and batch
+    norms over axis 1 by `ops.bn_arrays`. The parents are pooled and the
+    eight stacked leaves, per layer weight, bias, gamma, beta (their
+    checkpoint-name order). The backward sums pooled's three input
+    gradients in encoder order. With `train`, both batch-norm states
+    track their batch statistics once the output has passed the
+    finiteness check.
     """
     n, c = pooled.shape
-    widths = sorted({e.fc1.weight.shape[1] for e in encoders})
-    if widths != [c]:
+    width = enc.fc1.weight.shape[2]
+    if width != c:
         raise ValueError(f"encode_attention: pooled width {c} != encoder "
-                         f"input widths {widths}")
+                         f"input width {width}")
     if train and n < 2:
         raise ValueError("train-mode batch_norm needs >= 2 elements "
                          "per channel for the variance")
-    layers = [(tuple(e.fc1 for e in encoders), tuple(e.bn1 for e in encoders)),
-              (tuple(e.fc2 for e in encoders), tuple(e.bn2 for e in encoders))]
 
-    def stacked(arrays):                                      # [3,1,width]
-        return np.array(arrays)[:, None, :]
-
-    v, saved, tracked = pooled.data, [], []
-    for fcs, bns in layers:
-        w = np.array([fc.weight.data for fc in fcs])          # [3,out,in]
-        h = np.matmul(v, w.transpose(0, 2, 1)) + stacked(
-            [fc.bias.data for fc in fcs])
+    v, saved, parents, tracked = pooled.data, [], (pooled,), []
+    for fc, bn in ((enc.fc1, enc.bn1), (enc.fc2, enc.bn2)):
+        w = fc.weight.data                                    # [3,out,in]
+        h = np.matmul(v, w.transpose(0, 2, 1)) + fc.bias.data[:, None, :]
         mask = h > 0.0
-        running = None if train else (stacked([s.running_mean for s in bns]),
-                                      stacked([s.running_var for s in bns]))
+        running = None if train else (bn.running_mean[:, None, :],
+                                      bn.running_var[:, None, :])
         out, mean, var, bn_bwd = bn_arrays(
-            h * mask, (1,), stacked([s.gamma.data for s in bns]),
-            stacked([s.beta.data for s in bns]), running, "encode_attention")
+            h * mask, (1,), bn.gamma.data[:, None, :],
+            bn.beta.data[:, None, :], running, "encode_attention")
         saved.append((v, w, mask, bn_bwd))
-        if train:
-            tracked += zip(bns, mean, var)
+        parents += (fc.weight, fc.bias, bn.gamma, bn.beta)
+        tracked.append((bn, mean, var))
         v = out
 
     def bwd(g):
@@ -194,15 +195,12 @@ def encode_attention(pooled: Tensor, encoders, train: bool) -> Tensor:
             d_w = np.matmul(np.swapaxes(v, -1, -2), g).transpose(0, 2, 1)
             grads[:0] = [d_w, g.sum(axis=1), d_gamma, d_beta]
             g = np.matmul(g, w)
-        return [g[0] + g[1] + g[2]] + [d[k] for k in range(len(encoders))
-                                       for d in grads]
+        return [g[0] + g[1] + g[2]] + grads
 
-    leaves = tuple(t for k in range(len(encoders)) for fcs, bns in layers
-                   for t in (fcs[k].weight, fcs[k].bias, bns[k].gamma,
-                             bns[k].beta))
-    out = Tensor._from_op(v, (pooled,) + leaves, bwd, "encode_attention")
-    for s, mean, var in tracked:
-        s.track(mean.reshape(-1), var.reshape(-1))
+    out = Tensor._from_op(v, parents, bwd, "encode_attention")
+    if train:
+        for bn, mean, var in tracked:
+            bn.track(mean[:, 0], var[:, 0])
     return out
 
 
@@ -257,8 +255,7 @@ def aaa_forward(feat_us: Tensor, masks: AnatomyMasks, p: AaaParams,
     if masks.spatial != (h, w):
         raise ValueError(f"mask spatial {masks.spatial} != feature ({h},{w})")
     pooled, _ = pwap(feat_us, p.intra_pwap)
-    att = couple_attention(
-        encode_attention(pooled, (p.enc1, p.enc2, p.enc3), train))
+    att = couple_attention(encode_attention(pooled, p.enc, train))
     return _gated_fuse(feat_us, att, masks, p, train)
 
 
@@ -267,8 +264,9 @@ def _gated_fuse(feat: Tensor, att: Tensor, masks: AnatomyMasks, p: AaaParams,
                 train: bool) -> Tensor:
     """bn_fuse(bn_le(a_le*lung*f) + bn_he(a_he*heart*f) + bn_bks(a_bks*f))
     as one graph node with parents feat, the stacked [3,N,C] attention
-    vectors att = (a_le, a_he, a_bks) and the eight batch-norm gammas and
-    betas.
+    vectors att = (a_le, a_he, a_bks) and the four batch-norm gammas and
+    betas: the [3,C] stacks of bn_branches (rows le, he, bks), then
+    bn_fuse's.
 
     Relies on the masks being binary and disjoint, which `AnatomyMasks`
     enforces: the pixels split into regions R = (lung, heart, rest), each
@@ -281,14 +279,12 @@ def _gated_fuse(feat: Tensor, att: Tensor, masks: AnatomyMasks, p: AaaParams,
     Ug = (f*g) @ R.T, and expands dfeat = c1*g + c2*f + c3 with each
     [N,C,3] coefficient taken through @ R. Without `train`, every state
     normalizes with its running statistics, as constants. With it,
-    running statistics are updated in the order le, he, bks, fuse once
-    the output has passed the finiteness check.
+    running statistics are updated, branches before fuse, once the output
+    has passed the finiteness check.
     """
     n, c, h, w = feat.shape
-    branches = (p.bn_le, p.bn_he, p.bn_bks)
-    fuse = p.bn_fuse
-    states = branches + (fuse,)
-    for s in states:
+    branches, fuse = p.bn_branches, p.bn_fuse
+    for s in (branches, fuse):
         if s.channels != c:
             raise ValueError(f"_gated_fuse: {c} channels vs batch-norm state "
                              f"with {s.channels}")
@@ -312,16 +308,13 @@ def _gated_fuse(feat: Tensor, att: Tensor, masks: AnatomyMasks, p: AaaParams,
     if train:
         centre, var = batch_mean, batch_var
     else:
-        centre = np.array([s.running_mean for s in branches])
-        var = np.array([s.running_var for s in branches])
+        centre, var = branches.running_mean, branches.running_var
     std = np.sqrt(var + BN_EPSILON)
-    gamma = np.array([s.gamma.data for s in branches])
-    beta = np.array([s.beta.data for s in branches])
-    scale = gamma / std
+    scale = branches.gamma.data / std
 
     # fused = f * (B @ R) + shift[c]; bn_fuse sees z = f * (B @ R)
     b = (scale[:, None, :, None] * a).sum(axis=0)             # [N,C,3]
-    shift = (beta - scale * centre).sum(axis=0)
+    shift = (branches.beta.data - scale * centre).sum(axis=0)
     z_mean = (b * q1).sum(axis=(0, 2)) / count
     z_var = np.maximum((b * b * q2).sum(axis=(0, 2)) / count
                        - z_mean ** 2, 0.0)
@@ -352,8 +345,9 @@ def _gated_fuse(feat: Tensor, att: Tensor, masks: AnatomyMasks, p: AaaParams,
         s1 = alpha[:, None] * ug + e0[:, None] * q1 + e1 * q2
         sum_s0 = s0.sum(axis=(0, 2))
         d_gamma = ((a * s1).sum(axis=(1, 3)) - centre * sum_s0) / std
+        d_beta = np.tile(sum_s0, (3, 1))                      # [3,C]
         # zero in exact arithmetic, but dropping it changes the rounding
-        mean_d = train * np.tile(sum_s0, (3, 1)) / count      # [3,C]
+        mean_d = train * d_beta / count
         mean_dx = train * d_gamma / count
         k4 = (slice(None), None, slice(None), None)           # [3,C] -> 4-D
         d_a = scale[k4] * (s1 - mean_d[k4] * q1
@@ -366,15 +360,13 @@ def _gated_fuse(feat: Tensor, att: Tensor, masks: AnatomyMasks, p: AaaParams,
         return (d_feat.reshape(n, c, h, w),
                 np.array((d_a[0, :, :, 0], d_a[1, :, :, 1],
                           d_a[2].sum(axis=2))),
-                d_gamma[0], sum_s0, d_gamma[1], sum_s0, d_gamma[2], sum_s0,
-                d_fuse_gamma, sum_g)
+                d_gamma, d_beta, d_fuse_gamma, sum_g)
 
     out = Tensor._from_op(
         out_data.reshape(n, c, h, w),
-        (feat, att) + tuple(t for s in states for t in (s.gamma, s.beta)),
+        (feat, att, branches.gamma, branches.beta, fuse.gamma, fuse.beta),
         bwd, "gated_fuse")
     if train:
-        for s, m, v in zip(states, (*batch_mean, z_mean + shift),
-                           (*batch_var, z_var)):
-            s.track(m, v)
+        branches.track(batch_mean, batch_var)
+        fuse.track(z_mean + shift, z_var)
     return out

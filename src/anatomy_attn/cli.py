@@ -6,6 +6,7 @@ Exit codes: 0 success, 1 assertion/suite failure, 2 usage error.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from dataclasses import replace as dc_replace
 from pathlib import Path
@@ -31,6 +32,16 @@ def _seed(raw: str) -> int:
     if seed < 0:
         raise argparse.ArgumentTypeError(f"seed must be >= 0, got {seed}")
     return seed
+
+
+def _tolerance(raw: str) -> float:
+    """argparse type of --tol: a finite float > 0. Against NaN or inf no
+    probe would ever reach the kink test."""
+    tol = float(raw)
+    if not (math.isfinite(tol) and tol > 0):
+        raise argparse.ArgumentTypeError(f"tolerance must be finite and > 0, "
+                                         f"got {raw}")
+    return tol
 
 
 def _seed_list(raw: str) -> list:
@@ -69,7 +80,7 @@ def cmd_gradcheck(args, cfg) -> int:
         status = "PASS" if r.passed else "FAIL"
         print(f"{status}  {r.name:28s} max_rel_err={r.max_rel_err:.3e} "
               f"(tol {r.tol:g}) margin={r.margin:.3g} "
-              f"skipped_kinks={r.skipped_kinks}")
+              f"probed={r.probed} skipped_kinks={r.skipped_kinks}")
     worst = min(reports, key=lambda r: r.margin)
     summary = (f"worst {worst.name} margin={worst.margin:.3g}, "
                f"{sum(r.skipped_kinks for r in reports)} kinks skipped")
@@ -189,7 +200,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("gradcheck", help="run the finite-difference suite")
-    p.add_argument("--tol", type=float, default=1e-4)
+    p.add_argument("--tol", type=_tolerance, default=1e-4)
     p.add_argument("--skip-models", action="store_true",
                    help="check only ops and losses, not end-to-end models")
     p.set_defaults(func=cmd_gradcheck)

@@ -14,6 +14,7 @@ class GradCheckReport:
     tol: float
     per_input: list = field(default_factory=list)
     skipped_kinks: int = 0
+    probed: int = 0             # coordinates compared, skipped kinks included
 
     @property
     def passed(self) -> bool:
@@ -40,17 +41,20 @@ def _rel_err(a: float, n: float) -> float:
 
 
 def grad_check(f, inputs, tol: float = 1e-4,
-               name: str = "f", max_coords: int | None = None,
+               name: str = "f", max_coords: int | list | None = None,
                rng: np.random.Generator | None = None) -> GradCheckReport:
     """Compare reverse-mode gradients of scalar-valued `f` against central
     finite differences.
 
-    `f` must be deterministic in the data of `inputs`. When `max_coords` is
-    set, at most that many coordinates per input tensor are probed (chosen
-    by `rng`, fixed seed 0 by default): the comparison stays exact per
-    probed coordinate, only coverage shrinks.
+    `f` must be deterministic in the data of `inputs`. `max_coords` caps
+    the coordinates probed per input tensor: one int (or None, no cap) for
+    every input, or a list with one such count per input. Capped inputs
+    probe coordinates chosen by `rng` (fixed seed 0 by default): the
+    comparison stays exact per probed coordinate, only coverage shrinks.
     """
     inputs = list(inputs)
+    if not isinstance(max_coords, (list, tuple)):
+        max_coords = [max_coords] * len(inputs)
     for t in inputs:
         t.requires_grad = True
         t.grad = None
@@ -66,11 +70,12 @@ def grad_check(f, inputs, tol: float = 1e-4,
         rng = np.random.default_rng(0)
 
     report = GradCheckReport(name=name, max_rel_err=0.0, tol=tol)
-    for t, a in zip(inputs, analytic):
+    for t, a, limit in zip(inputs, analytic, max_coords, strict=True):
         flat = t.data.reshape(-1)
         coords = np.arange(flat.size)
-        if max_coords is not None and flat.size > max_coords:
-            coords = rng.choice(flat.size, size=max_coords, replace=False)
+        if limit is not None and flat.size > limit:
+            coords = rng.choice(flat.size, size=limit, replace=False)
+        report.probed += len(coords)
         worst = 0.0
         base = float(y.data)
         for k in coords:

@@ -15,8 +15,9 @@ import numpy as np
 
 from .attention import AaaParams, AnatomyMasks, PwapParams, aaa_forward, pwap
 from .metrics import auc
-from .ops import (ConvParams, LinearParams, bn_states, conv3x3,
-                  fully_connected, interp_matrix, named_tensors, resize)
+from .ops import (BatchNormState, ConvParams, LinearParams, bn_states,
+                  conv3x3, fully_connected, interp_matrix, named_tensors,
+                  resize)
 from .optim import Adam
 from .serialize import load_tensors, save_tensors
 from .tensor import DivergenceError, NonFiniteError, Tensor, concat
@@ -143,6 +144,10 @@ class ToyModel:
                                  f"{ref.shape}")
             if not np.isfinite(arrays[name]).all():
                 raise ValueError(f"tensor {name!r} holds non-finite values")
+        for name, _, attr in self._running_stats():
+            if attr == "running_var":
+                BatchNormState.check_running_var(arrays[name],
+                                                 f"tensor {name!r}")
         for name, t in self.parameters():
             t.data = np.array(arrays[name], dtype=np.float64)
         for name, bn, attr in self._running_stats():

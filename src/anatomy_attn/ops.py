@@ -61,18 +61,24 @@ class BatchNormState:
     running_var: np.ndarray
 
     def __post_init__(self):
-        if np.any(self.running_var < 0):
-            raise ValueError("running_var must be >= 0")
+        self.check_running_var(self.running_var, "running_var")
+
+    @staticmethod
+    def check_running_var(var: np.ndarray, name: str) -> None:
+        """Raise ValueError naming `name` if a running variance is < 0."""
+        if np.any(var < 0):
+            raise ValueError(f"{name} must be >= 0")
 
     @classmethod
-    def init(cls, channels: int):
-        return cls(Tensor(np.ones(channels), requires_grad=True),
-                   Tensor(np.zeros(channels), requires_grad=True),
-                   np.zeros(channels), np.ones(channels))
+    def init(cls, shape):
+        """Identity state of `shape`: C, or [G,C] for a grouped layer."""
+        return cls(Tensor(np.ones(shape), requires_grad=True),
+                   Tensor(np.zeros(shape), requires_grad=True),
+                   np.zeros(shape), np.ones(shape))
 
     @property
     def channels(self) -> int:
-        return self.gamma.size
+        return self.gamma.shape[-1]
 
     def track(self, mean: np.ndarray, var: np.ndarray) -> None:
         """Fold one batch's per-channel statistics into the running ones."""

@@ -74,6 +74,9 @@ def load_tensors(path) -> dict:
     out = {}
     with open(path, "rb") as fh:
         for name in names:
+            if name in out:
+                raise ValueError(f"manifest {manifest} repeats tensor "
+                                 f"{name!r}")
             out[name] = read_array(fh)
         if fh.read(1):
             raise ValueError(f"trailing bytes after the last of {len(names)} "

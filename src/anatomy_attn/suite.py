@@ -31,7 +31,8 @@ def _binary_masks(rng, n, h, w):
 
 
 def _op_targets(rng):
-    """(name, f, inputs) triples for the tensor-core ops."""
+    """(name, f, inputs, max_coords) for the tensor-core ops, which probe
+    every coordinate."""
     targets = []
 
     x = _rand(rng, 2, 3, 4, 4)
@@ -86,10 +87,18 @@ def _op_targets(rng):
     targets.append(("bce_sigmoid",
                     lambda z: bce_loss(z.sigmoid(), _LABELS),
                     [Tensor(np.random.default_rng(7).normal(size=(4, 3)))]))
-    return targets
+    return [target + (None,) for target in targets]
 
 
 _LABELS = np.array([[1, 0, 1], [0, 1, 0], [1, 1, 0], [0, 0, 1]], float)
+
+
+def _coords(named, per_tensor: int) -> list:
+    """`per_tensor` probes for each (name, tensor), and three times as
+    many for a [3,...] stack of an attention block's encoders or branch
+    batch norms: as many as its three rows would get as separate tensors."""
+    return [per_tensor * (3 if name.split(".")[1] in ("enc", "bn_branches")
+                          else 1) for name, _ in named]
 
 
 # one-hot [3,1,1] row selectors: (x * _ROWS[k]).sum(axis=0) is row k of a
@@ -107,11 +116,11 @@ def _attention_targets(rng):
         v, p = pwap(f, PwapParams(k, b))
         return (v ** 2).sum() + p.sum() * 0.1
 
-    targets.append(("pwap", pwap_target, [feat, kernel, kbias]))
+    targets.append(("pwap", pwap_target, [feat, kernel, kbias], None))
 
     targets.append(("couple_attention", lambda a: sum(
         ((couple_attention(a) * row).sum(axis=0) ** 2).sum() for row in _ROWS),
-        [_rand(rng, 3, 2, 6)]))
+        [_rand(rng, 3, 2, 6)], None))
 
     params = AaaParams.init(4, 0.5, rng)
     masks = _binary_masks(rng, 2, 5, 5)
@@ -120,8 +129,10 @@ def _attention_targets(rng):
     def aaa_target(f, *tensors):
         return (aaa_forward(f, masks, params, True) ** 2).sum()
 
+    named = list(named_tensors(params, "aaa"))
     targets.append(("aaa_forward", aaa_target,
-                    [f_us] + [t for _, t in named_tensors(params, "aaa")]))
+                    [f_us] + [t for _, t in named],
+                    [6] + _coords(named, 6)))
     return targets
 
 
@@ -157,13 +168,14 @@ def _seg_targets(rng):
     onehot = Tensor(_onehot_masks(rng, 1, 4, 4))
     targets = [("pixel_ce",
                 lambda x: pixel_ce(onehot, softmax_channels(x)),
-                [Tensor(np.random.default_rng(11).normal(size=(1, 3, 4, 4)))])]
+                [Tensor(np.random.default_rng(11).normal(size=(1, 3, 4, 4)))],
+                None)]
     for name, fn, build in (
             ("gen_losses", gen_losses,
              lambda: (nets.g_mc(batch.annotated_masks),)),
             ("adv_losses", adv_losses, lambda: fakes(batch, nets)),
             ("cycle_losses", cycle_losses, lambda: fakes(batch, nets))):
-        targets.append((name, make(fn, build), net_tensors))
+        targets.append((name, make(fn, build), net_tensors, 6))
     return targets
 
 
@@ -182,7 +194,8 @@ def _model_targets(rng):
                               attention_level=level, pooling=pool,
                               backbone_widths=(2, 3, 3, 4), n_classes=2)
             model = ToyModel(cfg, seed=5)
-            tensors = [t for _, t in model.parameters()]
+            named = model.parameters()
+            tensors = [t for _, t in named]
             _jitter(tensors, rng)
             image = _rand(rng, 2, 1, 8, 8)
 
@@ -190,7 +203,7 @@ def _model_targets(rng):
                 return bce_loss(m.forward(img, masks, True), labels)
 
             targets.append((f"model_{level}_{pool}", target,
-                            [image] + tensors))
+                            [image] + tensors, [2] + _coords(named, 2)))
     return targets
 
 
@@ -202,10 +215,7 @@ def run_gradcheck_suite(tol: float = 1e-4, include_models: bool = True):
         targets += _model_targets(rng)
 
     reports = []
-    for name, f, inputs in targets:
-        max_coords = 2 if name.startswith("model_") else \
-            (6 if name in ("aaa_forward", "gen_losses", "adv_losses",
-                           "cycle_losses") else None)
+    for name, f, inputs, max_coords in targets:
         # crc32, not hash(): str hashes are salted per process
         coord_rng = np.random.default_rng(zlib.crc32(name.encode()))
         reports.append(grad_check(f, inputs, tol=tol, name=name,

@@ -23,4 +23,4 @@ def sign_flipped_suite(monkeypatch):
 
     monkeypatch.setattr(suite, "_op_targets", lambda rng: op_targets(rng) + [
         ("injected_sign_flip", lambda t: flipped_square(t).sum(),
-         [Tensor(np.linspace(0.5, 1.5, 6))])])
+         [Tensor(np.linspace(0.5, 1.5, 6))], None)])

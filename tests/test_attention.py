@@ -1,15 +1,19 @@
 """Attention block: pooling identities, coupled softmax, mask gating."""
 
+from dataclasses import fields, replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from anatomy_attn.attention import (AaaParams, AnatomyMasks, PwapParams,
+from anatomy_attn.attention import (AaaParams, AnatomyMasks,
+                                    AttentionEncoderParams, PwapParams,
                                     _gated_fuse, aaa_forward,
                                     couple_attention, encode_attention, pwap)
-from anatomy_attn.ops import (batch_norm, bn_states, fully_connected,
-                              named_tensors, resize, softmax_pair)
+from anatomy_attn.ops import (LinearParams, batch_norm, bn_states,
+                              fully_connected, named_tensors, resize,
+                              softmax_pair)
 from anatomy_attn.tensor import NonFiniteError, Tensor, concat
 
 
@@ -17,6 +21,35 @@ def _masks(rng, n, h, w):
     lung = (rng.random((n, 1, h, w)) < 0.4).astype(float)
     heart = (rng.random((n, 1, h, w)) < 0.3).astype(float) * (1 - lung)
     return AnatomyMasks(lung, heart)
+
+
+def _rows(block, rows):
+    """A copy of the stacked parameter block `block` whose every tensor
+    and running statistic holds the rows `rows` (an index or a list of
+    them), as fresh leaves."""
+    if isinstance(block, Tensor):
+        return Tensor(block.data[rows].copy(), requires_grad=True)
+    if isinstance(block, np.ndarray):
+        return block[rows].copy()
+    return type(block)(*(_rows(getattr(block, f.name), rows)
+                         for f in fields(block)))
+
+
+def _leaf_grads(block):
+    return [t.grad for _, t in named_tensors(block, "")]
+
+
+def _running(block):
+    return [a for s in bn_states(block)
+            for a in (s.running_mean, s.running_var)]
+
+
+def _stacked(get, block):
+    """get(block) for a stacked block, or for a list of its per-row copies
+    with each array stacked back to [3,...]."""
+    if isinstance(block, list):
+        return [np.array(rows) for rows in zip(*map(get, block))]
+    return get(block)
 
 
 class TestPwap:
@@ -175,8 +208,26 @@ class TestAaaForward:
     def test_encoder_hidden_width_expands(self, rng):
         # reduction ratio 0.5 means the encoder hidden layer has 2x channels
         params = AaaParams.init(4, 0.5, rng)
-        assert params.enc1.fc1.weight.shape == (8, 4)
-        assert params.enc1.fc2.weight.shape == (4, 8)
+        assert params.enc.fc1.weight.shape == (3, 8, 4)
+        assert params.enc.fc2.weight.shape == (3, 4, 8)
+        assert params.enc.bn1.gamma.shape == (3, 8)
+        assert params.bn_branches.gamma.shape == (3, 4)
+
+    def test_encoder_rows_are_drawn_encoder_by_encoder(self):
+        # the values of three separately built encoders: fc1 then fc2 of
+        # encoder 1, then of encoder 2, then of encoder 3
+        stacked_rng, rng = np.random.default_rng(7), np.random.default_rng(7)
+        enc = AttentionEncoderParams.init(4, 0.5, stacked_rng)
+        rows = [(LinearParams.init(4, 8, rng), LinearParams.init(8, 4, rng))
+                for _ in range(3)]
+        for k, (fc1, fc2) in enumerate(rows):
+            for stacked, row in ((enc.fc1, fc1), (enc.fc2, fc2)):
+                for field in ("weight", "bias"):
+                    got = getattr(stacked, field).data[k]
+                    want = getattr(row, field).data
+                    assert got.tobytes() == want.tobytes()
+        # and the generator is left where the three pairs leave it
+        assert stacked_rng.random() == rng.random()
 
     def test_masked_branches_gate_by_region(self, rng):
         # with empty anatomy masks the lung/heart branches contribute a
@@ -191,8 +242,8 @@ class TestAaaForward:
         assert np.isfinite(out.data).all()
 
     def test_lung_heart_role_swap_symmetry(self, rng):
-        # swapping lung<->heart masks together with encoder 1<->3 and the
-        # lung/heart BN branches leaves the output unchanged
+        # swapping lung<->heart masks together with the encoder rows 1<->3
+        # and the lung/heart batch-norm rows leaves the output unchanged
         n, c, h, w = 2, 4, 5, 5
         feat = Tensor(rng.normal(size=(n, c, h, w)))
         masks = _masks(rng, n, h, w)
@@ -202,9 +253,8 @@ class TestAaaForward:
         out = aaa_forward(feat, masks, params, True).data.copy()
 
         swapped_masks = AnatomyMasks(masks.heart, masks.lung)
-        swapped = AaaParams(params.enc3, params.enc2, params.enc1,
-                            params.intra_pwap, params.bn_he, params.bn_le,
-                            params.bn_bks, params.bn_fuse)
+        swapped = replace(params, enc=_rows(params.enc, [2, 1, 0]),
+                          bn_branches=_rows(params.bn_branches, [1, 0, 2]))
         out_swapped = aaa_forward(feat, swapped_masks, swapped, True).data
         np.testing.assert_allclose(out_swapped, out, atol=1e-9)
 
@@ -223,22 +273,20 @@ class TestAaaForward:
 _ROWS = np.eye(3)[:, :, None, None]
 
 
-def _composite_gated_fuse(feat, att, masks, p, train):
-    """The AAA tail assembled from primitive ops (the unfused form)."""
+def _composite_gated_fuse(feat, att, masks, branches, fuse, train):
+    """The AAA tail assembled from primitive ops (the unfused form), with
+    one batch-norm state per branch: `branches` holds le, he, bks."""
     n, c, _, _ = feat.shape
     a_le, a_he, a_bks = ((att * row).sum(axis=0).reshape((n, c, 1, 1))
                          for row in _ROWS)
     r_le = a_le * masks.lung * feat
     r_he = a_he * masks.heart * feat
     r_bks = a_bks * feat
-    fused = (batch_norm(r_le, p.bn_le, train)
-             + batch_norm(r_he, p.bn_he, train)
-             + batch_norm(r_bks, p.bn_bks, train))
-    return batch_norm(fused, p.bn_fuse, train)
-
-
-def _bn_tail(p):
-    return (p.bn_le, p.bn_he, p.bn_bks, p.bn_fuse)
+    bn_le, bn_he, bn_bks = branches
+    fused = (batch_norm(r_le, bn_le, train)
+             + batch_norm(r_he, bn_he, train)
+             + batch_norm(r_bks, bn_bks, train))
+    return batch_norm(fused, fuse, train)
 
 
 def _tail_case(shape, empty_masks):
@@ -247,11 +295,11 @@ def _tail_case(shape, empty_masks):
     rng = np.random.default_rng(3)
     n, c, h, w = shape
     params = AaaParams.init(c, 0.5, rng)
-    for s in _bn_tail(params):
-        s.gamma.data = rng.normal(size=c)
-        s.beta.data = rng.normal(size=c)
-        s.running_mean = rng.normal(size=c)
-        s.running_var = rng.uniform(0.5, 2.0, size=c)
+    for s in (params.bn_branches, params.bn_fuse):
+        s.gamma.data = rng.normal(size=s.gamma.shape)
+        s.beta.data = rng.normal(size=s.gamma.shape)
+        s.running_mean = rng.normal(size=s.gamma.shape)
+        s.running_var = rng.uniform(0.5, 2.0, size=s.gamma.shape)
     masks = _masks(rng, n, h, w)
     if empty_masks:
         masks = AnatomyMasks(np.zeros((n, 1, h, w)), np.zeros((n, 1, h, w)))
@@ -266,19 +314,26 @@ class TestGatedFuse:
     @pytest.mark.parametrize("train", [True, False], ids=["train", "eval"])
     @pytest.mark.parametrize("shape", [(2, 4, 5, 5), (16, 32, 16, 16)])
     def test_matches_composite_tail(self, shape, train, empty_masks):
+        # the composite runs on per-row branch states built from the
+        # stacks, and its gradients and statistics are stacked back
         g = np.random.default_rng(4).normal(size=shape)
         results = []
-        for fn in (_gated_fuse, _composite_gated_fuse):
+        for fused in (True, False):
             feat, att, masks, p = _tail_case(shape, empty_masks)
-            leaves = [feat, att] + [
-                t for s in _bn_tail(p) for t in (s.gamma, s.beta)]
-            for t in leaves:
-                t.requires_grad = True
-            out = fn(feat, att, masks, p, train)
+            feat.requires_grad = att.requires_grad = True
+            if fused:
+                branches = p.bn_branches
+                out = _gated_fuse(feat, att, masks, p, train)
+            else:
+                branches = [_rows(p.bn_branches, k) for k in range(3)]
+                out = _composite_gated_fuse(feat, att, masks, branches,
+                                            p.bn_fuse, train)
             out.backward(g)
-            results.append(([out.data], [t.grad for t in leaves],
-                            [a for s in _bn_tail(p)
-                             for a in (s.running_mean, s.running_var)]))
+            results.append((
+                [out.data],
+                [feat.grad, att.grad] + _stacked(_leaf_grads, branches)
+                + _leaf_grads(p.bn_fuse),
+                _stacked(_running, branches) + _running(p.bn_fuse)))
         # each group agrees to 1e-12 of its largest reference magnitude:
         # the branch betas' gradients are zero up to rounding when bn_fuse
         # is in train mode
@@ -293,9 +348,10 @@ class TestGatedFuse:
         feat = Tensor(rng.normal(size=(2, 4, 5, 5)))
         params = AaaParams.init(4, 0.5, rng)
         out = aaa_forward(feat, _masks(rng, 2, 5, 5), params, train)
-        assert out._parents[0] is feat
-        assert out._parents[2:] == tuple(
-            t for s in _bn_tail(params) for t in (s.gamma, s.beta))
+        assert len(out._parents) == 6 and out._parents[0] is feat
+        assert out._parents[2:] == (
+            params.bn_branches.gamma, params.bn_branches.beta,
+            params.bn_fuse.gamma, params.bn_fuse.beta)
         # the stacked attention vectors come straight from couple_attention
         # (one node), whose one parent is the encoders' node
         att = out._parents[1]
@@ -303,27 +359,26 @@ class TestGatedFuse:
         (logits,) = att._parents
         assert logits.shape == (3, 2, 4)
         assert logits._parents[1:] == tuple(
-            t for e in (params.enc1, params.enc2, params.enc3)
-            for _, t in named_tensors(e, "e"))
+            t for _, t in named_tensors(params.enc, "e"))
+        assert len(logits._parents) == 9
         assert logits._parents[0]._parents  # pooled, built by pwap
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_non_finite_input_names_op_and_keeps_running_stats(self, bad):
         feat, att, masks, p = _tail_case((2, 4, 5, 5), False)
-        before = [a.copy() for s in _bn_tail(p)
-                  for a in (s.running_mean, s.running_var)]
+        before = [a.copy() for a in _running(p)]
         feat.data[1, 2, 3, 4] = bad
         with pytest.raises(NonFiniteError, match="gated_fuse"):
             _gated_fuse(feat, att, masks, p, True)
-        after = [a for s in _bn_tail(p)
-                 for a in (s.running_mean, s.running_var)]
-        for x, y in zip(after, before):
+        after = _running(p)
+        for x, y in zip(after, before, strict=True):
             np.testing.assert_array_equal(x, y)
 
 
 def _primitive_attention(pooled, encoders, train):
-    """Encoders and coupling from primitive ops, one node per layer: the
-    form `encode_attention` and `couple_attention` replace. The concat
+    """Encoders and coupling from primitive ops, one node per layer, on
+    the three per-row `encoders`: the form `encode_attention` and
+    `couple_attention` replace. The concat
     root takes (a_le, a_he, a_bks) in `_gated_fuse`'s parent order, so
     pooled's three gradients add up in the model's order."""
     def encode(e):
@@ -338,26 +393,17 @@ def _primitive_attention(pooled, encoders, train):
     return concat([t.reshape((1, n, c)) for t in (a_le, a_he, a_bks)], axis=0)
 
 
-def _fused_attention(pooled, encoders, train):
-    return couple_attention(encode_attention(pooled, encoders, train))
-
-
-def _states(encoders):
-    return [s for e in encoders for s in bn_states(e)]
-
-
 def _encoder_case(n, c):
-    """Fresh (pooled, encoders) with jittered weights and random gammas,
-    betas and running statistics, the same for every call."""
+    """Fresh (pooled, stacked encoders) with jittered weights and random
+    gammas, betas and running statistics, the same for every call."""
     rng = np.random.default_rng(5)
     params = AaaParams.init(c, 0.5, rng)
-    encoders = (params.enc1, params.enc2, params.enc3)
     for _, t in named_tensors(params, "p"):
         t.data = t.data + 0.3 * rng.normal(size=t.shape)
-    for s in _states(encoders):
-        s.running_mean = rng.normal(size=s.channels)
-        s.running_var = rng.uniform(0.5, 2.0, size=s.channels)
-    return Tensor(rng.normal(size=(n, c))), encoders
+    for s in bn_states(params.enc):
+        s.running_mean = rng.normal(size=s.gamma.shape)
+        s.running_var = rng.uniform(0.5, 2.0, size=s.gamma.shape)
+    return Tensor(rng.normal(size=(n, c))), params.enc
 
 
 class TestGroupedAttention:
@@ -365,54 +411,53 @@ class TestGroupedAttention:
     @pytest.mark.parametrize("n, c", [(2, 4), (16, 16), (16, 32), (5, 16)],
                              ids=["2x4", "16x16", "16x32", "odd last batch"])
     def test_equals_primitive_chain_bit_for_bit(self, n, c, train):
+        # the primitive chain runs on per-row leaves built from the
+        # stacks, and its gradients and statistics are stacked back
         g = np.random.default_rng(6).normal(size=(3, n, c))
         results = []
-        for fn in (_fused_attention, _primitive_attention):
-            pooled, encoders = _encoder_case(n, c)
-            leaves = [pooled] + [t for e in encoders
-                                 for _, t in named_tensors(e, "e")]
-            for t in leaves:
-                t.requires_grad = True
-            out = fn(pooled, encoders, train)
+        for fused in (True, False):
+            pooled, enc = _encoder_case(n, c)
+            pooled.requires_grad = True
+            if fused:
+                out = couple_attention(encode_attention(pooled, enc, train))
+            else:
+                enc = [_rows(enc, k) for k in range(3)]
+                out = _primitive_attention(pooled, enc, train)
             out.backward(g)
-            results.append([out.data] + [t.grad for t in leaves] + [
-                a for s in _states(encoders)
-                for a in (s.running_mean, s.running_var)])
+            results.append([out.data, pooled.grad]
+                           + _stacked(_leaf_grads, enc)
+                           + _stacked(_running, enc))
         fused, primitive = results
-        assert len(fused) == len(primitive) == 1 + 25 + 12
+        assert len(fused) == len(primitive) == 1 + 1 + 8 + 4
         for x, y in zip(fused, primitive):
             np.testing.assert_array_equal(x, y)
 
     @pytest.mark.parametrize("train", [True, False], ids=["train", "eval"])
     def test_running_statistics_move_only_in_train(self, train):
-        pooled, encoders = _encoder_case(4, 8)
-        before = [a.copy() for s in _states(encoders)
-                  for a in (s.running_mean, s.running_var)]
-        encode_attention(pooled, encoders, train)
-        after = [a for s in _states(encoders)
-                 for a in (s.running_mean, s.running_var)]
-        assert [not np.array_equal(x, y)
-                for x, y in zip(after, before)] == [train] * 12
+        pooled, enc = _encoder_case(4, 8)
+        before = [a.copy() for a in _running(enc)]
+        encode_attention(pooled, enc, train)
+        # per encoder row: 2 batch norms x mean, var
+        assert [not np.array_equal(x[k], y[k])
+                for x, y in zip(_running(enc), before, strict=True)
+                for k in range(3)] == [train] * 12
 
     def test_overflowing_batch_variance_raises_and_keeps_running_stats(self):
-        pooled, encoders = _encoder_case(4, 8)
+        pooled, enc = _encoder_case(4, 8)
         pooled.data[2] = 1e160
-        before = [a.copy() for s in _states(encoders)
-                  for a in (s.running_mean, s.running_var)]
+        before = [a.copy() for a in _running(enc)]
         with pytest.raises(NonFiniteError, match="encode_attention"):
-            encode_attention(pooled, encoders, True)
-        after = [a for s in _states(encoders)
-                 for a in (s.running_mean, s.running_var)]
-        for x, y in zip(after, before):
+            encode_attention(pooled, enc, True)
+        for x, y in zip(_running(enc), before, strict=True):
             np.testing.assert_array_equal(x, y)
 
     def test_one_sample_rejected_in_train(self):
-        pooled, encoders = _encoder_case(1, 4)
+        pooled, enc = _encoder_case(1, 4)
         with pytest.raises(ValueError, match=">= 2 elements"):
-            encode_attention(pooled, encoders, True)
-        assert encode_attention(pooled, encoders, False).shape == (3, 1, 4)
+            encode_attention(pooled, enc, True)
+        assert encode_attention(pooled, enc, False).shape == (3, 1, 4)
 
     def test_width_mismatch_rejected(self):
-        pooled, encoders = _encoder_case(4, 8)
+        pooled, enc = _encoder_case(4, 8)
         with pytest.raises(ValueError, match="pooled width 6"):
-            encode_attention(Tensor(np.zeros((4, 6))), encoders, True)
+            encode_attention(Tensor(np.zeros((4, 6))), enc, True)

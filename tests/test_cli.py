@@ -288,11 +288,13 @@ class TestExitCodes:
         (_poison("classifier.weight", np.nan),
          "tensor 'classifier.weight' holds non-finite values"),
         (_poison("aaa2.bnstate0.running_var", np.inf),
-         "tensor 'aaa2.bnstate0.running_var' holds non-finite values")],
+         "tensor 'aaa2.bnstate0.running_var' holds non-finite values"),
+        (_poison("aaa2.bnstate0.running_var", -1.0),
+         "tensor 'aaa2.bnstate0.running_var' must be >= 0")],
         ids=["wrong_shape", "missing", "unexpected", "widths_int",
              "size_str", "config_list", "r_inf", "r_nan", "manifest_int",
              "manifest_list", "manifest_int_name", "weight_nan",
-             "running_var_inf"])
+             "running_var_inf", "running_var_negative"])
     def test_corrupt_checkpoint_exits_2_naming_the_fault(
             self, tmp_path, capsys, edit, message):
         ckpt = tmp_path / "ckpt"
@@ -384,6 +386,14 @@ class TestExitCodes:
         assert code == 1
         assert "FAIL  injected_sign_flip" in out
 
+    @pytest.mark.parametrize("tol", ["nan", "inf", "-1", "0", "x"])
+    def test_gradcheck_tolerance_not_finite_and_positive_exits_2(
+            self, capsys, tol):
+        with pytest.raises(SystemExit) as exc:
+            main(["gradcheck", "--tol", tol, "--skip-models"])
+        assert exc.value.code == 2
+        assert "argument --tol" in capsys.readouterr().err
+
     def test_gradcheck_impossible_tolerance_exits_1(self, capsys):
         code = main(["gradcheck", "--tol", "1e-12", "--skip-models"])
         assert code == 1
@@ -400,6 +410,7 @@ class TestExitCodes:
             assert margins[name] == pytest.approx(
                 1e-4 / float(values["max_rel_err"]), rel=1e-2)
             kinks += int(values["skipped_kinks"])
+            assert int(values["probed"]) > 0
         worst = min(margins, key=margins.get)
         assert len(margins) == 19 and margins[worst] > 1
         assert f"worst {worst} margin=" in summary

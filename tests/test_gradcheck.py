@@ -96,6 +96,18 @@ class TestGradCheck:
                         rng=np.random.default_rng(3))
         assert r1.max_rel_err == r2.max_rel_err
 
+    def test_coordinate_counts_per_input(self, rng):
+        a = Tensor(rng.normal(size=(4, 5)))
+        b = Tensor(rng.normal(size=3))
+
+        def f(x, y):
+            return (x * x).sum() * y.sum()
+
+        assert grad_check(f, [a, b]).probed == 23
+        assert grad_check(f, [a, b], max_coords=4).probed == 4 + 3
+        assert grad_check(f, [a, b], max_coords=[None, 2]).probed == 20 + 2
+        assert grad_check(f, [a, b], max_coords=[6, 5]).probed == 6 + 3
+
     def test_non_scalar_target_rejected(self):
         with pytest.raises(ValueError):
             grad_check(lambda t: t * 2.0, [Tensor(np.ones(3))])
@@ -120,6 +132,23 @@ class TestSuite:
         reports = run_gradcheck_suite(include_models=False)
         failed = [r.name for r in reports if not r.passed]
         assert failed == ["injected_sign_flip"]
+
+    def test_probe_counts_match_unstacked_attention(self, monkeypatch):
+        # a stacked [3,...] attention leaf is probed as often as its three
+        # rows were when stored as separate tensors. Counts depend only on
+        # the tensor sizes, so a cheap stand-in target keeps them.
+        from anatomy_attn import suite
+        check = suite.grad_check
+        monkeypatch.setattr(suite, "grad_check", lambda f, inputs, **kw: check(
+            lambda *ts: sum((t * t).sum() for t in ts), inputs, **kw))
+        probed = {r.name: r.probed for r in suite.run_gradcheck_suite()}
+        counts = {"aaa_forward": 169}
+        for level, row in (("L0", (25, 22, 22, 23)), ("L1", (92, 89, 89, 90)),
+                           ("L2", (162, 156, 156, 158)),
+                           ("L3", (232, 223, 223, 226))):
+            for pool, n in zip(("pwap", "average", "max", "gem"), row):
+                counts[f"model_{level}_{pool}"] = n
+        assert {name: probed[name] for name in counts} == counts
 
     def test_reports_do_not_depend_on_hash_seed(self):
         # coordinate sampling must not follow the interpreter's str-hash salt

@@ -308,7 +308,8 @@ class TestRunningStatistics:
         images = rng.normal(size=(4, 1, 16, 16))
         model.forward(Tensor(images), m, True)  # off their initial values
         before = _running_stats(model)
-        assert len(before) == 40  # 2 heads x 10 batch norms x mean, var
+        # 2 heads x 4 batch-norm states (2 of them [3,C] stacks) x mean, var
+        assert len(before) == 16
         if infer == "predict":
             predict(model, images, m.lung, m.heart, batch=3)
         else:
@@ -359,8 +360,8 @@ class TestGradCam:
 
 class TestCheckpoint:
     @pytest.mark.parametrize("level, pool, fusion, n, names_sha, weights_sha", [
-        ("L2", "pwap", "aaa", 122, "cc5390d6b9eb6e27", "76fb2c22ea3124ed"),
-        ("L3", "gem", "aaa", 175, "996469f2fe3b84c5", "a129566997154c19"),
+        ("L2", "pwap", "aaa", 58, "908335746390c504", "5c45cee7c16f1145"),
+        ("L3", "gem", "aaa", 79, "17634af1ddb397cc", "78f2403529ebdc6a"),
         ("L0", "max", "none", 10, "fe38ab4e0ec10bb2", "65a0f2645a93c42c")])
     def test_layout_and_bytes_are_pinned(self, tmp_path, level, pool, fusion,
                                          n, names_sha, weights_sha):
@@ -375,6 +376,11 @@ class TestCheckpoint:
         assert len(names) == n
         assert sha("\n".join(names).encode()) == names_sha
         assert sha((tmp_path / "weights.bin").read_bytes()) == weights_sha
+
+    def test_default_l2_stores_42_parameter_tensors(self):
+        # 8 backbone, 2 pooling heads x 2, the classifier's 2, and per AAA
+        # block 8 stacked encoder tensors, 2 pooling, 2 + 2 batch norm
+        assert len(ToyModel(ModelConfig(), seed=0).parameters()) == 42
 
     def test_round_trip_preserves_predictions(self, rng, tmp_path):
         model = ToyModel(_cfg(attention_level="L2", pooling="gem"), seed=0)

@@ -92,6 +92,13 @@ class TestNamedTensors:
         for name, arr in named:
             np.testing.assert_array_equal(out[name], arr)
 
+    def test_repeated_name_rejected(self, tmp_path):
+        # the second array must not silently replace the first
+        path = tmp_path / "ckpt.bin"
+        save_tensors(path, [("a", np.zeros(2)), ("a", np.ones(2))])
+        with pytest.raises(ValueError, match="repeats tensor 'a'"):
+            load_tensors(path)
+
     def test_trailing_bytes_rejected(self, rng, tmp_path):
         path = tmp_path / "ckpt.bin"
         save_tensors(path, [("x", rng.normal(size=3))])
