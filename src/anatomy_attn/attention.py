@@ -9,7 +9,7 @@ on a leading group axis, and `encode_attention` runs them as one graph
 node. The three vectors travel as one stacked [3,N,C] tensor (rows:
 encoder 1, 2, 3, then A_LE, A_HE, A_BkS), which `couple_attention`
 couples as a second node. Pooling weights come from a learned 1x1
-conv + sigmoid, normalized by their spatial sum.
+conv + sigmoid, normalized by their spatial sum, all one `pwap` node.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .ops import (BN_EPSILON, BatchNormState, LinearParams, bn_arrays,
-                  conv_1x1, interp_matrix)
+                  interp_matrix)
 from .tensor import Tensor, ignore_fp_errors, logistic
 
 PWAP_EPSILON = 1e-8
@@ -93,8 +93,7 @@ class AnatomyMasks:
             raise ValueError(f"lung/heart mask shape mismatch: "
                              f"{self.lung.shape} vs {self.heart.shape}")
         for name, m in (("lung", self.lung), ("heart", self.heart)):
-            vals = np.unique(m)
-            if not np.all(np.isin(vals, (0.0, 1.0))):
+            if not ((m == 0.0) | (m == 1.0)).all():
                 raise ValueError(f"{name} mask is not binary")
         if np.any(self.lung * self.heart > 0):
             raise ValueError("lung and heart masks overlap")
@@ -134,17 +133,48 @@ class AaaParams:
                    BatchNormState.init(channels))
 
 
+@ignore_fp_errors
 def pwap(feat: Tensor, p: PwapParams):
-    """Probability-weighted spatial pooling.
+    """Probability-weighted spatial pooling, as one graph node.
 
-    Returns (V, P): per-pixel weights P = sigmoid(K * F + b) in (0,1), and
-    V_c = sum_ij(F_c * P) / (sum_ij P + PWAP_EPSILON). The intra-block and
-    post-block uses share this one code path.
+    Returns (V, P): per-pixel weights P = sigmoid(K * F + b) in (0,1), a
+    plain [N,1,H,W] array, and V_c = sum_ij(F_c * P) / (sum_ij P +
+    PWAP_EPSILON) as a Tensor. The intra-block and post-block uses share
+    this one code path.
+
+    Forward and backward compute, in order, the arrays of the primitive
+    chain conv_1x1 -> sigmoid -> mul -> sum / (sum + eps), so they equal
+    it bit for bit. The parents are (feat, feat, kernel, bias): the
+    weighted-sum partial and the logit partial of feat reach the tape as
+    separate entries, so a feat with other consumers (the AAA block's
+    gated tail) sums its gradients in the chain's order. Adding the two
+    inside the node would round differently and change training
+    histories.
     """
-    prob = conv_1x1(feat, p.kernel, p.bias).sigmoid()          # [N,1,H,W]
-    weighted = feat * prob                                     # broadcast C
-    pooled = weighted.sum(axis=(2, 3)) / (prob.sum(axis=(2, 3))
-                                          + PWAP_EPSILON)      # [N,C]/[N,1]
+    k, b = p.kernel.data, p.bias.data
+    f = feat.data
+    if f.ndim != 4:
+        raise ValueError("pwap expects a rank-4 feature map")
+    if k.shape[1] != f.shape[1]:
+        raise ValueError(f"pwap: kernel in-channels {k.shape[1]} != "
+                         f"feature channels {f.shape[1]}")
+    prob = logistic(np.einsum("oc,nchw->nohw", k, f)
+                    + b.reshape(1, -1, 1, 1))                  # [N,1,H,W]
+    num = (f * prob).sum(axis=(2, 3))                          # [N,C]
+    den = prob.sum(axis=(2, 3)) + PWAP_EPSILON                 # [N,1]
+
+    def bwd(g):
+        g_num = (g / den)[:, :, None, None]
+        g_den = (-g * num / den ** 2).sum(axis=1, keepdims=True)
+        g_prob = ((g_num * f).sum(axis=1, keepdims=True)
+                  + g_den[:, :, None, None])
+        g_logit = g_prob * prob * (1.0 - prob)
+        return (g_num * prob, np.einsum("oc,nohw->nchw", k, g_logit),
+                np.einsum("nohw,nchw->oc", g_logit, f),
+                g_logit.sum(axis=(0, 2, 3)).reshape(b.shape))
+
+    pooled = Tensor._from_op(num / den, (feat, feat, p.kernel, p.bias), bwd,
+                             "pwap")
     return pooled, prob
 
 
@@ -278,9 +308,11 @@ def _gated_fuse(feat: Tensor, att: Tensor, masks: AnatomyMasks, p: AaaParams,
     branch in the same region algebra, from Vg = g @ R.T and
     Ug = (f*g) @ R.T, and expands dfeat = c1*g + c2*f + c3 with each
     [N,C,3] coefficient taken through @ R. Without `train`, every state
-    normalizes with its running statistics, as constants. With it,
-    running statistics are updated, branches before fuse, once the output
-    has passed the finiteness check.
+    normalizes with its running statistics, as constants, so the forward
+    computes no batch statistic and no Q1 or Q2; the backward computes
+    Q1 and Q2 if it runs. With `train`, running statistics are updated,
+    branches before fuse, once the output has passed the finiteness
+    check.
     """
     n, c, h, w = feat.shape
     branches, fuse = p.bn_branches, p.bn_fuse
@@ -297,17 +329,20 @@ def _gated_fuse(feat: Tensor, att: Tensor, masks: AnatomyMasks, p: AaaParams,
     heart = masks.heart.reshape(n, 1, h * w)
     region = np.concatenate((lung, heart, 1.0 - lung - heart), axis=1)
     region_t = region.transpose(0, 2, 1)                      # [N,P,3]
-    q1 = f @ region_t                                         # [N,C,3]
-    q2 = (f * f) @ region_t
+
+    def region_sums():                                        # [N,C,3] each
+        return f @ region_t, (f * f) @ region_t
 
     # branch k is f * (A[k] @ R), A[k] of shape [N,C,3]
     a = att.data[..., None] * _BRANCH_REGIONS[:, None, None, :]
-    batch_mean = (a * q1).sum(axis=(1, 3)) / count            # [3,C]
-    batch_var = np.maximum((a * a * q2).sum(axis=(1, 3)) / count
-                           - batch_mean ** 2, 0.0)
     if train:
+        q1, q2 = sums = region_sums()
+        batch_mean = (a * q1).sum(axis=(1, 3)) / count        # [3,C]
+        batch_var = np.maximum((a * a * q2).sum(axis=(1, 3)) / count
+                               - batch_mean ** 2, 0.0)
         centre, var = batch_mean, batch_var
     else:
+        sums = None
         centre, var = branches.running_mean, branches.running_var
     std = np.sqrt(var + BN_EPSILON)
     scale = branches.gamma.data / std
@@ -315,11 +350,13 @@ def _gated_fuse(feat: Tensor, att: Tensor, masks: AnatomyMasks, p: AaaParams,
     # fused = f * (B @ R) + shift[c]; bn_fuse sees z = f * (B @ R)
     b = (scale[:, None, :, None] * a).sum(axis=0)             # [N,C,3]
     shift = (branches.beta.data - scale * centre).sum(axis=0)
-    z_mean = (b * q1).sum(axis=(0, 2)) / count
-    z_var = np.maximum((b * b * q2).sum(axis=(0, 2)) / count
-                       - z_mean ** 2, 0.0)
-    fuse_centre, fuse_var = ((z_mean + shift, z_var) if train
-                             else (fuse.running_mean, fuse.running_var))
+    if train:
+        z_mean = (b * q1).sum(axis=(0, 2)) / count
+        z_var = np.maximum((b * b * q2).sum(axis=(0, 2)) / count
+                           - z_mean ** 2, 0.0)
+        fuse_centre, fuse_var = z_mean + shift, z_var
+    else:
+        fuse_centre, fuse_var = fuse.running_mean, fuse.running_var
     z_centre = fuse_centre - shift
     fuse_std = np.sqrt(fuse_var + BN_EPSILON)
     alpha = fuse.gamma.data / fuse_std
@@ -328,6 +365,7 @@ def _gated_fuse(feat: Tensor, att: Tensor, masks: AnatomyMasks, p: AaaParams,
     out_data = f * (gate @ region) + const[:, None]
 
     def bwd(g):
+        q1, q2 = region_sums() if sums is None else sums
         cnt = region.sum(axis=2)[:, None, :]                  # [N,1,3]
         gf = g.reshape(n, c, h * w)
         vg = gf @ region_t
@@ -368,5 +406,5 @@ def _gated_fuse(feat: Tensor, att: Tensor, masks: AnatomyMasks, p: AaaParams,
         bwd, "gated_fuse")
     if train:
         branches.track(batch_mean, batch_var)
-        fuse.track(z_mean + shift, z_var)
+        fuse.track(fuse_centre, z_var)
     return out

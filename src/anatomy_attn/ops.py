@@ -7,7 +7,7 @@ from dataclasses import dataclass, fields, is_dataclass
 from functools import lru_cache
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
+from numpy.lib.stride_tricks import as_strided
 
 from .tensor import NonFiniteError, Tensor, ignore_fp_errors
 
@@ -145,8 +145,14 @@ def conv_1x1(x: Tensor, weight: Tensor, bias: Tensor) -> Tensor:
 
 
 def _windows(xp: np.ndarray, stride: int) -> np.ndarray:
-    """[N, C, Ho, Wo, 3, 3] view of the 3x3 windows of xp at `stride`."""
-    return sliding_window_view(xp, (3, 3), axis=(2, 3))[:, :, ::stride, ::stride]
+    """Read-only [N, C, Ho, Wo, 3, 3] view of the 3x3 windows of xp at
+    `stride`: `sliding_window_view`'s view at every stride-th window, built
+    by one call."""
+    n, c, h, w = xp.shape
+    s0, s1, s2, s3 = xp.strides
+    shape = (n, c, (h - 3) // stride + 1, (w - 3) // stride + 1, 3, 3)
+    return as_strided(xp, shape, (s0, s1, s2 * stride, s3 * stride, s2, s3),
+                      writeable=False)
 
 
 def conv3x3(x: Tensor, weight: Tensor, bias: Tensor, stride: int = 1) -> Tensor:

@@ -50,13 +50,17 @@ def read_array(fh) -> np.ndarray:
 def save_tensors(path, named_arrays) -> None:
     """Write (name, array) pairs to `path` plus a JSON manifest alongside.
 
-    The manifest fixes the name order; loading validates it.
+    The manifest fixes the name order; loading validates it. A repeated
+    name raises ValueError before anything is written.
     """
     path = Path(path)
-    names = []
+    named_arrays = list(named_arrays)
+    names = [name for name, _ in named_arrays]
+    for i, name in enumerate(names):
+        if name in names[:i]:
+            raise ValueError(f"save_tensors: {path} repeats tensor {name!r}")
     with open(path, "wb") as fh:
-        for name, arr in named_arrays:
-            names.append(name)
+        for _, arr in named_arrays:
             write_array(fh, np.asarray(arr, dtype=np.float64))
     manifest = path.with_suffix(path.suffix + ".manifest.json")
     manifest.write_text(json.dumps({"tensors": names}, indent=1) + "\n")

@@ -112,11 +112,11 @@ def _attention_targets(rng):
     kernel = _rand(rng, 1, 4)
     kbias = _rand(rng, 1)
 
-    def pwap_target(f, k, b):
-        v, p = pwap(f, PwapParams(k, b))
-        return (v ** 2).sum() + p.sum() * 0.1
-
-    targets.append(("pwap", pwap_target, [feat, kernel, kbias], None))
+    # P is a constant array; V reaches the weights both through the
+    # weighted sum and through the normalizer
+    targets.append(("pwap", lambda f, k, b:
+                    (pwap(f, PwapParams(k, b))[0] ** 2).sum(),
+                    [feat, kernel, kbias], None))
 
     targets.append(("couple_attention", lambda a: sum(
         ((couple_attention(a) * row).sum(axis=0) ** 2).sum() for row in _ROWS),

@@ -1,5 +1,6 @@
 """Attention block: pooling identities, coupled softmax, mask gating."""
 
+import warnings
 from dataclasses import fields, replace
 
 import numpy as np
@@ -7,11 +8,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from anatomy_attn.attention import (AaaParams, AnatomyMasks,
+from anatomy_attn.attention import (PWAP_EPSILON, AaaParams, AnatomyMasks,
                                     AttentionEncoderParams, PwapParams,
                                     _gated_fuse, aaa_forward,
                                     couple_attention, encode_attention, pwap)
-from anatomy_attn.ops import (LinearParams, batch_norm, bn_states,
+from anatomy_attn.ops import (LinearParams, batch_norm, bn_states, conv_1x1,
                               fully_connected, named_tensors, resize,
                               softmax_pair)
 from anatomy_attn.tensor import NonFiniteError, Tensor, concat
@@ -58,7 +59,7 @@ class TestPwap:
         # collapses to the plain spatial mean (up to the denominator guard)
         feat = Tensor(rng.normal(size=(3, 4, 5, 5)))
         pooled, prob = pwap(feat, PwapParams.init(4))
-        np.testing.assert_allclose(prob.data, 0.5, atol=1e-12)
+        np.testing.assert_allclose(prob, 0.5, atol=1e-12)
         np.testing.assert_allclose(pooled.data, feat.data.mean(axis=(2, 3)),
                                    atol=1e-9)
 
@@ -66,8 +67,9 @@ class TestPwap:
         params = PwapParams(Tensor(rng.normal(size=(1, 2))),
                             Tensor(rng.normal(size=1)))
         _, prob = pwap(Tensor(rng.normal(size=(2, 2, 4, 4))), params)
+        assert isinstance(prob, np.ndarray) and prob.dtype == np.float64
         assert prob.shape == (2, 1, 4, 4)
-        assert ((prob.data > 0) & (prob.data < 1)).all()
+        assert ((prob > 0) & (prob < 1)).all()
 
     def test_saturated_weights_select_one_pixel(self):
         # single channel; drive P -> 1 at the one positive pixel and -> 0
@@ -88,6 +90,49 @@ class TestPwap:
     def test_channel_mismatch_rejected(self, rng):
         with pytest.raises(ValueError):
             pwap(Tensor(rng.normal(size=(1, 3, 2, 2))), PwapParams.init(4))
+
+    @pytest.mark.parametrize("other", [None, "before", "after"])
+    def test_equals_primitive_chain_bit_for_bit(self, rng, other):
+        # `other`: feat also feeds a third consumer, added to the loss
+        # before or after the pooling term
+        arrays = (rng.normal(size=(2, 4, 5, 5)), rng.normal(size=(1, 4)),
+                  rng.normal(size=1))
+        g = rng.normal(size=(2, 4))
+        results = []
+        for pool in (lambda f, p: pwap(f, p)[0], _primitive_pwap):
+            feat, k, b = (Tensor(x, requires_grad=True) for x in arrays)
+            pooled = pool(feat, PwapParams(k, b))
+            loss = (pooled * g).sum()
+            third = (feat.sigmoid() * 0.3).sum()
+            if other == "before":
+                loss = third + loss
+            elif other == "after":
+                loss = loss + third
+            loss.backward()
+            results.append((pooled.data, feat.grad, k.grad, b.grad))
+        for x, y in zip(*results):
+            assert x.shape == y.shape and x.tobytes() == y.tobytes()
+
+    def test_one_node_with_feat_as_two_parents(self, rng):
+        feat = Tensor(rng.normal(size=(2, 4, 5, 5)))
+        params = PwapParams(Tensor(rng.normal(size=(1, 4))),
+                            Tensor(rng.normal(size=1)))
+        pooled, _ = pwap(feat, params)
+        assert pooled._parents == (feat, feat, params.kernel, params.bias)
+
+    def test_overflow_names_pwap_without_a_numpy_warning(self):
+        feat = Tensor(np.full((2, 4, 5, 5), 1e308))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NonFiniteError, match="'pwap'"):
+                pwap(feat, PwapParams.init(4))
+
+
+def _primitive_pwap(feat, p):
+    """PWAP from primitive ops, one node each: the chain `pwap` replaces."""
+    prob = conv_1x1(feat, p.kernel, p.bias).sigmoid()
+    return ((feat * prob).sum(axis=(2, 3))
+            / (prob.sum(axis=(2, 3)) + PWAP_EPSILON))
 
 
 def _couple(*logits):
@@ -147,6 +192,20 @@ class TestAnatomyMasks:
     def test_non_binary_rejected(self):
         with pytest.raises(ValueError):
             AnatomyMasks(np.full((1, 1, 2, 2), 0.5), np.zeros((1, 1, 2, 2)))
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf, 0.5, 2.0,
+                                       -1.0])
+    @pytest.mark.parametrize("name", ["lung", "heart"])
+    def test_non_binary_value_named(self, name, value):
+        masks = {"lung": np.zeros((1, 1, 2, 2)),
+                 "heart": np.zeros((1, 1, 2, 2))}
+        masks[name][0, 0, 1, 0] = value
+        with pytest.raises(ValueError, match=f"{name} mask is not binary"):
+            AnatomyMasks(**masks)
+
+    def test_negative_zero_is_binary(self):
+        m = AnatomyMasks(np.full((1, 1, 2, 2), -0.0), np.eye(2)[None, None])
+        np.testing.assert_array_equal(m.union(), np.eye(2)[None, None])
 
     def test_overlap_rejected(self):
         ones = np.ones((1, 1, 2, 2))

@@ -7,7 +7,7 @@ from dataclasses import asdict
 import numpy as np
 import pytest
 
-from anatomy_attn import cli
+from anatomy_attn import cli, suite
 from anatomy_attn.cli import main
 from anatomy_attn.config import ConfigError, DEFAULTS, echo_config, load_config
 from anatomy_attn.harness import SyntheticSpec, check_windows
@@ -385,6 +385,21 @@ class TestExitCodes:
         out = capsys.readouterr().out
         assert code == 1
         assert "FAIL  injected_sign_flip" in out
+
+    def test_gradcheck_target_that_probed_nothing_exits_1(
+            self, capsys, monkeypatch, sign_flipped_suite):
+        # the sign-flipped target, capped to probe no coordinate
+        targets = suite._op_targets
+        monkeypatch.setattr(suite, "_op_targets", lambda rng: [
+            t[:3] + (0,) if t[0] == "injected_sign_flip" else t
+            for t in targets(rng)])
+        code = main(["gradcheck", "--skip-models"])
+        lines = capsys.readouterr().out.splitlines()
+        assert code == 1
+        (line,) = [x for x in lines if "injected_sign_flip" in x.split()]
+        assert line.startswith("FAIL  injected_sign_flip")
+        assert "probed=0 skipped_kinks=0" in line
+        assert "1 target(s) failed: injected_sign_flip;" in lines[-1]
 
     @pytest.mark.parametrize("tol", ["nan", "inf", "-1", "0", "x"])
     def test_gradcheck_tolerance_not_finite_and_positive_exits_2(

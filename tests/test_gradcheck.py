@@ -112,6 +112,25 @@ class TestGradCheck:
         with pytest.raises(ValueError):
             grad_check(lambda t: t * 2.0, [Tensor(np.ones(3))])
 
+    @pytest.mark.parametrize("max_coords", [0, [0]])
+    def test_report_that_compared_nothing_fails(self, max_coords):
+        def flipped(x):
+            return Tensor._from_op(x.data ** 2, (x,),
+                                   lambda g: (-2.0 * g * x.data,),
+                                   "flipped").sum()
+
+        report = grad_check(flipped, [Tensor(np.linspace(0.5, 1.5, 4))],
+                            max_coords=max_coords)
+        assert report.probed == 0 and report.max_rel_err == 0.0
+        assert not report.passed
+
+    def test_only_kinks_probed_fails(self):
+        # the one coordinate sits on the ReLU corner and is skipped
+        report = grad_check(lambda t: t.relu().sum(),
+                            [Tensor(np.array([0.0]))])
+        assert report.probed == report.skipped_kinks == 1
+        assert not report.passed
+
     def test_zero_gradient_input_passes(self):
         a = Tensor(np.ones(2))
         b = Tensor(np.ones(2))

@@ -130,8 +130,8 @@ class TestForward:
         assert "resize_nearest" not in built
 
     def test_l2_training_step_builds_at_most_56_op_nodes(self, rng, built):
-        # per AAA block: pwap's 7 nodes, one node for the three encoders,
-        # one for their coupling and one for the gated tail
+        # per AAA block: one node each for pwap, the three encoders, their
+        # coupling and the gated tail
         model = ToyModel(ModelConfig(attention_level="L2"), seed=0)
         labels = (rng.random((16, 3)) < 0.5).astype(float)
         bce_loss(model.forward(Tensor(rng.normal(size=(16, 1, 32, 32))),
@@ -139,6 +139,7 @@ class TestForward:
         assert len(built) <= 56
         for op in ("encode_attention", "couple_attention", "gated_fuse"):
             assert built.count(op) == 2
+        assert built.count("pwap") == 4  # intra-block and post-block
         # the classifier is the only fully connected layer left
         assert built.count("fully_connected") == 1
         assert "batch_norm" not in built and "sigmoid" in built

@@ -4,12 +4,14 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from numpy.lib.stride_tricks import sliding_window_view
 
 from anatomy_attn.gradcheck import grad_check
 from anatomy_attn.tensor import NonFiniteError, Tensor
 from anatomy_attn.ops import (BN_EPSILON, BatchNormState, LinearParams,
-                              batch_norm, conv3x3, conv_1x1, fully_connected,
-                              resize, softmax_channels, softmax_pair)
+                              _windows, batch_norm, conv3x3, conv_1x1,
+                              fully_connected, resize, softmax_channels,
+                              softmax_pair)
 
 
 class TestFullyConnected:
@@ -59,6 +61,19 @@ def _nine_tap_conv3x3(x, w, b, stride, g):
 
 
 class TestConv3x3:
+    @pytest.mark.parametrize("stride", [1, 2])
+    @pytest.mark.parametrize("hw", [(7, 7), (8, 8), (7, 8), (3, 4)])
+    def test_windows_equal_strided_sliding_window_view(self, rng, hw,
+                                                        stride):
+        xp = rng.normal(size=(2, 3) + hw)
+        got = _windows(xp, stride)
+        want = sliding_window_view(xp, (3, 3),
+                                   axis=(2, 3))[:, :, ::stride, ::stride]
+        assert got.shape == want.shape
+        assert got.strides == want.strides
+        assert not got.flags.writeable
+        np.testing.assert_array_equal(got, want)
+
     def test_identity_kernel(self, rng):
         x = Tensor(rng.normal(size=(1, 1, 5, 5)))
         w = np.zeros((1, 1, 3, 3))

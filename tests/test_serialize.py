@@ -1,6 +1,7 @@
 """Binary tensor serialization and PGM image output."""
 
 import io
+import json
 import struct
 import tempfile
 from pathlib import Path
@@ -93,11 +94,23 @@ class TestNamedTensors:
             np.testing.assert_array_equal(out[name], arr)
 
     def test_repeated_name_rejected(self, tmp_path):
-        # the second array must not silently replace the first
+        # the second array must not silently replace the first; the writer
+        # refuses such a manifest, so it is written by hand
         path = tmp_path / "ckpt.bin"
-        save_tensors(path, [("a", np.zeros(2)), ("a", np.ones(2))])
+        with open(path, "wb") as fh:
+            write_array(fh, np.zeros(2))
+            write_array(fh, np.ones(2))
+        path.with_suffix(".bin.manifest.json").write_text(
+            json.dumps({"tensors": ["a", "a"]}))
         with pytest.raises(ValueError, match="repeats tensor 'a'"):
             load_tensors(path)
+
+    def test_repeated_name_not_written(self, tmp_path):
+        path = tmp_path / "ckpt.bin"
+        with pytest.raises(ValueError, match="repeats tensor 'a'"):
+            save_tensors(path, [("a", np.zeros(2)), ("b", np.ones(1)),
+                                ("a", np.ones(2))])
+        assert list(tmp_path.iterdir()) == []
 
     def test_trailing_bytes_rejected(self, rng, tmp_path):
         path = tmp_path / "ckpt.bin"
