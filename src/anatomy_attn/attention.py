@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .ops import (BN_EPSILON, BatchNormState, LinearParams, bn_arrays,
-                  interp_matrix)
+                  resample)
 from .tensor import Tensor, ignore_fp_errors, logistic
 
 PWAP_EPSILON = 1e-8
@@ -106,9 +106,8 @@ class AnatomyMasks:
         """Nearest-neighbor resize by the 0/1 matrices of `ops.resize`."""
         if self.spatial == tuple(target):
             return self
-        rm = interp_matrix(self.spatial[0], target[0], "nearest")
-        cm = interp_matrix(self.spatial[1], target[1], "nearest")
-        return AnatomyMasks(rm @ self.lung @ cm.T, rm @ self.heart @ cm.T)
+        return AnatomyMasks(resample(self.lung, target, "nearest"),
+                            resample(self.heart, target, "nearest"))
 
     def union(self) -> np.ndarray:
         return np.maximum(self.lung, self.heart)

@@ -74,10 +74,12 @@ def grad_check(f, inputs, tol: float = 1e-4,
 
     report = GradCheckReport(name=name, max_rel_err=0.0, tol=tol)
     for t, a, limit in zip(inputs, analytic, max_coords, strict=True):
-        flat = t.data.reshape(-1)
-        coords = np.arange(flat.size)
-        if limit is not None and flat.size > limit:
-            coords = rng.choice(flat.size, size=limit, replace=False)
+        # .flat indexes t's own memory in C order whatever its layout;
+        # reshape(-1) of an F-ordered array is a copy the probes never reach
+        flat, size = t.data.flat, t.data.size
+        coords = np.arange(size)
+        if limit is not None and size > limit:
+            coords = rng.choice(size, size=limit, replace=False)
         report.probed += len(coords)
         worst = 0.0
         base = float(y.data)
@@ -85,9 +87,10 @@ def grad_check(f, inputs, tol: float = 1e-4,
             def probe(step):
                 orig = flat[k]
                 flat[k] = orig + step
-                val = float(f(*inputs).data)
-                flat[k] = orig
-                return val
+                try:
+                    return float(f(*inputs).data)
+                finally:
+                    flat[k] = orig
 
             hi = probe(_EPS)
             lo = probe(-_EPS)

@@ -8,6 +8,14 @@ import csv
 import numpy as np
 
 
+def write_csv(path, header, rows) -> None:
+    """Write `header`, then `rows` of already formatted fields, to `path`."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
 def auc(scores, labels) -> float:
     """Percent area under the ROC curve via the Mann-Whitney statistic:
     (#concordant + 0.5 * #ties) / (P * N) * 100."""
@@ -56,8 +64,6 @@ class MetricsTable:
         raise KeyError((condition, class_name))
 
     def write_csv(self, path) -> None:
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(self.HEADER)
-            for condition, class_name, val in self.rows:
-                writer.writerow([condition, class_name, f"{val:.6f}"])
+        write_csv(path, self.HEADER, ([condition, class_name, f"{val:.6f}"]
+                                      for condition, class_name, val
+                                      in self.rows))

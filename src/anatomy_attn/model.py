@@ -6,7 +6,6 @@ Grad-CAM extraction. Training or inference is the `train` argument of
 
 from __future__ import annotations
 
-import csv
 import json
 from dataclasses import dataclass, asdict, fields
 from pathlib import Path
@@ -14,10 +13,9 @@ from pathlib import Path
 import numpy as np
 
 from .attention import AaaParams, AnatomyMasks, PwapParams, aaa_forward, pwap
-from .metrics import auc
+from .metrics import auc, write_csv
 from .ops import (BatchNormState, ConvParams, LinearParams, bn_states,
-                  conv3x3, fully_connected, interp_matrix, named_tensors,
-                  resize)
+                  conv3x3, fully_connected, named_tensors, resample, resize)
 from .optim import Adam
 from .serialize import load_tensors, save_tensors
 from .tensor import DivergenceError, NonFiniteError, Tensor, concat
@@ -315,11 +313,8 @@ def train(model: ToyModel, data: dict, epochs: int, lr: float,
 
 
 def write_history(path, history) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(HISTORY_HEADER)
-        for epoch, loss, val_auc in history:
-            writer.writerow([epoch, f"{loss:.9f}", f"{val_auc:.6f}"])
+    write_csv(path, HISTORY_HEADER, ([epoch, f"{loss:.9f}", f"{val_auc:.6f}"]
+                                     for epoch, loss, val_auc in history))
 
 
 # -- inference helpers --------------------------------------------------------
@@ -363,9 +358,7 @@ def gradcam(model: ToyModel, image: Tensor, masks: AnatomyMasks | None,
     (cache["scores"] * onehot).sum().backward()
     weights = feat.grad.mean(axis=(2, 3), keepdims=True)
     cam = np.maximum((weights * feat.data).sum(axis=1, keepdims=True), 0.0)
-    rm = interp_matrix(cam.shape[2], image.shape[2], "bilinear")
-    cm = interp_matrix(cam.shape[3], image.shape[3], "bilinear")
-    cam = rm @ cam @ cm.T
+    cam = resample(cam, image.shape[2:], "bilinear")
     lo, hi = cam.min(), cam.max()
     if hi - lo > 0:
         cam = (cam - lo) / (hi - lo)

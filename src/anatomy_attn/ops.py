@@ -238,6 +238,14 @@ def interp_matrix(src: int, dst: int, method: str) -> np.ndarray:
     return m
 
 
+def resample(x: np.ndarray, target: tuple, method: str) -> np.ndarray:
+    """x[..., H, W] resampled to target (H', W') as R @ x @ C.T, with the
+    per-axis [dst, src] matrices of `interp_matrix`."""
+    rm = interp_matrix(x.shape[-2], target[0], method)
+    cm = interp_matrix(x.shape[-1], target[1], method)
+    return rm @ x @ cm.T
+
+
 def resize(x: Tensor, target: tuple, method: str = "bilinear") -> Tensor:
     """Resize x[N,C,H,W] to target (H',W').
 
@@ -250,13 +258,13 @@ def resize(x: Tensor, target: tuple, method: str = "bilinear") -> Tensor:
     if th < 1 or tw < 1:
         raise ValueError(f"resize target must be >= 1, got {target}")
     _, _, h, w = x.shape
-    rm = interp_matrix(h, th, method)
-    cm = interp_matrix(w, tw, method)
+    out = resample(x.data, target, method)
 
     def bwd(g):
-        return (rm.T @ g @ cm,)
+        return (interp_matrix(h, th, method).T @ g
+                @ interp_matrix(w, tw, method),)
 
-    return Tensor._from_op(rm @ x.data @ cm.T, (x,), bwd, f"resize_{method}")
+    return Tensor._from_op(out, (x,), bwd, f"resize_{method}")
 
 
 @ignore_fp_errors

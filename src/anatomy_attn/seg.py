@@ -6,12 +6,12 @@ Mask class channels are ordered (background, lung, heart) throughout.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 
 import numpy as np
 
 from .attention import AnatomyMasks
+from .metrics import write_csv
 from .ops import ConvParams, conv3x3, named_tensors, softmax_channels
 from .optim import Adam
 from .tensor import DivergenceError, NonFiniteError, Tensor
@@ -224,11 +224,8 @@ def train_cyclegan_toy(batches, nets: CycleNets, steps: int, lr: float):
 
 
 def write_curves(path, curves) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(CURVE_HEADER)
-        for row in curves:
-            writer.writerow([row[0]] + [f"{v:.9f}" for v in row[1:]])
+    write_csv(path, CURVE_HEADER, ([row[0]] + [f"{v:.9f}" for v in row[1:]]
+                                   for row in curves))
 
 
 # -- mask post-processing -----------------------------------------------------

@@ -12,15 +12,13 @@ def rng():
 
 @pytest.fixture
 def sign_flipped_suite(monkeypatch):
-    """The gradcheck suite with one more op target, `injected_sign_flip`:
-    a square whose backward has the wrong sign."""
-    op_targets = suite._op_targets
-
+    """The gradcheck suite with one more target, `injected_sign_flip`: a
+    square whose backward has the wrong sign."""
     def flipped_square(x):
         return Tensor._from_op(x.data ** 2, (x,),
                                lambda g: (-2.0 * g * x.data,),
                                "flipped_square")
 
-    monkeypatch.setattr(suite, "_op_targets", lambda rng: op_targets(rng) + [
-        ("injected_sign_flip", lambda t: flipped_square(t).sum(),
-         [Tensor(np.linspace(0.5, 1.5, 6))], None)])
+    monkeypatch.setitem(suite.TARGETS, "injected_sign_flip", lambda rng: (
+        lambda t: flipped_square(t).sum(),
+        [Tensor(np.linspace(0.5, 1.5, 6))], None))

@@ -389,10 +389,9 @@ class TestExitCodes:
     def test_gradcheck_target_that_probed_nothing_exits_1(
             self, capsys, monkeypatch, sign_flipped_suite):
         # the sign-flipped target, capped to probe no coordinate
-        targets = suite._op_targets
-        monkeypatch.setattr(suite, "_op_targets", lambda rng: [
-            t[:3] + (0,) if t[0] == "injected_sign_flip" else t
-            for t in targets(rng)])
+        build = suite.TARGETS["injected_sign_flip"]
+        monkeypatch.setitem(suite.TARGETS, "injected_sign_flip",
+                            lambda rng: build(rng)[:2] + (0,))
         code = main(["gradcheck", "--skip-models"])
         lines = capsys.readouterr().out.splitlines()
         assert code == 1

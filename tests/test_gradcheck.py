@@ -12,7 +12,7 @@ import pytest
 import anatomy_attn
 from anatomy_attn import suite
 from anatomy_attn.gradcheck import grad_check
-from anatomy_attn.tensor import Tensor
+from anatomy_attn.tensor import NonFiniteError, Tensor
 
 # op names that are not literals, expanded to every value the package
 # uses: an f-string, and the `op` that `_binary` passes on to `_from_op`,
@@ -66,6 +66,26 @@ class TestGradCheck:
         report = grad_check(flipped, [Tensor(np.linspace(0.5, 1.5, 4))])
         assert not report.passed
         assert report.max_rel_err > 1.0
+
+    def test_catches_wrong_gradient_on_fortran_ordered_input(self):
+        # Tensor(a.T) keeps a.T's F order, so a probe through a C-order
+        # reshape of it would write to a copy and never reach the tensor
+        def zero_backward(x):
+            return Tensor._from_op(x.data ** 2, (x,), lambda g: (0.0 * g,),
+                                   "zero_backward").sum()
+
+        x = Tensor(np.arange(1.0, 7.0).reshape(2, 3).T)
+        assert x.data.flags.f_contiguous and not x.data.flags.c_contiguous
+        report = grad_check(zero_backward, [x])
+        assert report.probed == 6 and not report.passed
+        assert grad_check(lambda t: (t * t).sum(), [x]).passed
+
+    def test_input_restored_when_target_raises(self):
+        # log(t - 1 + 5e-6) is finite at t = 1 but not at the probe 1 - 1e-5
+        x = Tensor(np.array([1.0, 2.0]))
+        with pytest.raises(NonFiniteError):
+            grad_check(lambda t: (t - 1.0 + 5e-6).log().sum(), [x])
+        assert x.data.tolist() == [1.0, 2.0]
 
     def test_skips_relu_kink_without_failing(self):
         # a coordinate exactly at the ReLU corner: any subgradient is valid,
@@ -139,6 +159,18 @@ class TestGradCheck:
         assert report.passed
 
 
+_NON_MODEL_TARGETS = [name for name in suite.TARGETS
+                      if not name.startswith("model_")]
+
+
+@pytest.fixture(scope="module")
+def serial_reports():
+    """{name: repr(report)} of the whole suite, run serially."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.delenv("ANATOMY_ATTN_THREADS", raising=False)
+        return {r.name: repr(r) for r in suite.run_gradcheck_suite()}
+
+
 class TestSuite:
     def test_ops_suite_passes(self):
         from anatomy_attn.suite import run_gradcheck_suite
@@ -169,6 +201,26 @@ class TestSuite:
                 counts[f"model_{level}_{pool}"] = n
         assert {name: probed[name] for name in counts} == counts
 
+    @pytest.mark.parametrize("left_out", _NON_MODEL_TARGETS)
+    def test_leaving_out_a_target_changes_no_other_report(
+            self, monkeypatch, serial_reports, left_out):
+        # the rest also run in reverse order, so order is covered as well
+        rest = [name for name in reversed(_NON_MODEL_TARGETS)
+                if name != left_out]
+        monkeypatch.setattr(suite, "TARGETS",
+                            {name: suite.TARGETS[name] for name in rest})
+        reports = suite.run_gradcheck_suite(include_models=False)
+        assert [(r.name, repr(r)) for r in reports] == [
+            (name, serial_reports[name]) for name in rest]
+
+    def test_serial_and_parallel_reports_identical(self, monkeypatch,
+                                                   serial_reports):
+        monkeypatch.setenv("ANATOMY_ATTN_THREADS", "2")
+        reports = suite.run_gradcheck_suite()
+        assert list(serial_reports) == list(suite.TARGETS)
+        assert [(r.name, repr(r)) for r in reports] == list(
+            serial_reports.items())
+
     def test_reports_do_not_depend_on_hash_seed(self):
         # coordinate sampling must not follow the interpreter's str-hash salt
         script = ("from anatomy_attn.suite import run_gradcheck_suite\n"
@@ -194,6 +246,8 @@ class TestSuite:
 
         monkeypatch.setattr(Tensor, "_from_op",
                             classmethod(recording_from_op))
+        # serial, so the recording sees every target's ops in this process
+        monkeypatch.delenv("ANATOMY_ATTN_THREADS", raising=False)
         # one forward evaluation per target is enough to build its graph
         monkeypatch.setattr(suite, "grad_check",
                             lambda f, inputs, **kw: f(*inputs))
