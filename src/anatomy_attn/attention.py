@@ -233,6 +233,7 @@ def encode_attention(pooled: Tensor, enc: AttentionEncoderParams,
     return out
 
 
+@ignore_fp_errors
 def couple_attention(a: Tensor) -> Tensor:
     """Coupled two-way softmaxes, [3,N,C] logits (a1, a2, a3) ->
     [3,N,C] rows (A_LE, A_HE, A_BkS), as one graph node.

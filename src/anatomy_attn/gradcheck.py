@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -40,6 +41,9 @@ _KINK_DISAGREEMENT = 1e-3
 
 
 def _rel_err(a: float, n: float) -> float:
+    """|a - n| / max(1, |a|, |n|), or inf if either is not finite."""
+    if not (math.isfinite(a) and math.isfinite(n)):
+        return math.inf
     return abs(a - n) / max(1.0, abs(a), abs(n))
 
 
@@ -96,7 +100,8 @@ def grad_check(f, inputs, tol: float = 1e-4,
             lo = probe(-_EPS)
             fd = (hi - lo) / (2.0 * _EPS)
             err = _rel_err(a.reshape(-1)[k], fd)
-            if err > tol:
+            # a non-finite gradient or difference (err inf) is no kink
+            if tol < err < math.inf:
                 # A kink (ReLU/max/clamp corner) inside the probe interval
                 # makes the central difference invalid. Two symptoms, each
                 # checked against an independent estimate that costs little:

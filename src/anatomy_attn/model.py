@@ -7,6 +7,8 @@ Grad-CAM extraction. Training or inference is the `train` argument of
 from __future__ import annotations
 
 import json
+import math
+import numbers
 from dataclasses import dataclass, asdict, fields
 from pathlib import Path
 
@@ -14,10 +16,10 @@ import numpy as np
 
 from .attention import AaaParams, AnatomyMasks, PwapParams, aaa_forward, pwap
 from .metrics import auc, write_csv
-from .ops import (BatchNormState, ConvParams, LinearParams, bn_states,
-                  conv3x3, fully_connected, named_tensors, resample, resize)
+from .ops import (BatchNormState, ConvParams, LinearParams, conv3x3,
+                  fully_connected, resample, resize, walk)
 from .optim import Adam
-from .serialize import load_tensors, save_tensors
+from .serialize import MAX_EXTENT, load_tensors, save_tensors
 from .tensor import DivergenceError, NonFiniteError, Tensor, concat
 
 ATTENTION_LEVELS = ("L0", "L1", "L2", "L3")
@@ -27,6 +29,11 @@ FUSION_TYPES = ("aaa", "hardmask", "none")
 # head stages (0-based into the 4 backbone stages) per attention level;
 # L0 is the no-attention baseline reading only the final stage
 _HEAD_STAGES = {"L0": (3,), "L1": (3,), "L2": (2, 3), "L3": (1, 2, 3)}
+
+
+def _is_int(value) -> bool:
+    """An int or numpy integer, but not a bool."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
 
 @dataclass
@@ -41,7 +48,30 @@ class ModelConfig:
     fusion: str = "aaa"
 
     def __post_init__(self):
-        self.backbone_widths = tuple(self.backbone_widths)
+        # numpy scalars are stored as the int and float that config.json
+        # can hold
+        widths = self.backbone_widths
+        if not (isinstance(widths, (list, tuple))
+                and all(map(_is_int, widths))):
+            raise ValueError(f"backbone_widths must be a list or tuple of "
+                             f"integers, got {widths!r}")
+        self.backbone_widths = tuple(int(w) for w in widths)
+        for key in ("image_size", "mask_size", "n_classes"):
+            value = getattr(self, key)
+            if not _is_int(value):
+                raise ValueError(f"{key} must be an integer, got {value!r}")
+            if value < 1:
+                raise ValueError(f"{key} must be >= 1")
+            setattr(self, key, int(value))
+        if isinstance(self.r, bool) or not isinstance(self.r, numbers.Real):
+            raise ValueError(f"r must be a real number, got {self.r!r}")
+        try:
+            r = float(self.r)
+        except OverflowError:  # an int beyond the float range
+            r = math.inf
+        if not 0 < r < math.inf:
+            raise ValueError(f"r must be finite and > 0, got {self.r}")
+        self.r = r
         for key, allowed in (("attention_level", ATTENTION_LEVELS),
                              ("pooling", POOLING_TYPES),
                              ("fusion", FUSION_TYPES)):
@@ -53,11 +83,22 @@ class ModelConfig:
             raise ValueError("backbone_widths must list 4 stage widths")
         if min(self.backbone_widths) < 1:
             raise ValueError("backbone_widths must be >= 1")
-        if not (np.isfinite(self.r) and self.r > 0):
-            raise ValueError(f"r must be finite and > 0, got {self.r}")
-        for key in ("image_size", "mask_size", "n_classes"):
-            if getattr(self, key) < 1:
-                raise ValueError(f"{key} must be >= 1")
+        # every parameter extent must fit a checkpoint header's uint16 slot;
+        # the AAA hidden width round(C / r) is tested before rounding, as
+        # C / r may be inf: round(x) > MAX_EXTENT iff x >= MAX_EXTENT + 0.5
+        heads = [self.backbone_widths[si] for si in self.head_stages]
+        extents = [("backbone_widths", "a stage width",
+                    max(self.backbone_widths)),
+                   ("backbone_widths", "the head widths' sum", sum(heads)),
+                   ("n_classes", "the class count", self.n_classes)]
+        if self.head_fusion == "aaa":
+            extents += [("r", f"the AAA hidden width round({c} / r)",
+                         c / self.r) for c in heads]
+        for key, what, extent in extents:
+            if extent >= MAX_EXTENT + 0.5:
+                raise ValueError(f"{key}: {what} is {extent:.6g}, above "
+                                 f"{MAX_EXTENT}, the largest extent a "
+                                 f"checkpoint stores")
 
     @property
     def head_stages(self) -> tuple:
@@ -111,14 +152,15 @@ class ToyModel:
 
     def _running_stats(self):
         """(checkpoint name, BatchNormState, attribute) per running array."""
-        return [(f"{prefix}.bnstate{j}.{attr}", bn, attr)
+        return [(f"{path}.{attr}", bn, attr)
                 for prefix, block in self._blocks()
-                for j, bn in enumerate(bn_states(block))
+                for path, bn in walk(block, prefix, BatchNormState)
                 for attr in ("running_mean", "running_var")]
 
     def parameters(self):
+        """(checkpoint name, Tensor) per learnable tensor, fixed order."""
         return [nt for prefix, block in self._blocks()
-                for nt in named_tensors(block, prefix)]
+                for nt in walk(block, prefix, Tensor)]
 
     def state_arrays(self):
         """Learnable tensors plus BN running statistics, fixed order."""
@@ -378,16 +420,6 @@ def save_checkpoint(model: ToyModel, out_dir) -> None:
     save_tensors(out_dir / "weights.bin", model.state_arrays())
 
 
-def _json_matches(value, default) -> bool:
-    """Whether a config.json value has the type of the ModelConfig default
-    it replaces: a list of ints for a tuple, an int or float for a float."""
-    if isinstance(default, tuple):
-        return isinstance(value, list) and all(type(v) is int for v in value)
-    if isinstance(default, float):
-        return type(value) in (int, float)
-    return type(value) is type(default)
-
-
 def load_checkpoint(out_dir) -> ToyModel:
     out_dir = Path(out_dir)
     cfg = json.loads((out_dir / "config.json").read_text())
@@ -397,10 +429,10 @@ def load_checkpoint(out_dir) -> ToyModel:
     unknown = sorted(set(cfg) - {f.name for f in fields(ModelConfig)})
     if unknown:
         raise ValueError(f"unknown config keys in checkpoint: {unknown}")
-    for f in fields(ModelConfig):
-        if f.name in cfg and not _json_matches(cfg[f.name], f.default):
-            raise ValueError(f"checkpoint config key {f.name!r} has the "
-                             f"wrong type: {cfg[f.name]!r}")
-    model = ToyModel(ModelConfig(**cfg))
+    try:
+        config = ModelConfig(**cfg)
+    except ValueError as exc:
+        raise ValueError(f"checkpoint config.json: {exc}") from exc
+    model = ToyModel(config)
     model.load_state(load_tensors(out_dir / "weights.bin"))
     return model

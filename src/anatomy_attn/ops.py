@@ -87,25 +87,16 @@ class BatchNormState:
         self.running_var = (1 - m) * self.running_var + m * var
 
 
-def _walk(block, prefix: str, kind: type):
+def walk(block, prefix: str, kind: type):
     """(name, value) for every `kind` in a parameter block: a dataclass
     recurses over its fields in declaration order as `prefix.field`, and
-    anything else that is not a `kind` yields nothing."""
+    anything else that is not a `kind` yields nothing. Model parameters
+    and running statistics are both named by this path."""
     if isinstance(block, kind):
         yield prefix, block
     elif is_dataclass(block):
         for f in fields(block):
-            yield from _walk(getattr(block, f.name), f"{prefix}.{f.name}", kind)
-
-
-def named_tensors(block, prefix: str):
-    """(checkpoint name, Tensor) for every learnable tensor in `block`."""
-    return _walk(block, prefix, Tensor)
-
-
-def bn_states(block) -> list:
-    """Every BatchNormState in `block`, in field order."""
-    return [s for _, s in _walk(block, "", BatchNormState)]
+            yield from walk(getattr(block, f.name), f"{prefix}.{f.name}", kind)
 
 
 # -- ops ----------------------------------------------------------------------

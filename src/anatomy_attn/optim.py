@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from .tensor import NonFiniteError
+
 BETA1 = 0.9
 BETA2 = 0.99
 EPS = 1e-8
@@ -25,6 +27,13 @@ class Adam:
             p.grad = None
 
     def step(self) -> None:
+        """One update of every parameter that has a gradient. A non-finite
+        gradient raises NonFiniteError before any parameter or moment
+        changes."""
+        for i, p in enumerate(self.params):
+            if p.grad is not None and not np.isfinite(p.grad).all():
+                raise NonFiniteError(f"non-finite gradient of parameter {i} "
+                                     f"{p.grad.shape} in Adam.step")
         self.t += 1
         for i, p in enumerate(self.params):
             if p.grad is None:

@@ -12,7 +12,7 @@ import numpy as np
 
 from .attention import AnatomyMasks
 from .metrics import write_csv
-from .ops import ConvParams, conv3x3, named_tensors, softmax_channels
+from .ops import ConvParams, conv3x3, softmax_channels
 from .optim import Adam
 from .tensor import DivergenceError, NonFiniteError, Tensor
 
@@ -54,10 +54,9 @@ class SegBatch:
 class ConvStack:
     """Stride-1 stack of 3x3 convs with ReLU between layers."""
 
-    def __init__(self, widths, rng: np.random.Generator, prefix: str):
+    def __init__(self, widths, rng: np.random.Generator):
         self.layers = [ConvParams.init(cin, cout, rng)
                        for cin, cout in zip(widths[:-1], widths[1:])]
-        self.prefix = prefix
 
     def __call__(self, x: Tensor) -> Tensor:
         for i, layer in enumerate(self.layers):
@@ -67,8 +66,7 @@ class ConvStack:
         return x
 
     def parameters(self):
-        return [nt for li, layer in enumerate(self.layers)
-                for nt in named_tensors(layer, f"{self.prefix}.conv{li}")]
+        return [t for layer in self.layers for t in (layer.weight, layer.bias)]
 
 
 class MaskGenerator(ConvStack):
@@ -101,10 +99,10 @@ class CycleNets:
     @classmethod
     def init(cls, width: int, seed: int):
         rng = np.random.default_rng(seed)
-        return cls(MaskGenerator((1, width, width, 3), rng, "g_cm"),
-                   ImageGenerator((3, width, width, 1), rng, "g_mc"),
-                   Discriminator((3, width, width, 1), rng, "d_m"),
-                   Discriminator((1, width, width, 1), rng, "d_c"))
+        return cls(MaskGenerator((1, width, width, 3), rng),
+                   ImageGenerator((3, width, width, 1), rng),
+                   Discriminator((3, width, width, 1), rng),
+                   Discriminator((1, width, width, 1), rng))
 
     def generator_parameters(self):
         return self.g_cm.parameters() + self.g_mc.parameters()
@@ -190,8 +188,8 @@ def train_cyclegan_toy(batches, nets: CycleNets, steps: int, lr: float):
 
     Returns (nets, curves) with one curve row per step.
     """
-    opt_g = Adam([t for _, t in nets.generator_parameters()], lr)
-    opt_d = Adam([t for _, t in nets.discriminator_parameters()], lr)
+    opt_g = Adam(nets.generator_parameters(), lr)
+    opt_d = Adam(nets.discriminator_parameters(), lr)
 
     curves = []
     for step in range(steps):

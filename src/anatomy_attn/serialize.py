@@ -15,15 +15,22 @@ import numpy as np
 
 MAGIC = b"AXT1"
 _HEADER = struct.Struct("<4sI4H")
+MAX_EXTENT = 0xFFFF  # the largest extent a uint16 header slot holds
+
+
+def _check_writable(arr: np.ndarray, name: str) -> None:
+    """Raise ValueError naming `name` unless a header can hold arr's shape."""
+    if arr.ndim > 4:
+        raise ValueError(f"{name} has rank {arr.ndim} > 4, not serializable")
+    if any(e > MAX_EXTENT for e in arr.shape):
+        raise ValueError(f"{name} has shape {arr.shape}, an extent above "
+                         f"the uint16 limit {MAX_EXTENT}")
 
 
 def write_array(fh, arr: np.ndarray) -> None:
     arr = np.asarray(arr, dtype=np.float64)
-    if arr.ndim > 4:
-        raise ValueError("rank > 4 not serializable")
+    _check_writable(arr, "array")
     extents = list(arr.shape) + [0] * (4 - arr.ndim)
-    if any(e > 0xFFFF for e in extents):
-        raise ValueError("extent exceeds uint16 range")
     fh.write(_HEADER.pack(MAGIC, arr.ndim, *extents))
     fh.write(arr.astype("<f8").tobytes(order="C"))
 
@@ -51,17 +58,20 @@ def save_tensors(path, named_arrays) -> None:
     """Write (name, array) pairs to `path` plus a JSON manifest alongside.
 
     The manifest fixes the name order; loading validates it. A repeated
-    name raises ValueError before anything is written.
+    name, or an array a header cannot describe, raises ValueError before
+    anything is written.
     """
     path = Path(path)
     named_arrays = list(named_arrays)
     names = [name for name, _ in named_arrays]
-    for i, name in enumerate(names):
+    arrays = [np.asarray(arr, dtype=np.float64) for _, arr in named_arrays]
+    for i, (name, arr) in enumerate(zip(names, arrays)):
         if name in names[:i]:
             raise ValueError(f"save_tensors: {path} repeats tensor {name!r}")
+        _check_writable(arr, f"save_tensors: tensor {name!r}")
     with open(path, "wb") as fh:
-        for _, arr in named_arrays:
-            write_array(fh, np.asarray(arr, dtype=np.float64))
+        for arr in arrays:
+            write_array(fh, arr)
     manifest = path.with_suffix(path.suffix + ".manifest.json")
     manifest.write_text(json.dumps({"tensors": names}, indent=1) + "\n")
 

@@ -19,8 +19,8 @@ from .attention import (AaaParams, AnatomyMasks, PwapParams, aaa_forward,
 from .gradcheck import grad_check
 from .model import ModelConfig, ToyModel, bce_loss
 from .ops import (BatchNormState, LinearParams, batch_norm, conv3x3, conv_1x1,
-                  fully_connected, named_tensors, resize, softmax_channels,
-                  softmax_pair)
+                  fully_connected, resize, softmax_channels, softmax_pair,
+                  walk)
 from .parallel import parallel_map
 from .seg import (CycleNets, SegBatch, adv_losses, cycle_losses, fakes,
                   gen_losses, pixel_ce)
@@ -74,7 +74,7 @@ def _coords(named, per_tensor: int) -> list:
 
 def _aaa_forward(rng):
     params = AaaParams.init(4, 0.5, rng)
-    named = list(named_tensors(params, "aaa"))
+    named = list(walk(params, "aaa", Tensor))
     masks = _binary_masks(rng, 2, 5, 5)
 
     def target(f, *tensors):
@@ -102,7 +102,7 @@ def _seg(fn, fake_inputs, rng):
     jittered nets' parameters. `fake_inputs(batch, nets)` runs inside each
     evaluation, so the differences see the generators."""
     nets = CycleNets.init(width=4, seed=3)
-    tensors = [t for _, t in nets.parameters()]
+    tensors = nets.parameters()
     _jitter(tensors, rng)
     batch = SegBatch(_rand(rng, 2, 1, 6, 6),
                      Tensor(_onehot_masks(rng, 2, 6, 6)),

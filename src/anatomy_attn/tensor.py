@@ -108,10 +108,12 @@ class Tensor:
 
     # -- autodiff -------------------------------------------------------------
 
+    @ignore_fp_errors
     def backward(self, grad=None) -> None:
-        """Reverse-mode sweep from this tensor through its graph. A node
-        whose backward returns a gradient count other than its parent
-        count raises ValueError."""
+        """Reverse-mode sweep from this tensor through its graph, with
+        numpy's floating-point warnings off: a non-finite gradient is
+        left for `Adam.step` to reject. A node whose backward returns a
+        gradient count other than its parent count raises ValueError."""
         if grad is None:
             grad = np.ones_like(self.data)
         else:

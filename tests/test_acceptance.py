@@ -2,7 +2,7 @@
 
 Each criterion prints a single PASS/FAIL line (run with `pytest -s` to see
 them as they complete). The heavy trainings are shared across criteria via
-session-scoped fixtures and honor ANATOMY_ATTN_THREADS.
+module-scoped fixtures and honor ANATOMY_ATTN_THREADS.
 """
 
 import os
@@ -25,8 +25,6 @@ from anatomy_attn.tensor import Tensor
 
 SEEDS = (0, 1, 2)
 
-os.environ.setdefault("ANATOMY_ATTN_THREADS", str(min(8, os.cpu_count() or 1)))
-
 
 def _cpu_seconds():
     """User plus system CPU of this process and its reaped children."""
@@ -44,13 +42,24 @@ def _line(num, desc, ok, detail=""):
     assert ok, f"criterion {num}: {desc}{suffix}"
 
 
-@pytest.fixture(scope="session")
+@pytest.fixture(scope="module", autouse=True)
+def workers():
+    """Up to 8 worker processes for this module's criteria, unless
+    ANATOMY_ATTN_THREADS is set already; other modules see the
+    environment as it was."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setenv("ANATOMY_ATTN_THREADS", os.environ.get(
+            "ANATOMY_ATTN_THREADS", str(min(8, os.cpu_count() or 1))))
+        yield
+
+
+@pytest.fixture(scope="module")
 def spec():
     return SyntheticSpec()
 
 
-@pytest.fixture(scope="session")
-def trained(spec):
+@pytest.fixture(scope="module")
+def trained(spec, workers):
     """One trained model per (level/fusion, seed), shared by criteria 7-8.
 
     Returns {(name, seed): (model, data)} with the stopwatch time for the

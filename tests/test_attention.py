@@ -12,9 +12,9 @@ from anatomy_attn.attention import (PWAP_EPSILON, AaaParams, AnatomyMasks,
                                     AttentionEncoderParams, PwapParams,
                                     _gated_fuse, aaa_forward,
                                     couple_attention, encode_attention, pwap)
-from anatomy_attn.ops import (LinearParams, batch_norm, bn_states, conv_1x1,
-                              fully_connected, named_tensors, resize,
-                              softmax_pair)
+from anatomy_attn.ops import (BatchNormState, LinearParams, batch_norm,
+                              conv_1x1, fully_connected, resize, softmax_pair,
+                              walk)
 from anatomy_attn.tensor import NonFiniteError, Tensor, concat
 
 
@@ -37,11 +37,11 @@ def _rows(block, rows):
 
 
 def _leaf_grads(block):
-    return [t.grad for _, t in named_tensors(block, "")]
+    return [t.grad for _, t in walk(block, "", Tensor)]
 
 
 def _running(block):
-    return [a for s in bn_states(block)
+    return [a for _, s in walk(block, "", BatchNormState)
             for a in (s.running_mean, s.running_var)]
 
 
@@ -173,6 +173,18 @@ class TestCoupleAttention:
     def test_outputs_in_unit_interval(self, rng):
         outs = _couple(*rng.normal(size=(3, 2, 6)) * 10)
         assert ((outs >= 0) & (outs <= 1)).all()
+
+    def test_extreme_logits_are_finite_without_numpy_warning(self):
+        # a1 - a2 overflows to inf, where the logistic saturates
+        a = Tensor(np.array([[[1e308, -1e308]], [[-1e308, 1e308]],
+                             [[1e308, -1e308]]]), requires_grad=True)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            out = couple_attention(a)
+            out.sum().backward()
+        np.testing.assert_array_equal(out.data, [[[1.0, 0.0]], [[1.0, 0.0]],
+                                                 [[0.0, 1.0]]])
+        assert np.isfinite(a.grad).all()
 
     def test_shape_mismatch_rejected(self):
         # anything but three stacked [N,C] logit rows
@@ -307,7 +319,7 @@ class TestAaaForward:
         feat = Tensor(rng.normal(size=(n, c, h, w)))
         masks = _masks(rng, n, h, w)
         params = AaaParams.init(c, 0.5, rng)
-        for t in [t for _, t in named_tensors(params, "p")]:
+        for _, t in walk(params, "p", Tensor):
             t.data = t.data + 0.1 * rng.normal(size=t.data.shape)
         out = aaa_forward(feat, masks, params, True).data.copy()
 
@@ -418,7 +430,7 @@ class TestGatedFuse:
         (logits,) = att._parents
         assert logits.shape == (3, 2, 4)
         assert logits._parents[1:] == tuple(
-            t for _, t in named_tensors(params.enc, "e"))
+            t for _, t in walk(params.enc, "e", Tensor))
         assert len(logits._parents) == 9
         assert logits._parents[0]._parents  # pooled, built by pwap
 
@@ -457,9 +469,9 @@ def _encoder_case(n, c):
     gammas, betas and running statistics, the same for every call."""
     rng = np.random.default_rng(5)
     params = AaaParams.init(c, 0.5, rng)
-    for _, t in named_tensors(params, "p"):
+    for _, t in walk(params, "p", Tensor):
         t.data = t.data + 0.3 * rng.normal(size=t.shape)
-    for s in bn_states(params.enc):
+    for _, s in walk(params.enc, "e", BatchNormState):
         s.running_mean = rng.normal(size=s.gamma.shape)
         s.running_var = rng.uniform(0.5, 2.0, size=s.gamma.shape)
     return Tensor(rng.normal(size=(n, c))), params.enc

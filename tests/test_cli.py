@@ -13,6 +13,7 @@ from anatomy_attn.config import ConfigError, DEFAULTS, echo_config, load_config
 from anatomy_attn.harness import SyntheticSpec, check_windows
 from anatomy_attn.model import ModelConfig, ToyModel, save_checkpoint
 from anatomy_attn.serialize import load_tensors, save_tensors
+from anatomy_attn.tensor import Tensor
 
 
 # small overrides so CLI tests stay fast
@@ -190,6 +191,22 @@ class TestExitCodes:
         assert key in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("overrides, message", [
+        (["model.attention_level=L0", "model.pooling=average",
+          "model.mask_size=1", "model.image_size=2",
+          "model.backbone_widths=1,1,1,65536"],
+         "model.backbone_widths: a stage width is 65536, above 65535"),
+        (["model.r=1e-300"],
+         "model.r: the AAA hidden width round(3 / r) is 3e+300, above 65535")],
+        ids=["width", "hidden_width"])
+    def test_model_a_checkpoint_cannot_hold_exits_2_before_training(
+            self, tmp_path, capsys, overrides, message):
+        out = tmp_path / "run"
+        sets = [arg for o in overrides for arg in ("--set", o)]
+        assert main(["--out", str(out)] + FAST + sets + ["train"]) == 2
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("override", [
         "robustness.windows=", "robustness.windows=0,-4",
         "robustness.windows=4,8", "robustness.trials=0"],
@@ -273,8 +290,10 @@ class TestExitCodes:
         (_map_weights(lambda a: {**a, "extra.weight": np.zeros(2)}),
          "unexpected tensor(s) in state: ['extra.weight']"),
         (_set_config(backbone_widths=5),
-         "'backbone_widths' has the wrong type"),
-        (_set_config(image_size="a"), "'image_size' has the wrong type"),
+         "checkpoint config.json: backbone_widths must be a list or tuple "
+         "of integers, got 5"),
+        (_set_config(image_size="a"),
+         "checkpoint config.json: image_size must be an integer, got 'a'"),
         (_write("config.json", "[]"),
          "config.json holds a list, not an object"),
         (_set_config(r=float("inf")), "r must be finite and > 0, got inf"),
@@ -287,10 +306,10 @@ class TestExitCodes:
          'is not {"tensors": [name, ...]}'),
         (_poison("classifier.weight", np.nan),
          "tensor 'classifier.weight' holds non-finite values"),
-        (_poison("aaa2.bnstate0.running_var", np.inf),
-         "tensor 'aaa2.bnstate0.running_var' holds non-finite values"),
-        (_poison("aaa2.bnstate0.running_var", -1.0),
-         "tensor 'aaa2.bnstate0.running_var' must be >= 0")],
+        (_poison("aaa2.enc.bn1.running_var", np.inf),
+         "tensor 'aaa2.enc.bn1.running_var' holds non-finite values"),
+        (_poison("aaa2.enc.bn1.running_var", -1.0),
+         "tensor 'aaa2.enc.bn1.running_var' must be >= 0")],
         ids=["wrong_shape", "missing", "unexpected", "widths_int",
              "size_str", "config_list", "r_inf", "r_nan", "manifest_int",
              "manifest_list", "manifest_int_name", "weight_nan",
@@ -385,6 +404,27 @@ class TestExitCodes:
         out = capsys.readouterr().out
         assert code == 1
         assert "FAIL  injected_sign_flip" in out
+
+    def test_gradcheck_non_finite_gradient_exits_1(self, capsys,
+                                                   monkeypatch):
+        def inf_square(x):
+            return Tensor._from_op(x.data ** 2, (x,), lambda g: (g * np.inf,),
+                                   "inf_square")
+
+        monkeypatch.setitem(
+            suite.TARGETS, "injected_inf_gradient", lambda rng: (
+                lambda t: inf_square(t).sum(),
+                [Tensor(np.linspace(0.5, 1.5, 6))], None))
+        code = main(["gradcheck", "--skip-models"])
+        lines = capsys.readouterr().out.splitlines()
+        assert code == 1
+        (line,) = [x for x in lines[:-1]
+                   if "injected_inf_gradient" in x.split()]
+        assert line.startswith("FAIL  injected_inf_gradient")
+        assert "max_rel_err=inf" in line and "margin=0 " in line
+        assert lines[-1].startswith("gradcheck: 1 target(s) failed: "
+                                    "injected_inf_gradient; worst "
+                                    "injected_inf_gradient margin=0,")
 
     def test_gradcheck_target_that_probed_nothing_exits_1(
             self, capsys, monkeypatch, sign_flipped_suite):

@@ -67,6 +67,19 @@ class TestGradCheck:
         assert not report.passed
         assert report.max_rel_err > 1.0
 
+    @pytest.mark.parametrize("bad", [np.inf, np.nan], ids=["inf", "nan"])
+    def test_non_finite_gradient_fails_with_infinite_error(self, bad):
+        # a NaN error would compare false against tol and pass
+        def square(x):
+            return Tensor._from_op(x.data ** 2, (x,), lambda g: (g * bad,),
+                                   "non_finite_square").sum()
+
+        report = grad_check(square, [Tensor(np.linspace(0.5, 1.5, 4))])
+        assert not report.passed
+        assert report.max_rel_err == np.inf
+        assert report.per_input == [np.inf]
+        assert report.skipped_kinks == 0
+
     def test_catches_wrong_gradient_on_fortran_ordered_input(self):
         # Tensor(a.T) keeps a.T's F order, so a probe through a C-order
         # reshape of it would write to a copy and never reach the tensor

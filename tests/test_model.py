@@ -2,10 +2,12 @@
 
 import hashlib
 import json
+import re
 
 import numpy as np
 import pytest
 
+from anatomy_attn import model as model_module
 from anatomy_attn.attention import AnatomyMasks
 from anatomy_attn.model import (ModelConfig, ToyModel, batch_masks, bce_loss,
                                 gradcam, load_checkpoint, predict,
@@ -60,6 +62,59 @@ class TestConfig:
     def test_l0_ignores_masks(self):
         assert not _cfg(attention_level="L0", fusion="none").uses_masks
         assert _cfg(attention_level="L2").uses_masks
+
+    @pytest.mark.parametrize("kw, message", [
+        ({"image_size": True}, "image_size must be an integer, got True"),
+        ({"mask_size": "4"}, "mask_size must be an integer, got '4'"),
+        ({"n_classes": 2.0}, "n_classes must be an integer, got 2.0"),
+        ({"backbone_widths": 5},
+         "backbone_widths must be a list or tuple of integers, got 5"),
+        ({"backbone_widths": "2334"},
+         "backbone_widths must be a list or tuple of integers, got '2334'"),
+        ({"backbone_widths": (2, 3, 3, True)},
+         "backbone_widths must be a list or tuple of integers"),
+        ({"backbone_widths": np.array([2, 3, 3, 4])},
+         "backbone_widths must be a list or tuple of integers"),
+        ({"r": "0.5"}, "r must be a real number, got '0.5'"),
+        ({"r": True}, "r must be a real number, got True"),
+        ({"r": None}, "r must be a real number, got None"),
+        ({"r": 10 ** 400}, "r must be finite and > 0"),
+        ({"backbone_widths": (2, 3, 3, 65536)},
+         "backbone_widths: a stage width is 65536, above 65535"),
+        ({"attention_level": "L3", "fusion": "none",
+          "backbone_widths": (2, 40000, 40000, 4)},
+         "backbone_widths: the head widths' sum is 80004, above 65535"),
+        ({"n_classes": 65536}, "n_classes: the class count is 65536"),
+        ({"r": 4 / 65536},
+         "r: the AAA hidden width round(4 / r) is 65536, above 65535"),
+        ({"r": 1e-300},
+         "r: the AAA hidden width round(3 / r) is 3e+300, above 65535"),
+        ({"r": 5e-324},
+         "r: the AAA hidden width round(3 / r) is inf, above 65535")],
+        ids=["size_bool", "size_str", "classes_float", "widths_int",
+             "widths_str", "widths_bool", "widths_array", "r_str", "r_bool",
+             "r_none", "r_huge_int", "width_extent", "head_sum_extent",
+             "classes_extent", "hidden_extent", "hidden_huge",
+             "hidden_inf"])
+    def test_unbuildable_or_unsavable_config_rejected(self, kw, message):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            _cfg(**kw)
+
+    def test_largest_hidden_width_builds_and_saves(self, tmp_path):
+        model = ToyModel(_cfg(r=4 / 65535), seed=0)
+        assert model.aaa[3].enc.bn1.gamma.shape == (3, 65535)
+        save_checkpoint(model, tmp_path)
+        assert load_checkpoint(tmp_path).config == model.config
+
+    def test_numpy_scalars_stored_as_json_types(self, tmp_path):
+        cfg = _cfg(image_size=np.int64(16), n_classes=np.int32(2),
+                   backbone_widths=[np.int64(2), 3, 3, 4],
+                   r=np.float32(0.5))
+        assert all(type(v) is int for v in (cfg.image_size, cfg.n_classes,
+                                            *cfg.backbone_widths))
+        assert type(cfg.r) is float
+        save_checkpoint(ToyModel(cfg, seed=0), tmp_path)
+        assert load_checkpoint(tmp_path).config == cfg
 
 
 class TestForward:
@@ -274,6 +329,27 @@ class TestTraining:
             f"non-finite loss in epoch 0, step {step} (images {idx}): "
             f"non-finite ")
 
+    def test_non_finite_gradient_names_the_step_that_made_it(
+            self, rng, monkeypatch):
+        # the loss is finite, but its backward sends inf into the graph
+        def inf_gradient_loss(p_s, labels):
+            loss = bce_loss(p_s, labels)
+            return Tensor._from_op(loss.data, (loss,), lambda g: (g * np.inf,),
+                                   "inf_gradient")
+
+        monkeypatch.setattr(model_module, "bce_loss", inf_gradient_loss)
+        data = self._data(rng)
+        model = ToyModel(_cfg(attention_level="L0", fusion="none"), seed=0)
+        before = model.snapshot()
+        idx = np.random.default_rng(3).permutation(24)[:8].tolist()
+        with pytest.raises(DivergenceError) as info:
+            train(model, data, epochs=1, lr=1e-3, batch=8, seed=3)
+        assert str(info.value).startswith(
+            f"non-finite loss in epoch 0, step 0 (images {idx}): "
+            f"non-finite gradient ")
+        for name, arr in model.snapshot().items():
+            np.testing.assert_array_equal(arr, before[name])
+
     @pytest.mark.parametrize("n, batch", [(24, 1), (1, 8)])
     def test_no_runnable_step_rejected_before_training(self, rng, n, batch):
         # train-mode batch norm needs >= 2 samples, so no step could run
@@ -361,8 +437,8 @@ class TestGradCam:
 
 class TestCheckpoint:
     @pytest.mark.parametrize("level, pool, fusion, n, names_sha, weights_sha", [
-        ("L2", "pwap", "aaa", 58, "908335746390c504", "5c45cee7c16f1145"),
-        ("L3", "gem", "aaa", 79, "17634af1ddb397cc", "78f2403529ebdc6a"),
+        ("L2", "pwap", "aaa", 58, "d4fdd68735019664", "5c45cee7c16f1145"),
+        ("L3", "gem", "aaa", 79, "71cfceb6448a08ee", "78f2403529ebdc6a"),
         ("L0", "max", "none", 10, "fe38ab4e0ec10bb2", "65a0f2645a93c42c")])
     def test_layout_and_bytes_are_pinned(self, tmp_path, level, pool, fusion,
                                          n, names_sha, weights_sha):

@@ -1,9 +1,11 @@
-"""Adam: the bias-corrected update and parameters without a gradient."""
+"""Adam: the bias-corrected update, parameters without a gradient, and
+non-finite gradients."""
 
 import numpy as np
+import pytest
 
 from anatomy_attn.optim import Adam
-from anatomy_attn.tensor import Tensor
+from anatomy_attn.tensor import NonFiniteError, Tensor
 
 
 def test_two_steps_match_hand_computed_update():
@@ -36,3 +38,19 @@ def test_parameter_without_gradient_is_unchanged():
     opt.zero_grad()
     opt.step()
     np.testing.assert_array_equal(p.data, after_first)
+
+
+@pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+def test_non_finite_gradient_raises_before_any_change(bad):
+    # the bad gradient is the second one: the first must not move either
+    p, q = Tensor([1.0, 2.0], requires_grad=True), Tensor([3.0])
+    opt = Adam([p, q], lr=0.1)
+    p.grad, q.grad = np.array([0.5, -0.5]), np.array([0.25])
+    opt.step()
+    state = [a.copy() for a in (p.data, q.data, *opt._m, *opt._v)]
+    p.grad, q.grad = np.array([0.5, -0.5]), np.array([bad])
+    with pytest.raises(NonFiniteError, match="parameter 1"):
+        opt.step()
+    assert opt.t == 1
+    for a, b in zip(state, (p.data, q.data, *opt._m, *opt._v), strict=True):
+        assert a.tobytes() == b.tobytes()

@@ -250,8 +250,8 @@ def _reference_train(batches, nets, steps, lr):
     """The alternating trainer composed term by term: every loss term
     builds its own generator forwards, and the discriminator loss
     backpropagates through the generators too."""
-    opt_g = Adam([t for _, t in nets.generator_parameters()], lr)
-    opt_d = Adam([t for _, t in nets.discriminator_parameters()], lr)
+    opt_g = Adam(nets.generator_parameters(), lr)
+    opt_d = Adam(nets.discriminator_parameters(), lr)
     curves = []
     for step in range(steps):
         batch = next(batches)

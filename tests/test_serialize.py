@@ -112,6 +112,15 @@ class TestNamedTensors:
                                 ("a", np.ones(2))])
         assert list(tmp_path.iterdir()) == []
 
+    @pytest.mark.parametrize("bad, message", [
+        (np.zeros(65536), r"shape \(65536,\), an extent above"),
+        (np.zeros((1, 1, 1, 1, 1)), "rank 5 > 4")], ids=["extent", "rank"])
+    def test_unwritable_array_not_written(self, tmp_path, bad, message):
+        path = tmp_path / "ckpt.bin"
+        with pytest.raises(ValueError, match=f"tensor 'b' has {message}"):
+            save_tensors(path, [("a", np.zeros(2)), ("b", bad)])
+        assert list(tmp_path.iterdir()) == []
+
     def test_trailing_bytes_rejected(self, rng, tmp_path):
         path = tmp_path / "ckpt.bin"
         save_tensors(path, [("x", rng.normal(size=3))])

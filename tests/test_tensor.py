@@ -252,6 +252,14 @@ class TestNonFinite:
             with pytest.raises(NonFiniteError):
                 op(Tensor([[1.7e308]]), Tensor([[1.7e308]]))
 
+    def test_overflowing_backward_leaves_inf_without_numpy_warning(self):
+        # 1 / 1e-310 overflows in log's backward; Adam.step rejects it
+        x = Tensor(np.full(2, 1e-310), requires_grad=True)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            x.log().sum().backward()
+        np.testing.assert_array_equal(x.grad, [np.inf, np.inf])
+
 
 finite_arrays = st.lists(
     st.floats(min_value=-10, max_value=10, allow_nan=False), min_size=1,
