@@ -8,12 +8,13 @@ provenance.
 from __future__ import annotations
 
 import configparser
-import math
 from dataclasses import asdict
 from pathlib import Path
 
-from .harness import DEFAULT_TRAIN, SyntheticSpec, check_windows
+from .harness import (DEFAULT_TRAIN, SyntheticSpec, check_trials,
+                      check_windows)
 from .model import ModelConfig, check_train_args
+from .optim import check_lr
 
 
 class ConfigError(ValueError):
@@ -83,7 +84,8 @@ def load_config(path=None, overrides=()) -> dict:
     g = merged["seg"]
     # these name the bad field first; the section is prefixed here
     checks = {"model": model_config, "synthetic": synthetic_spec,
-              "robustness": lambda _: check_windows(r["windows"])}
+              "robustness": lambda _: (check_windows(r["windows"]),
+                                       check_trials(r["trials"]))}
     for section, check in checks.items():
         try:
             check(merged)
@@ -91,13 +93,11 @@ def load_config(path=None, overrides=()) -> dict:
             raise ConfigError(f"bad config value: {section}.{exc}") from exc
     try:
         check_train_args(s["n_train"], s["n_val"], t["epochs"], t["batch"])
-        for key, value in (("train.lr", t["lr"]), ("seg.lr", g["lr"])):
-            if not (math.isfinite(value) and value > 0):
-                raise ValueError(f"{key} must be finite and > 0, got {value}")
+        check_lr(t["lr"], "train.lr")
+        check_lr(g["lr"], "seg.lr")
         # seeds >= 0, as numpy's generators need; counts >= 1
         seg_counts = ("steps", "size", "width", "n_annotated", "n_unannotated")
-        for key, value, low in [("seg.data_seed", g["data_seed"], 0),
-                                ("robustness.trials", r["trials"], 1)] + [
+        for key, value, low in [("seg.data_seed", g["data_seed"], 0)] + [
                 (f"seg.{k}", g[k], 1) for k in seg_counts]:
             if value < low:
                 raise ValueError(f"{key} must be >= {low}, got {value}")

@@ -5,7 +5,6 @@ cutout robustness sweep."""
 from __future__ import annotations
 
 import functools
-import math
 from dataclasses import dataclass, replace as dc_replace
 
 import numpy as np
@@ -15,7 +14,7 @@ from .metrics import MetricsTable, auc
 from .model import ModelConfig, ToyModel, predict, train
 from .parallel import parallel_map
 from .seg import SegBatch, apply_cutout, sample_cutout_windows
-from .tensor import Tensor
+from .tensor import Tensor, is_finite, is_int, is_real
 
 CLASS_NAMES = ("lung_lesion", "heart_lesion", "outside_lesion")
 SEG_NOISE = 0.1  # pixel noise std of the toy segmentation images
@@ -29,7 +28,8 @@ class SyntheticSpec:
     """Desk-scale stand-in dataset: per-sample jittered lung/heart regions
     and identical-looking lesion blobs whose class is defined purely by
     where they sit (inside lung, inside heart, outside anatomy). A field out
-    of range, or not an integer where one is needed, raises ValueError; the
+    of range or of the wrong type (integers may be numpy integers and
+    reals numpy scalars, never bools) raises ValueError naming it; the
     spec is frozen, so `dataclasses.replace` is the way to change a field
     and every change is checked."""
 
@@ -49,15 +49,19 @@ class SyntheticSpec:
                          ("image_size", 1), ("lesion_radius", 0),
                          ("mask_jitter", 0), ("seed", 0)):
             value = getattr(self, key)
-            if not isinstance(value, (int, np.integer)):
+            if not is_int(value):
                 raise ValueError(f"{key} must be an integer, got {value!r}")
             if value < low:
                 raise ValueError(f"{key} must be >= {low}, got {value}")
-        if not (math.isfinite(self.noise) and self.noise >= 0):
+        for key in ("noise", "anatomy_contrast", "lesion_amplitude"):
+            value = getattr(self, key)
+            if not is_real(value):
+                raise ValueError(f"{key} must be a real number, got {value!r}")
+        if not (is_finite(self.noise) and self.noise >= 0):
             raise ValueError(f"noise must be finite and >= 0, got {self.noise}")
         for key in ("anatomy_contrast", "lesion_amplitude"):
             value = getattr(self, key)
-            if not math.isfinite(value):
+            if not is_finite(value):
                 raise ValueError(f"{key} must be finite, got {value}")
 
 
@@ -367,9 +371,11 @@ def robustness_sweep(models: dict, data: dict, windows, trials: int,
     """Frozen-model AUC vs cutout window size, averaged over trials.
 
     The same window locations are applied across all models; the window=0
-    rows are the uncorrupted reference. Bad `windows` raise first.
+    rows are the uncorrupted reference. Bad `windows` or `trials` raise
+    first.
     """
     check_windows(windows)
+    check_trials(trials)
     table = MetricsTable()
     for name, model in models.items():
         for window in windows:
@@ -398,13 +404,24 @@ def check_windows(windows) -> None:
         raise ValueError(f"windows repeats window {repeated}, got {windows}")
 
 
+def check_trials(trials) -> None:
+    """Raise ValueError unless `trials`, the cutout draws per window, is an
+    integer >= 1."""
+    if not is_int(trials):
+        raise ValueError(f"trials must be an integer, got {trials!r}")
+    if trials < 1:
+        raise ValueError(f"trials must be >= 1, got {trials}")
+
+
 def robustness_experiment(spec: SyntheticSpec, seeds, windows,
                           base_config: ModelConfig, trials: int,
                           train_kwargs: dict | None = None) -> MetricsTable:
     """Train attention and hard-mask models per seed, all on one dataset,
     sweep cutout windows, and report the median AUC over seeds per
-    (model, window). Bad `windows` or `train_kwargs` raise first."""
+    (model, window). Bad `windows`, `trials` or `train_kwargs` raise
+    first."""
     check_windows(windows)
+    check_trials(trials)
     train_kwargs = _train_settings(train_kwargs)
     data = _shared_dataset(spec, base_config.image_size)
     per_seed_tables = []

@@ -7,8 +7,6 @@ Grad-CAM extraction. Training or inference is the `train` argument of
 from __future__ import annotations
 
 import json
-import math
-import numbers
 from dataclasses import dataclass, asdict, fields
 from pathlib import Path
 
@@ -20,7 +18,8 @@ from .ops import (BatchNormState, ConvParams, LinearParams, conv3x3,
                   fully_connected, resample, resize, walk)
 from .optim import Adam
 from .serialize import MAX_EXTENT, load_tensors, save_tensors
-from .tensor import DivergenceError, NonFiniteError, Tensor, concat
+from .tensor import (DivergenceError, NonFiniteError, Tensor, concat,
+                     is_finite, is_int, is_real)
 
 ATTENTION_LEVELS = ("L0", "L1", "L2", "L3")
 POOLING_TYPES = ("pwap", "average", "max", "gem")
@@ -29,11 +28,6 @@ FUSION_TYPES = ("aaa", "hardmask", "none")
 # head stages (0-based into the 4 backbone stages) per attention level;
 # L0 is the no-attention baseline reading only the final stage
 _HEAD_STAGES = {"L0": (3,), "L1": (3,), "L2": (2, 3), "L3": (1, 2, 3)}
-
-
-def _is_int(value) -> bool:
-    """An int or numpy integer, but not a bool."""
-    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
 
 @dataclass
@@ -52,26 +46,22 @@ class ModelConfig:
         # can hold
         widths = self.backbone_widths
         if not (isinstance(widths, (list, tuple))
-                and all(map(_is_int, widths))):
+                and all(map(is_int, widths))):
             raise ValueError(f"backbone_widths must be a list or tuple of "
                              f"integers, got {widths!r}")
         self.backbone_widths = tuple(int(w) for w in widths)
         for key in ("image_size", "mask_size", "n_classes"):
             value = getattr(self, key)
-            if not _is_int(value):
+            if not is_int(value):
                 raise ValueError(f"{key} must be an integer, got {value!r}")
             if value < 1:
                 raise ValueError(f"{key} must be >= 1")
             setattr(self, key, int(value))
-        if isinstance(self.r, bool) or not isinstance(self.r, numbers.Real):
+        if not is_real(self.r):
             raise ValueError(f"r must be a real number, got {self.r!r}")
-        try:
-            r = float(self.r)
-        except OverflowError:  # an int beyond the float range
-            r = math.inf
-        if not 0 < r < math.inf:
+        if not (is_finite(self.r) and self.r > 0):
             raise ValueError(f"r must be finite and > 0, got {self.r}")
-        self.r = r
+        self.r = float(self.r)
         for key, allowed in (("attention_level", ATTENTION_LEVELS),
                              ("pooling", POOLING_TYPES),
                              ("fusion", FUSION_TYPES)):
@@ -169,8 +159,8 @@ class ToyModel:
                    for name, bn, attr in self._running_stats()])
 
     def load_state(self, arrays: dict) -> None:
-        """Set every array of `state_arrays()` from `arrays`, which must
-        hold exactly those names, each with the same shape."""
+        """Write `arrays` into every array of `state_arrays()` in place;
+        `arrays` must hold exactly those names, each with the same shape."""
         expected = dict(self.state_arrays())
         unexpected = sorted(set(arrays) - set(expected))
         if unexpected:
@@ -188,10 +178,9 @@ class ToyModel:
             if attr == "running_var":
                 BatchNormState.check_running_var(arrays[name],
                                                  f"tensor {name!r}")
-        for name, t in self.parameters():
-            t.data = np.array(arrays[name], dtype=np.float64)
-        for name, bn, attr in self._running_stats():
-            setattr(bn, attr, np.array(arrays[name]))
+        # in place, so that parameters stay views of an optimizer's store
+        for name, arr in expected.items():
+            arr[...] = arrays[name]
 
     def snapshot(self) -> dict:
         return {name: arr.copy() for name, arr in self.state_arrays()}

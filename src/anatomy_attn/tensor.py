@@ -8,8 +8,28 @@ NonFiniteError instead of propagating silently.
 from __future__ import annotations
 
 import math
+import numbers
 
 import numpy as np
+
+
+def is_int(value) -> bool:
+    """An int or numpy integer, but not a bool."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
+def is_real(value) -> bool:
+    """A real number (int, float or numpy scalar), but not a bool."""
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
+def is_finite(value) -> bool:
+    """`math.isfinite` of a real number; False for an int beyond the
+    float range."""
+    try:
+        return math.isfinite(value)
+    except OverflowError:
+        return False
 
 
 class NonFiniteError(ArithmeticError):
@@ -62,6 +82,9 @@ class Tensor:
 
     A Tensor is immutable once produced by an op except for its `grad`
     buffer. The graph built by ops is confined to one thread of execution.
+    `Adam.step` writes new values into its leaf parameters' arrays in
+    place, and backward closures read those arrays, so a graph built
+    before a step must not be backpropagated after it.
     """
 
     __slots__ = ("data", "requires_grad", "grad", "_parents", "_backward_fn")

@@ -250,7 +250,18 @@ class TestSyntheticData:
         ("anatomy_contrast", np.nan, "anatomy_contrast must be finite, "
                                      "got nan"),
         ("lesion_amplitude", -np.inf, "lesion_amplitude must be finite, "
-                                      "got -inf")])
+                                      "got -inf"),
+        ("seed", True, "seed must be an integer, got True"),
+        ("image_size", True, "image_size must be an integer, got True"),
+        ("n_train", np.True_, "n_train must be an integer, got np.True_"),
+        ("noise", "0.3", "noise must be a real number, got '0.3'"),
+        pytest.param("noise", 10 ** 400,
+                     f"noise must be finite and >= 0, got {10 ** 400}",
+                     id="noise-int beyond float"),
+        ("anatomy_contrast", None, "anatomy_contrast must be a real number, "
+                                   "got None"),
+        ("lesion_amplitude", True, "lesion_amplitude must be a real number, "
+                                   "got True")])
     def test_bad_field_rejected_before_any_draw(self, key, value, message,
                                                 monkeypatch):
         monkeypatch.setattr(np.random, "default_rng",
@@ -611,6 +622,24 @@ class TestSweeps:
                             lambda *args: pytest.fail("trained"))
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             run(windows)
+        assert generated() == []
+
+    @pytest.mark.parametrize("trials, message", [
+        (0, "trials must be >= 1, got 0"), (-1, "trials must be >= 1, got -1"),
+        (1.0, "trials must be an integer, got 1.0"),
+        (True, "trials must be an integer, got True")])
+    @pytest.mark.parametrize("run", [
+        lambda trials: robustness_experiment(TINY_SPEC, [0], (0, 2),
+                                             TINY_CONFIG, trials=trials,
+                                             train_kwargs=TINY_TRAIN),
+        lambda trials: robustness_sweep({}, {}, (0, 2), trials, 0)],
+        ids=["robustness_experiment", "robustness_sweep"])
+    def test_bad_trials_rejected_before_any_work(self, run, trials, message,
+                                                 monkeypatch, generated):
+        monkeypatch.setattr(harness, "train",
+                            lambda *args: pytest.fail("trained"))
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            run(trials)
         assert generated() == []
 
     def test_ablation_axes_registry(self):
