@@ -6,57 +6,47 @@ Exit codes: 0 success, 1 assertion/suite failure, 2 usage error.
 from __future__ import annotations
 
 import argparse
-import math
 import sys
 from dataclasses import replace as dc_replace
 from pathlib import Path
 
 from .config import (ConfigError, echo_config, load_config, model_config,
                      parse_int_list, synthetic_spec)
-from .harness import (ABLATION_AXES, ablation_sweep, gen_seg_batches,
-                      gen_synthetic, repeated_value, robustness_experiment)
+from .harness import (ABLATION_AXES, ablation_sweep, check_seeds,
+                      gen_seg_batches, gen_synthetic, robustness_experiment)
 from .model import (ToyModel, batch_masks, gradcam, gradcam_stage,
                     load_checkpoint, save_checkpoint, write_history, train)
 from .seg import CycleNets, train_cyclegan_toy, write_curves
 from .serialize import write_pgm
 from .suite import run_gradcheck_suite
-from .tensor import Tensor
+from .tensor import Tensor, check_int, check_real
 
 # commands that evaluate on the synthetic test split, so need test images
 TEST_SPLIT_COMMANDS = ("ablate", "robustness", "gradcam")
 
 
+def _usage(check, *args, **kwargs):
+    """`check(...)`, whose ValueError argparse reports as a usage error."""
+    try:
+        return check(*args, **kwargs)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from exc
+
+
 def _seed(raw: str) -> int:
     """argparse type of --seed: an int >= 0, as numpy's generators need."""
-    seed = int(raw)
-    if seed < 0:
-        raise argparse.ArgumentTypeError(f"seed must be >= 0, got {seed}")
-    return seed
+    return _usage(check_int, int(raw), "seed", 0)
 
 
 def _tolerance(raw: str) -> float:
     """argparse type of --tol: a finite float > 0. Against NaN or inf no
     probe would ever reach the kink test."""
-    tol = float(raw)
-    if not (math.isfinite(tol) and tol > 0):
-        raise argparse.ArgumentTypeError(f"tolerance must be finite and > 0, "
-                                         f"got {raw}")
-    return tol
+    return _usage(check_real, float(raw), "tolerance", 0, strict=True)
 
 
 def _seed_list(raw: str) -> list:
-    """argparse type of --seeds: a non-empty comma-separated list of
-    distinct ints >= 0."""
-    seeds = parse_int_list(raw)
-    if not seeds:
-        raise argparse.ArgumentTypeError(f"no seeds in {raw!r}")
-    if min(seeds) < 0:
-        raise argparse.ArgumentTypeError(f"seeds must be >= 0, got {raw!r}")
-    repeated = repeated_value(seeds)
-    if repeated is not None:
-        raise argparse.ArgumentTypeError(f"seed {repeated} is repeated in "
-                                         f"{raw!r}")
-    return seeds
+    """argparse type of --seeds: a comma-separated `check_seeds` list."""
+    return _usage(check_seeds, parse_int_list(raw))
 
 
 def _out_dir(args) -> Path:
@@ -159,9 +149,7 @@ def cmd_seg_toy(args, cfg) -> int:
 
 def cmd_gradcam(args, cfg) -> int:
     try:
-        if args.num_images < 1:
-            raise ValueError(f"--num-images must be >= 1, got "
-                             f"{args.num_images}")
+        check_int(args.num_images, "--num-images", 1)
         model = load_checkpoint(args.checkpoint)
         gradcam_stage(model.config, args.class_index, args.stage)
     except (OSError, ValueError) as exc:

@@ -11,10 +11,9 @@ import configparser
 from dataclasses import asdict
 from pathlib import Path
 
-from .harness import (DEFAULT_TRAIN, SyntheticSpec, check_trials,
-                      check_windows)
+from .harness import DEFAULT_TRAIN, SyntheticSpec, check_windows
 from .model import ModelConfig, check_train_args
-from .optim import check_lr
+from .tensor import check_int, check_real
 
 
 class ConfigError(ValueError):
@@ -85,7 +84,7 @@ def load_config(path=None, overrides=()) -> dict:
     # these name the bad field first; the section is prefixed here
     checks = {"model": model_config, "synthetic": synthetic_spec,
               "robustness": lambda _: (check_windows(r["windows"]),
-                                       check_trials(r["trials"]))}
+                                       check_int(r["trials"], "trials", 1))}
     for section, check in checks.items():
         try:
             check(merged)
@@ -93,14 +92,12 @@ def load_config(path=None, overrides=()) -> dict:
             raise ConfigError(f"bad config value: {section}.{exc}") from exc
     try:
         check_train_args(s["n_train"], s["n_val"], t["epochs"], t["batch"])
-        check_lr(t["lr"], "train.lr")
-        check_lr(g["lr"], "seg.lr")
-        # seeds >= 0, as numpy's generators need; counts >= 1
-        seg_counts = ("steps", "size", "width", "n_annotated", "n_unannotated")
-        for key, value, low in [("seg.data_seed", g["data_seed"], 0)] + [
-                (f"seg.{k}", g[k], 1) for k in seg_counts]:
-            if value < low:
-                raise ValueError(f"{key} must be >= {low}, got {value}")
+        # Adam takes lr 0, but a training run must move its parameters
+        check_real(t["lr"], "train.lr", 0, strict=True)
+        check_real(g["lr"], "seg.lr", 0, strict=True)
+        check_int(g["data_seed"], "seg.data_seed", 0)
+        for k in ("steps", "size", "width", "n_annotated", "n_unannotated"):
+            check_int(g[k], f"seg.{k}", 1)
     except ValueError as exc:
         raise ConfigError(f"bad config value: {exc}") from exc
     return merged

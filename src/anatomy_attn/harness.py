@@ -14,7 +14,7 @@ from .metrics import MetricsTable, auc
 from .model import ModelConfig, ToyModel, predict, train
 from .parallel import parallel_map
 from .seg import SegBatch, apply_cutout, sample_cutout_windows
-from .tensor import Tensor, is_finite, is_int, is_real
+from .tensor import Tensor, check_int, check_real
 
 CLASS_NAMES = ("lung_lesion", "heart_lesion", "outside_lesion")
 SEG_NOISE = 0.1  # pixel noise std of the toy segmentation images
@@ -27,9 +27,8 @@ SEG_NOISE = 0.1  # pixel noise std of the toy segmentation images
 class SyntheticSpec:
     """Desk-scale stand-in dataset: per-sample jittered lung/heart regions
     and identical-looking lesion blobs whose class is defined purely by
-    where they sit (inside lung, inside heart, outside anatomy). A field out
-    of range or of the wrong type (integers may be numpy integers and
-    reals numpy scalars, never bools) raises ValueError naming it; the
+    where they sit (inside lung, inside heart, outside anatomy). A bad
+    field raises ValueError naming it (`check_int`, `check_real`); the
     spec is frozen, so `dataclasses.replace` is the way to change a field
     and every change is checked."""
 
@@ -48,21 +47,10 @@ class SyntheticSpec:
         for key, low in (("n_train", 0), ("n_val", 0), ("n_test", 0),
                          ("image_size", 1), ("lesion_radius", 0),
                          ("mask_jitter", 0), ("seed", 0)):
-            value = getattr(self, key)
-            if not is_int(value):
-                raise ValueError(f"{key} must be an integer, got {value!r}")
-            if value < low:
-                raise ValueError(f"{key} must be >= {low}, got {value}")
-        for key in ("noise", "anatomy_contrast", "lesion_amplitude"):
-            value = getattr(self, key)
-            if not is_real(value):
-                raise ValueError(f"{key} must be a real number, got {value!r}")
-        if not (is_finite(self.noise) and self.noise >= 0):
-            raise ValueError(f"noise must be finite and >= 0, got {self.noise}")
-        for key in ("anatomy_contrast", "lesion_amplitude"):
-            value = getattr(self, key)
-            if not is_finite(value):
-                raise ValueError(f"{key} must be finite, got {value}")
+            check_int(getattr(self, key), key, low)
+        check_real(self.noise, "noise", 0)
+        check_real(self.anatomy_contrast, "anatomy_contrast")
+        check_real(self.lesion_amplitude, "lesion_amplitude")
 
 
 def _ellipse_on(ii: np.ndarray, jj: np.ndarray, ci, cj, ri, rj) -> np.ndarray:
@@ -318,9 +306,10 @@ def ablation_sweep(axis: str, base_config: ModelConfig, spec: SyntheticSpec,
                    seeds, train_kwargs: dict | None = None) -> MetricsTable:
     """Train one model per axis value per seed; report per-class and mean
     test AUC, median over seeds. One dataset per image size is generated
-    here, before the cells run."""
+    here, before the cells run; bad `seeds` raise first."""
     if axis not in ABLATION_AXES:
         raise ValueError(f"unknown ablation axis {axis!r}")
+    seeds = check_seeds(seeds)
     train_kwargs = _train_settings(train_kwargs)
     values = ABLATION_AXES[axis]
     configs = {v: dc_replace(base_config, **{axis: v}) for v in values}
@@ -351,10 +340,11 @@ def ablation_sweep(axis: str, base_config: ModelConfig, spec: SyntheticSpec,
 
 def evaluate_with_cutout(model: ToyModel, data: dict, window: int,
                          trials: int, base_seed: int) -> float:
-    """Mean test AUC over `trials` independent cutout corruptions of the
-    noisy masks. Window locations depend only on the test masks and the
-    seed `base_seed + 1000 * window + trial`, so every model evaluated on
-    the same data and `base_seed` sees identical corruption."""
+    """Mean test AUC over `trials` (>= 1) independent cutout corruptions of
+    the noisy masks. Window locations depend only on the test masks and
+    the seed `base_seed + 1000 * window + trial`, so every model evaluated
+    on the same data and `base_seed` sees identical corruption."""
+    check_int(trials, "trials", 1)
     masks = AnatomyMasks(data["test_lung"], data["test_heart"])
     vals = []
     # window 0 is the uncorrupted reference: no randomness, one evaluation
@@ -375,7 +365,7 @@ def robustness_sweep(models: dict, data: dict, windows, trials: int,
     first.
     """
     check_windows(windows)
-    check_trials(trials)
+    check_int(trials, "trials", 1)
     table = MetricsTable()
     for name, model in models.items():
         for window in windows:
@@ -404,13 +394,17 @@ def check_windows(windows) -> None:
         raise ValueError(f"windows repeats window {repeated}, got {windows}")
 
 
-def check_trials(trials) -> None:
-    """Raise ValueError unless `trials`, the cutout draws per window, is an
-    integer >= 1."""
-    if not is_int(trials):
-        raise ValueError(f"trials must be an integer, got {trials!r}")
-    if trials < 1:
-        raise ValueError(f"trials must be >= 1, got {trials}")
+def check_seeds(seeds) -> list:
+    """`seeds` as a list; raise ValueError unless it holds at least one
+    integer >= 0, as numpy's generators need, and none twice, which would
+    count one trained model twice in a median."""
+    seeds = [check_int(seed, "seed", 0) for seed in seeds]
+    if not seeds:
+        raise ValueError("seeds must hold at least one seed")
+    repeated = repeated_value(seeds)
+    if repeated is not None:
+        raise ValueError(f"seed {repeated} is repeated in {seeds}")
+    return seeds
 
 
 def robustness_experiment(spec: SyntheticSpec, seeds, windows,
@@ -418,10 +412,11 @@ def robustness_experiment(spec: SyntheticSpec, seeds, windows,
                           train_kwargs: dict | None = None) -> MetricsTable:
     """Train attention and hard-mask models per seed, all on one dataset,
     sweep cutout windows, and report the median AUC over seeds per
-    (model, window). Bad `windows`, `trials` or `train_kwargs` raise
-    first."""
+    (model, window). Bad `windows`, `trials`, `seeds` or `train_kwargs`
+    raise first."""
     check_windows(windows)
-    check_trials(trials)
+    check_int(trials, "trials", 1)
+    seeds = check_seeds(seeds)
     train_kwargs = _train_settings(train_kwargs)
     data = _shared_dataset(spec, base_config.image_size)
     per_seed_tables = []

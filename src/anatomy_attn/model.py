@@ -18,8 +18,8 @@ from .ops import (BatchNormState, ConvParams, LinearParams, conv3x3,
                   fully_connected, resample, resize, walk)
 from .optim import Adam
 from .serialize import MAX_EXTENT, load_tensors, save_tensors
-from .tensor import (DivergenceError, NonFiniteError, Tensor, concat,
-                     is_finite, is_int, is_real)
+from .tensor import (DivergenceError, NonFiniteError, Tensor, check_int,
+                     check_real, concat, is_int)
 
 ATTENTION_LEVELS = ("L0", "L1", "L2", "L3")
 POOLING_TYPES = ("pwap", "average", "max", "gem")
@@ -49,19 +49,11 @@ class ModelConfig:
                 and all(map(is_int, widths))):
             raise ValueError(f"backbone_widths must be a list or tuple of "
                              f"integers, got {widths!r}")
-        self.backbone_widths = tuple(int(w) for w in widths)
+        self.backbone_widths = tuple(check_int(w, "backbone_widths", 1)
+                                     for w in widths)
         for key in ("image_size", "mask_size", "n_classes"):
-            value = getattr(self, key)
-            if not is_int(value):
-                raise ValueError(f"{key} must be an integer, got {value!r}")
-            if value < 1:
-                raise ValueError(f"{key} must be >= 1")
-            setattr(self, key, int(value))
-        if not is_real(self.r):
-            raise ValueError(f"r must be a real number, got {self.r!r}")
-        if not (is_finite(self.r) and self.r > 0):
-            raise ValueError(f"r must be finite and > 0, got {self.r}")
-        self.r = float(self.r)
+            setattr(self, key, check_int(getattr(self, key), key, 1))
+        self.r = check_real(self.r, "r", 0, strict=True)
         for key, allowed in (("attention_level", ATTENTION_LEVELS),
                              ("pooling", POOLING_TYPES),
                              ("fusion", FUSION_TYPES)):
@@ -71,8 +63,6 @@ class ModelConfig:
                                  f"got {value!r}")
         if len(self.backbone_widths) != 4:
             raise ValueError("backbone_widths must list 4 stage widths")
-        if min(self.backbone_widths) < 1:
-            raise ValueError("backbone_widths must be >= 1")
         # every parameter extent must fit a checkpoint header's uint16 slot;
         # the AAA hidden width round(C / r) is tested before rounding, as
         # C / r may be inf: round(x) > MAX_EXTENT iff x >= MAX_EXTENT + 0.5
@@ -270,7 +260,8 @@ def batch_masks(config: ModelConfig, lung: np.ndarray | None,
 
 def predict(model: ToyModel, images: np.ndarray, lung: np.ndarray | None,
             heart: np.ndarray | None, batch: int = 32) -> np.ndarray:
-    """Inference probabilities for a stack of images."""
+    """Inference probabilities for a stack of images, `batch` at a time."""
+    check_int(batch, "batch", 1)
     outs = []
     for lo in range(0, len(images), batch):
         idx = slice(lo, lo + batch)
@@ -290,15 +281,14 @@ def _mean_val_auc(model: ToyModel, data: dict) -> float:
 
 def check_train_args(n_train: int, n_val: int, epochs: int,
                      batch: int) -> None:
-    """Raise ValueError naming the argument unless every epoch can take a
-    step (train-mode batch norm needs >= 2 images) and be validated."""
-    if batch < 2 or n_train < 2:
+    """Raise ValueError naming the argument unless it is an integer and
+    every epoch can take a step (train-mode batch norm needs >= 2 images)
+    and be validated."""
+    if check_int(batch, "batch", 1) < 2 or n_train < 2:
         raise ValueError(f"batch norm needs >= 2 images per batch; got "
                          f"batch={batch}, n_train={n_train}")
-    if epochs < 1:
-        raise ValueError(f"epochs must be >= 1, got {epochs}")
-    if n_val < 1:
-        raise ValueError(f"n_val must be >= 1, got {n_val}")
+    check_int(epochs, "epochs", 1)
+    check_int(n_val, "n_val", 1)
 
 
 def train(model: ToyModel, data: dict, epochs: int, lr: float,

@@ -4,22 +4,11 @@ from __future__ import annotations
 
 import numpy as np
 
-from .tensor import NonFiniteError, is_finite, is_real
+from .tensor import NonFiniteError, check_real
 
 BETA1 = 0.9
 BETA2 = 0.99
 EPS = 1e-8
-
-
-def check_lr(lr, name: str = "lr", zero_ok: bool = False) -> None:
-    """Raise ValueError naming `name` unless `lr` is a real number (not a
-    bool) that is finite and > 0, or 0 if `zero_ok`. `Adam` takes lr 0,
-    which holds every parameter still; a training run must move them."""
-    if not is_real(lr):
-        raise ValueError(f"{name} must be a real number, got {lr!r}")
-    if not (is_finite(lr) and (lr > 0 or zero_ok and lr == 0)):
-        raise ValueError(f"{name} must be finite and {'>=' if zero_ok else '>'}"
-                         f" 0, got {lr}")
 
 
 class Adam:
@@ -37,7 +26,7 @@ class Adam:
 
     def __init__(self, params, lr: float):
         self.params = list(params)
-        check_lr(lr, zero_ok=True)
+        self.lr = check_real(lr, "lr", 0)  # lr 0 holds every parameter still
         if not self.params:
             raise ValueError("params must hold at least one parameter")
         first = {}
@@ -46,7 +35,6 @@ class Adam:
             if j != i:
                 raise ValueError(f"params lists parameter {j} twice "
                                  f"(again at {i})")
-        self.lr = lr
         self.t = 0
         self._sizes = [p.size for p in self.params]
         self._store = np.concatenate([p.data.ravel() for p in self.params])

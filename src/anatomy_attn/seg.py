@@ -14,7 +14,7 @@ from .attention import AnatomyMasks
 from .metrics import write_csv
 from .ops import ConvParams, conv3x3, softmax_channels
 from .optim import Adam
-from .tensor import DivergenceError, NonFiniteError, Tensor
+from .tensor import DivergenceError, NonFiniteError, Tensor, check_int
 
 LOG_CLAMP = 1e-12
 CLASS_NAMES = ("background", "lung", "heart")
@@ -246,8 +246,7 @@ def binarize_masks(logits: Tensor) -> AnatomyMasks:
 def sample_cutout_windows(masks: AnatomyMasks, window: int, rng_seed: int):
     """One window per sample, centered at a pixel drawn uniformly from the
     union of the anatomy regions (skipped where the union is empty)."""
-    if window < 0:
-        raise ValueError("window must be >= 0")
+    check_int(window, "window", 0)
     rng = np.random.default_rng(rng_seed)
     n = masks.lung.shape[0]
     windows = []

@@ -18,18 +18,31 @@ def is_int(value) -> bool:
     return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
 
-def is_real(value) -> bool:
-    """A real number (int, float or numpy scalar), but not a bool."""
-    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+def check_int(value, name: str, low) -> int:
+    """`value` as an int; raise ValueError naming `name` unless it is an
+    integer (`is_int`) >= `low`."""
+    if not is_int(value):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    if value < low:
+        raise ValueError(f"{name} must be >= {low}, got {value}")
+    return int(value)
 
 
-def is_finite(value) -> bool:
-    """`math.isfinite` of a real number; False for an int beyond the
-    float range."""
+def check_real(value, name: str, low=None, strict: bool = False) -> float:
+    """`value` as a float; raise ValueError naming `name` unless it is a
+    real number, never a bool, that is finite (an int beyond the float
+    range is not) and, if `low` is given, > `low` if `strict` else >= it."""
+    if not isinstance(value, numbers.Real) or isinstance(value, bool):
+        raise ValueError(f"{name} must be a real number, got {value!r}")
     try:
-        return math.isfinite(value)
+        ok = math.isfinite(value) and (
+            low is None or value > low or not strict and value == low)
     except OverflowError:
-        return False
+        ok = False
+    if not ok:
+        bound = "" if low is None else f" and {'>' if strict else '>='} {low}"
+        raise ValueError(f"{name} must be finite{bound}, got {value}")
+    return float(value)
 
 
 class NonFiniteError(ArithmeticError):

@@ -20,8 +20,8 @@ from scipy.stats import rankdata
 from anatomy_attn import DivergenceError, harness
 from anatomy_attn.harness import (ABLATION_AXES, CLASS_NAMES, MetricsTable,
                                   SyntheticSpec, ablation_sweep, auc,
-                                  evaluate_with_cutout, gen_seg_batches,
-                                  gen_synthetic, parallel_map,
+                                  check_seeds, evaluate_with_cutout,
+                                  gen_seg_batches, gen_synthetic, parallel_map,
                                   robustness_experiment, robustness_sweep,
                                   train_condition, _ellipse, _test_aucs)
 from anatomy_attn.model import ModelConfig
@@ -641,6 +641,43 @@ class TestSweeps:
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             run(trials)
         assert generated() == []
+
+    @pytest.mark.parametrize("seeds, message", [
+        ([], "seeds must hold at least one seed"),
+        ([0, 0], "seed 0 is repeated in [0, 0]"),
+        ((2, 1, 2), "seed 2 is repeated in [2, 1, 2]"),
+        ([0, -1], "seed must be >= 0, got -1"),
+        ([0, 1.0], "seed must be an integer, got 1.0"),
+        ([True], "seed must be an integer, got True")])
+    @pytest.mark.parametrize("run", [
+        lambda seeds: ablation_sweep("pooling", TINY_CONFIG, TINY_SPEC,
+                                     seeds, TINY_TRAIN),
+        lambda seeds: robustness_experiment(TINY_SPEC, seeds, (0, 2),
+                                            TINY_CONFIG, trials=1,
+                                            train_kwargs=TINY_TRAIN)],
+        ids=["ablation_sweep", "robustness_experiment"])
+    def test_bad_seeds_rejected_before_any_work(self, run, seeds, message,
+                                                monkeypatch, generated):
+        monkeypatch.setattr(harness, "train",
+                            lambda *args: pytest.fail("trained"))
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            run(seeds)
+        assert generated() == []
+
+    def test_check_seeds_returns_ints(self):
+        seeds = check_seeds((np.int64(3), 0))
+        assert seeds == [3, 0]
+        assert [type(s) for s in seeds] == [int, int]
+
+    @pytest.mark.parametrize("trials, message", [
+        (0, "trials must be >= 1, got 0"),
+        (1.0, "trials must be an integer, got 1.0")])
+    def test_cutout_evaluation_rejects_bad_trials_first(self, trials,
+                                                        message):
+        # checked before the model or the data is read: no NaN from a
+        # mean over no trials
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            evaluate_with_cutout(None, {}, 4, trials=trials, base_seed=0)
 
     def test_ablation_axes_registry(self):
         assert set(ABLATION_AXES) == {"attention_level", "pooling",

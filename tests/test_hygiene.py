@@ -101,3 +101,22 @@ def test_traced_method_exists(entry):
     _, module, cls_name, attr = entry
     cls = getattr(importlib.import_module(f"anatomy_attn.{module}"), cls_name)
     assert callable(cls.__dict__.get(attr))
+
+
+def _literal_text(node):
+    """The string literals under `node`, joined: the fixed text of a
+    message, f-strings included."""
+    return "".join(n.value for n in ast.walk(node)
+                   if isinstance(n, ast.Constant) and isinstance(n.value, str))
+
+
+def test_number_rules_are_raised_only_in_tensor():
+    # `tensor.check_int` and `tensor.check_real` hold these rules; a raise
+    # that spells one out elsewhere is a second copy of a rule
+    phrases = ("must be an integer", "must be a real number",
+               "must be finite")
+    raising = sorted({path.name for path in MODULES
+                      for node in ast.walk(_tree(path))
+                      if isinstance(node, ast.Raise) and node.exc is not None
+                      and any(p in _literal_text(node.exc) for p in phrases)})
+    assert raising == ["tensor.py"]

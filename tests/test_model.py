@@ -10,8 +10,8 @@ import pytest
 from anatomy_attn import model as model_module
 from anatomy_attn.attention import AnatomyMasks
 from anatomy_attn.model import (ModelConfig, ToyModel, batch_masks, bce_loss,
-                                gradcam, load_checkpoint, predict,
-                                save_checkpoint, train)
+                                check_train_args, gradcam, load_checkpoint,
+                                predict, save_checkpoint, train)
 from anatomy_attn.tensor import DivergenceError, Tensor
 
 
@@ -362,6 +362,44 @@ class TestTraining:
             train(model, data, epochs=1, lr=1e-3, batch=batch, seed=0)
         for name, arr in model.snapshot().items():
             np.testing.assert_array_equal(arr, before[name])
+
+    @pytest.mark.parametrize("kw, message", [
+        ({"epochs": True}, "epochs must be an integer, got True"),
+        ({"epochs": 1.5}, "epochs must be an integer, got 1.5"),
+        ({"epochs": 0}, "epochs must be >= 1, got 0"),
+        ({"batch": 2.5}, "batch must be an integer, got 2.5"),
+        ({"batch": np.float64(8)}, "batch must be an integer, got "
+                                   "np.float64(8.0)"),
+        ({"batch": 0}, "batch must be >= 1, got 0"),
+        ({"batch": 1}, "batch norm needs >= 2 images per batch; got "
+                       "batch=1, n_train=24")])
+    def test_bad_train_argument_rejected_before_training(self, rng, kw,
+                                                         message):
+        data = self._data(rng)
+        model = ToyModel(_cfg(attention_level="L0", fusion="none"), seed=0)
+        before = model.snapshot()
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            train(model, data, **{"epochs": 1, "lr": 1e-3, "batch": 8,
+                                  "seed": 0, **kw})
+        for name, arr in model.snapshot().items():
+            np.testing.assert_array_equal(arr, before[name])
+
+    @pytest.mark.parametrize("n_val, message", [
+        (0, "n_val must be >= 1, got 0"),
+        (2.0, "n_val must be an integer, got 2.0")])
+    def test_bad_n_val_rejected(self, n_val, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            check_train_args(24, n_val, 1, 8)
+
+    @pytest.mark.parametrize("batch, message", [
+        (0, "batch must be >= 1, got 0"), (-1, "batch must be >= 1, got -1"),
+        (2.5, "batch must be an integer, got 2.5"),
+        (True, "batch must be an integer, got True")])
+    def test_bad_predict_batch_rejected(self, rng, batch, message):
+        data = self._data(rng)
+        model = ToyModel(_cfg(attention_level="L0", fusion="none"), seed=0)
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            predict(model, data["val_images"], None, None, batch=batch)
 
 
 def _running_stats(model):

@@ -178,6 +178,17 @@ class TestTrainingLoop:
         _, curves2 = train_cyclegan_toy(batches2, nets2, steps=3, lr=0.0)
         assert curves == curves2
 
+    def test_zero_lr_holds_every_parameter_still(self):
+        nets = CycleNets.init(width=4, seed=0)
+        params = nets.generator_parameters() + nets.discriminator_parameters()
+        before = [p.data.tobytes() for p in params]
+        batches = gen_seg_batches(size=8, n_annotated=2, n_unannotated=2,
+                                  seed=0)
+        trained, _ = train_cyclegan_toy(batches, nets, steps=3, lr=0.0)
+        after = (trained.generator_parameters()
+                 + trained.discriminator_parameters())
+        assert [p.data.tobytes() for p in after] == before
+
     def test_divergence_is_the_model_error(self):
         # one DivergenceError class: a model-side handler catches seg's too
         nets = CycleNets.init(width=4, seed=0)

@@ -1,5 +1,6 @@
 """Tensor core: forward values, reverse-mode gradients, error handling."""
 
+import re
 import warnings
 
 import numpy as np
@@ -9,6 +10,7 @@ from hypothesis import strategies as st
 
 from anatomy_attn import NonFiniteError, Tensor, concat
 from anatomy_attn.ops import LinearParams, fully_connected
+from anatomy_attn.tensor import check_int, check_real
 
 
 def _grad_of(f, x_data):
@@ -259,6 +261,51 @@ class TestNonFinite:
             warnings.simplefilter("error")
             x.log().sum().backward()
         np.testing.assert_array_equal(x.grad, [np.inf, np.inf])
+
+
+class TestNumberRules:
+    @pytest.mark.parametrize("value, low, message", [
+        (True, 0, "n must be an integer, got True"),
+        (np.True_, 0, "n must be an integer, got np.True_"),
+        (2.0, 0, "n must be an integer, got 2.0"),
+        ("3", 0, "n must be an integer, got '3'"),
+        (None, 0, "n must be an integer, got None"),
+        (0, 1, "n must be >= 1, got 0"),
+        (np.int64(-3), 0, "n must be >= 0, got -3")])
+    def test_check_int_rejects(self, value, low, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            check_int(value, "n", low)
+
+    def test_check_int_returns_an_int(self):
+        assert check_int(5, "n", 5) == 5
+        value = check_int(np.int32(7), "n", 0)
+        assert type(value) is int and value == 7
+
+    @pytest.mark.parametrize("value, kw, message", [
+        (True, {}, "x must be a real number, got True"),
+        ("0.5", {}, "x must be a real number, got '0.5'"),
+        (None, {"low": 0}, "x must be a real number, got None"),
+        (1j, {}, "x must be a real number, got 1j"),
+        (np.nan, {}, "x must be finite, got nan"),
+        (-np.inf, {}, "x must be finite, got -inf"),
+        (10 ** 400, {}, f"x must be finite, got {10 ** 400}"),
+        (-0.5, {"low": 0}, "x must be finite and >= 0, got -0.5"),
+        (np.nan, {"low": 0}, "x must be finite and >= 0, got nan"),
+        (0.0, {"low": 0, "strict": True}, "x must be finite and > 0, got 0.0"),
+        (0, {"low": 0, "strict": True}, "x must be finite and > 0, got 0"),
+        (np.inf, {"low": 0, "strict": True},
+         "x must be finite and > 0, got inf")])
+    def test_check_real_rejects(self, value, kw, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            check_real(value, "x", **kw)
+
+    @pytest.mark.parametrize("value, kw", [
+        (0, {"low": 0}), (-1e300, {}), (np.float32(0.5), {"low": 0,
+                                                          "strict": True}),
+        (3, {"low": 2.5, "strict": True}), (np.int64(2), {"low": 2})])
+    def test_check_real_returns_a_float(self, value, kw):
+        out = check_real(value, "x", **kw)
+        assert type(out) is float and out == float(value)
 
 
 finite_arrays = st.lists(
