@@ -7,15 +7,15 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import replace as dc_replace
 from pathlib import Path
 
-from .config import (ConfigError, echo_config, load_config, model_config,
-                     parse_int_list, synthetic_spec)
-from .harness import (ABLATION_AXES, ablation_sweep, check_seeds,
-                      gen_seg_batches, gen_synthetic, robustness_experiment)
-from .model import (ToyModel, batch_masks, gradcam, gradcam_stage,
-                    load_checkpoint, save_checkpoint, write_history, train)
+from .config import ConfigError, echo_config, load_config, parse_int_list
+from .harness import (ABLATION_AXES, SyntheticSpec, ablation_sweep,
+                      check_seeds, gen_seg_batches, gen_synthetic,
+                      robustness_experiment)
+from .model import (ModelConfig, ToyModel, batch_masks, gradcam,
+                    gradcam_stage, load_checkpoint, save_checkpoint,
+                    write_history, train)
 from .seg import CycleNets, train_cyclegan_toy, write_curves
 from .serialize import write_pgm
 from .suite import run_gradcheck_suite
@@ -85,9 +85,9 @@ def cmd_gradcheck(args, cfg) -> int:
 def cmd_train(args, cfg) -> int:
     out = _out_dir(args)
     echo_config(cfg, out)
-    mcfg = model_config(cfg)
-    spec = synthetic_spec(cfg)
-    data = gen_synthetic(dc_replace(spec, image_size=mcfg.image_size))
+    mcfg = ModelConfig(**cfg["model"])
+    data = gen_synthetic(SyntheticSpec(**cfg["synthetic"],
+                                       image_size=mcfg.image_size))
     model = ToyModel(mcfg, seed=args.seed)
     model, history = train(model, data, cfg["train"]["epochs"],
                            cfg["train"]["lr"], cfg["train"]["batch"],
@@ -109,8 +109,8 @@ def cmd_train(args, cfg) -> int:
 def cmd_ablate(args, cfg) -> int:
     out = _out_dir(args)
     echo_config(cfg, out)
-    table = ablation_sweep(args.axis, model_config(cfg),
-                           synthetic_spec(cfg), args.seeds,
+    table = ablation_sweep(args.axis, ModelConfig(**cfg["model"]),
+                           SyntheticSpec(**cfg["synthetic"]), args.seeds,
                            train_kwargs=cfg["train"])
     path = out / f"ablation_{args.axis}.csv"
     table.write_csv(path)
@@ -121,9 +121,9 @@ def cmd_ablate(args, cfg) -> int:
 def cmd_robustness(args, cfg) -> int:
     out = _out_dir(args)
     echo_config(cfg, out)
-    table = robustness_experiment(synthetic_spec(cfg), args.seeds,
-                                  cfg["robustness"]["windows"],
-                                  model_config(cfg),
+    table = robustness_experiment(SyntheticSpec(**cfg["synthetic"]),
+                                  args.seeds, cfg["robustness"]["windows"],
+                                  ModelConfig(**cfg["model"]),
                                   trials=cfg["robustness"]["trials"],
                                   train_kwargs=cfg["train"])
     path = out / "robustness.csv"
@@ -157,9 +157,8 @@ def cmd_gradcam(args, cfg) -> int:
         return 2
     out = _out_dir(args)
     echo_config(cfg, out)
-    spec = synthetic_spec(cfg)
-    data = gen_synthetic(dc_replace(spec,
-                                    image_size=model.config.image_size))
+    data = gen_synthetic(SyntheticSpec(**cfg["synthetic"],
+                                       image_size=model.config.image_size))
     n = min(args.num_images, len(data["test_images"]))
     for i in range(n):
         image = Tensor(data["test_images"][i:i + 1])

@@ -1,8 +1,8 @@
 """Flat INI-style run configuration with dotted-key overrides.
 
-Sections map to module knobs; unknown sections or keys are rejected by
-name. The effective configuration is echoed into the output directory for
-provenance.
+Sections map to module knobs, each checked by its `CHECKERS` entry;
+unknown sections or keys are rejected by name. The effective
+configuration is echoed into the output directory for provenance.
 """
 
 from __future__ import annotations
@@ -11,7 +11,7 @@ import configparser
 from dataclasses import asdict
 from pathlib import Path
 
-from .harness import DEFAULT_TRAIN, SyntheticSpec, check_windows
+from .harness import SyntheticSpec, check_robustness, train_settings
 from .model import ModelConfig, check_train_args
 from .tensor import check_int, check_real
 
@@ -26,10 +26,29 @@ DEFAULTS = {
     "model": asdict(ModelConfig()),
     "synthetic": {k: v for k, v in asdict(SyntheticSpec()).items()
                   if k != "image_size"},
-    "train": dict(DEFAULT_TRAIN),
+    "train": train_settings({}),
     "seg": {"size": 16, "steps": 500, "lr": 3e-3, "width": 8,
             "n_annotated": 8, "n_unannotated": 8, "data_seed": 0},
     "robustness": {"windows": (0, 2, 4, 6, 8, 10, 12), "trials": 3},
+}
+
+
+def check_seg(seg: dict) -> None:
+    """Raise ValueError naming the first `seg` setting out of range."""
+    check_real(seg["lr"], "lr", 0, strict=True)
+    check_int(seg["data_seed"], "data_seed", 0)
+    for key in ("steps", "size", "width", "n_annotated", "n_unannotated"):
+        check_int(seg[key], key, 1)
+
+
+# one checker per section; its ValueError names the field first, and
+# load_config prefixes the section
+CHECKERS = {
+    "model": lambda model: ModelConfig(**model),
+    "synthetic": lambda synthetic: SyntheticSpec(**synthetic),
+    "train": train_settings,
+    "seg": check_seg,
+    "robustness": lambda r: check_robustness(r["windows"], r["trials"]),
 }
 
 
@@ -60,7 +79,9 @@ def load_config(path=None, overrides=()) -> dict:
                 f"bad value for '{section}.{key}': {raw!r}") from exc
 
     if path is not None:
-        parser = configparser.ConfigParser()
+        # no header can name the section "", so [DEFAULT] is an ordinary
+        # one, rejected as unknown instead of feeding every other section
+        parser = configparser.ConfigParser(default_section="")
         try:
             if not parser.read(path, encoding="utf-8"):
                 raise ConfigError(f"cannot read config file {path}")
@@ -79,25 +100,14 @@ def load_config(path=None, overrides=()) -> dict:
         section, key = dotted.split(".", 1)
         apply(section.strip(), key.strip(), raw.strip(), "--set")
 
-    s, t, r = merged["synthetic"], merged["train"], merged["robustness"]
-    g = merged["seg"]
-    # these name the bad field first; the section is prefixed here
-    checks = {"model": model_config, "synthetic": synthetic_spec,
-              "robustness": lambda _: (check_windows(r["windows"]),
-                                       check_int(r["trials"], "trials", 1))}
-    for section, check in checks.items():
+    for section, check in CHECKERS.items():
         try:
-            check(merged)
+            check(merged[section])
         except ValueError as exc:
             raise ConfigError(f"bad config value: {section}.{exc}") from exc
+    s, t = merged["synthetic"], merged["train"]
     try:
         check_train_args(s["n_train"], s["n_val"], t["epochs"], t["batch"])
-        # Adam takes lr 0, but a training run must move its parameters
-        check_real(t["lr"], "train.lr", 0, strict=True)
-        check_real(g["lr"], "seg.lr", 0, strict=True)
-        check_int(g["data_seed"], "seg.data_seed", 0)
-        for k in ("steps", "size", "width", "n_annotated", "n_unannotated"):
-            check_int(g[k], f"seg.{k}", 1)
     except ValueError as exc:
         raise ConfigError(f"bad config value: {exc}") from exc
     return merged
@@ -113,14 +123,6 @@ def echo_config(cfg: dict, out_dir) -> None:
     out_dir.mkdir(parents=True, exist_ok=True)
     with open(out_dir / "config.ini", "w") as fh:
         parser.write(fh)
-
-
-def model_config(cfg: dict) -> ModelConfig:
-    return ModelConfig(**cfg["model"])
-
-
-def synthetic_spec(cfg: dict) -> SyntheticSpec:
-    return SyntheticSpec(**cfg["synthetic"])
 
 
 def parse_int_list(raw: str):

@@ -11,7 +11,7 @@ import numpy as np
 
 from .attention import AnatomyMasks
 from .metrics import MetricsTable, auc
-from .model import ModelConfig, ToyModel, predict, train
+from .model import ModelConfig, ToyModel, check_train_args, predict, train
 from .parallel import parallel_map
 from .seg import SegBatch, apply_cutout, sample_cutout_windows
 from .tensor import Tensor, check_int, check_real
@@ -264,21 +264,24 @@ def _test_aucs(model: ToyModel, data: dict, lung: np.ndarray,
             for k in range(len(CLASS_NAMES))]
 
 
-def _train_settings(train_kwargs: dict | None) -> dict:
+def train_settings(train_kwargs: dict | None) -> dict:
     """DEFAULT_TRAIN overridden by `train_kwargs`; raises ValueError naming
-    a key that is not a DEFAULT_TRAIN key."""
+    an unknown key or an `lr` that is not finite and > 0 (`Adam` takes lr
+    0, but a training run must move its parameters)."""
     unknown = sorted(set(train_kwargs or {}) - set(DEFAULT_TRAIN))
     if unknown:
         raise ValueError(f"unknown train_kwargs key(s) {unknown}; expected "
                          f"{sorted(DEFAULT_TRAIN)}")
-    return {**DEFAULT_TRAIN, **(train_kwargs or {})}
+    settings = {**DEFAULT_TRAIN, **(train_kwargs or {})}
+    check_real(settings["lr"], "lr", 0, strict=True)
+    return settings
 
 
 def train_condition(config: ModelConfig, data: dict, seed: int,
                     train_kwargs: dict | None = None) -> ToyModel:
     """Train one model on `data`, a `gen_synthetic` dataset at the config's
     image size, and return it."""
-    kwargs = _train_settings(train_kwargs)
+    kwargs = train_settings(train_kwargs)
     model, _ = train(ToyModel(config, seed=seed), data, kwargs["epochs"],
                      kwargs["lr"], kwargs["batch"], seed)
     return model
@@ -306,11 +309,14 @@ def ablation_sweep(axis: str, base_config: ModelConfig, spec: SyntheticSpec,
                    seeds, train_kwargs: dict | None = None) -> MetricsTable:
     """Train one model per axis value per seed; report per-class and mean
     test AUC, median over seeds. One dataset per image size is generated
-    here, before the cells run; bad `seeds` raise first."""
+    here, before the cells run; bad arguments raise first."""
     if axis not in ABLATION_AXES:
         raise ValueError(f"unknown ablation axis {axis!r}")
     seeds = check_seeds(seeds)
-    train_kwargs = _train_settings(train_kwargs)
+    train_kwargs = train_settings(train_kwargs)
+    check_train_args(spec.n_train, spec.n_val, train_kwargs["epochs"],
+                     train_kwargs["batch"])
+    check_int(spec.n_test, "n_test", 1)
     values = ABLATION_AXES[axis]
     configs = {v: dc_replace(base_config, **{axis: v}) for v in values}
     datasets = {}
@@ -364,8 +370,7 @@ def robustness_sweep(models: dict, data: dict, windows, trials: int,
     rows are the uncorrupted reference. Bad `windows` or `trials` raise
     first.
     """
-    check_windows(windows)
-    check_int(trials, "trials", 1)
+    check_robustness(windows, trials)
     table = MetricsTable()
     for name, model in models.items():
         for window in windows:
@@ -384,14 +389,18 @@ def repeated_value(values):
     return next((v for i, v in enumerate(values) if v in values[:i]), None)
 
 
-def check_windows(windows) -> None:
-    """Raise ValueError unless the cutout `windows` are >= 0, repeat none
-    and include 0, the reference that degradation is read against."""
+def check_robustness(windows, trials) -> None:
+    """Raise ValueError unless the cutout `windows` are integers >= 0,
+    repeat none and include 0, the reference that degradation is read
+    against, and `trials` is an integer >= 1."""
     if 0 not in windows or min(windows) < 0:
         raise ValueError(f"windows must be >= 0 and include 0, got {windows}")
     repeated = repeated_value(windows)
     if repeated is not None:
         raise ValueError(f"windows repeats window {repeated}, got {windows}")
+    for window in windows:
+        check_int(window, "window", 0)
+    check_int(trials, "trials", 1)
 
 
 def check_seeds(seeds) -> list:
@@ -412,12 +421,14 @@ def robustness_experiment(spec: SyntheticSpec, seeds, windows,
                           train_kwargs: dict | None = None) -> MetricsTable:
     """Train attention and hard-mask models per seed, all on one dataset,
     sweep cutout windows, and report the median AUC over seeds per
-    (model, window). Bad `windows`, `trials`, `seeds` or `train_kwargs`
-    raise first."""
-    check_windows(windows)
-    check_int(trials, "trials", 1)
+    (model, window). Bad `windows`, `trials`, `seeds`, `train_kwargs` or
+    split sizes raise first."""
+    check_robustness(windows, trials)
     seeds = check_seeds(seeds)
-    train_kwargs = _train_settings(train_kwargs)
+    train_kwargs = train_settings(train_kwargs)
+    check_train_args(spec.n_train, spec.n_val, train_kwargs["epochs"],
+                     train_kwargs["batch"])
+    check_int(spec.n_test, "n_test", 1)
     data = _shared_dataset(spec, base_config.image_size)
     per_seed_tables = []
     for seed in seeds:

@@ -2,6 +2,7 @@
 
 import json
 import multiprocessing
+import re
 from dataclasses import asdict
 
 import numpy as np
@@ -9,8 +10,9 @@ import pytest
 
 from anatomy_attn import cli, suite
 from anatomy_attn.cli import main
-from anatomy_attn.config import ConfigError, DEFAULTS, echo_config, load_config
-from anatomy_attn.harness import SyntheticSpec, check_windows
+from anatomy_attn.config import (CHECKERS, ConfigError, DEFAULTS, echo_config,
+                                 load_config)
+from anatomy_attn.harness import SyntheticSpec
 from anatomy_attn.model import ModelConfig, ToyModel, save_checkpoint
 from anatomy_attn.serialize import load_tensors, save_tensors
 from anatomy_attn.tensor import Tensor
@@ -47,6 +49,20 @@ class TestConfig:
         p = tmp_path / "cfg.ini"
         p.write_text("[optimizer]\nlr = 1\n")
         with pytest.raises(ConfigError, match="optimizer"):
+            load_config(str(p))
+
+    @pytest.mark.parametrize("content", [
+        "[DEFAULT]\nepochs = 3\n",
+        "[DEFAULT]\nepochs = 3\n[train]\nlr = 0.01\n",
+        "[train]\nlr = 0.01\n[DEFAULT]\nepochs = 3\n"],
+        ids=["alone", "before train", "after train"])
+    def test_default_section_is_an_unknown_section(self, tmp_path, content):
+        # configparser would otherwise drop a lone [DEFAULT] silently and
+        # copy its keys into every listed section
+        p = tmp_path / "cfg.ini"
+        p.write_text(content)
+        with pytest.raises(ConfigError, match=re.escape(
+                f"unknown config section 'DEFAULT' (file {p})")):
             load_config(str(p))
 
     def test_unknown_key_named_in_error(self):
@@ -88,17 +104,26 @@ class TestConfig:
         ("model", "backbone_widths", (0, 1, 1, 1)),
         ("model", "r", float("nan")), ("model", "r", float("inf")),
         ("robustness", "windows", (2, 4)), ("robustness", "windows", (0, -2)),
-        ("robustness", "windows", (0, 4, 4))])
+        ("robustness", "windows", (0, 4, 4)), ("robustness", "trials", 0),
+        ("train", "lr", 0.0), ("train", "lr", -0.1),
+        ("train", "lr", float("nan")), ("seg", "lr", 0.0),
+        ("seg", "lr", float("inf")), ("seg", "data_seed", -1),
+        ("seg", "steps", 0), ("seg", "size", 0), ("seg", "width", 0),
+        ("seg", "n_annotated", 0), ("seg", "n_unannotated", 0)])
     def test_bad_value_message_is_the_owners_with_its_section(self, section,
                                                               key, value):
-        owner = {"model": ModelConfig, "synthetic": SyntheticSpec,
-                 "robustness": check_windows}[section]
         with pytest.raises(ValueError) as own:
-            owner(**{key: value})
+            CHECKERS[section]({**DEFAULTS[section], key: value})
         raw = ",".join(map(str, value)) if isinstance(value, tuple) else value
         with pytest.raises(ConfigError) as config:
             load_config(None, [f"{section}.{key}={raw}"])
         assert str(config.value) == f"bad config value: {section}.{own.value}"
+
+    def test_every_section_has_a_checker_that_takes_its_defaults(self):
+        # a section without a checker would be loaded unchecked
+        assert list(CHECKERS) == list(DEFAULTS)
+        for section, check in CHECKERS.items():
+            check(DEFAULTS[section])
 
     def test_echoed_config_loads_back_unchanged(self, tmp_path):
         cfg = load_config(None, ["model.backbone_widths=2,3,3,4",
@@ -366,6 +391,20 @@ class TestExitCodes:
         assert main(["--out", str(tmp_path / "seg"), "--config", str(path),
                      "seg-toy"]) == 2
         assert str(path) in capsys.readouterr().err
+        assert list(tmp_path.rglob("*")) == [path]
+
+    @pytest.mark.parametrize("content", [
+        "[DEFAULT]\nepochs = 3\n",
+        "[DEFAULT]\nepochs = 3\n[train]\nlr = 0.01\n"],
+        ids=["alone", "with train"])
+    def test_default_section_exits_2_naming_it(self, tmp_path, capsys,
+                                               content):
+        path = tmp_path / "cfg.ini"
+        path.write_text(content)
+        assert main(["--out", str(tmp_path / "run"), "--config", str(path),
+                     "train"]) == 2
+        assert ("unknown config section 'DEFAULT'"
+                in capsys.readouterr().err)
         assert list(tmp_path.rglob("*")) == [path]
 
     @pytest.mark.parametrize("command, trainer", [

@@ -443,6 +443,20 @@ def generated(monkeypatch, tmp_path):
                     if log.exists() else [])
 
 
+def _rejected_before_any_work(call, message, monkeypatch, generated):
+    """Assert that `call()` raises ValueError `message` on one and on two
+    workers, before any gen_synthetic or train call and with no worker
+    started."""
+    monkeypatch.setattr(harness, "train",
+                        lambda *args: pytest.fail("trained"))
+    for workers in ("1", "2"):
+        monkeypatch.setenv("ANATOMY_ATTN_THREADS", workers)
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            call()
+    assert generated() == []
+    assert multiprocessing.active_children() == []
+
+
 @pytest.fixture
 def two_workers(monkeypatch):
     """ANATOMY_ATTN_THREADS=2; the test must leave no worker running."""
@@ -598,18 +612,40 @@ class TestSweeps:
     def test_unknown_train_kwarg_rejected_before_any_work(self, run,
                                                           monkeypatch,
                                                           generated):
-        monkeypatch.setattr(harness, "train",
-                            lambda *args: pytest.fail("trained"))
-        with pytest.raises(ValueError, match=r"unknown train_kwargs key\(s\) "
-                                             r"\['epoch'\]"):
-            run({"epoch": 1})
-        assert generated() == []
+        _rejected_before_any_work(
+            lambda: run({"epoch": 1}),
+            "unknown train_kwargs key(s) ['epoch']; expected "
+            "['batch', 'epochs', 'lr']", monkeypatch, generated)
+
+    @pytest.mark.parametrize("spec, train_kwargs, message", [
+        (TINY_SPEC, {"epochs": 0}, "epochs must be >= 1, got 0"),
+        (TINY_SPEC, {"lr": 0}, "lr must be finite and > 0, got 0"),
+        (TINY_SPEC, {"lr": float("nan")},
+         "lr must be finite and > 0, got nan"),
+        (TINY_SPEC, {"batch": 1}, "batch norm needs >= 2 images per batch; "
+                                  "got batch=1, n_train=24"),
+        (replace(TINY_SPEC, n_val=0), TINY_TRAIN, "n_val must be >= 1, got 0"),
+        (replace(TINY_SPEC, n_test=0), TINY_TRAIN,
+         "n_test must be >= 1, got 0")],
+        ids=["epochs 0", "lr 0", "lr nan", "batch 1", "n_val 0", "n_test 0"])
+    @pytest.mark.parametrize("run", [
+        lambda spec, kw: ablation_sweep("image_size", TINY_CONFIG, spec, [0],
+                                        kw),
+        lambda spec, kw: robustness_experiment(spec, [0], (0, 2), TINY_CONFIG,
+                                               trials=1, train_kwargs=kw)],
+        ids=["ablation_sweep", "robustness_experiment"])
+    def test_untrainable_run_rejected_before_any_work(self, run, spec,
+                                                      train_kwargs, message,
+                                                      monkeypatch, generated):
+        _rejected_before_any_work(lambda: run(spec, train_kwargs), message,
+                                  monkeypatch, generated)
 
     @pytest.mark.parametrize("windows, message", [
         ((2, 4), "windows must be >= 0 and include 0, got (2, 4)"),
         ((0, -2), "windows must be >= 0 and include 0, got (0, -2)"),
-        ((0, 4, 4), "windows repeats window 4, got (0, 4, 4)")],
-        ids=["no 0", "negative", "repeated"])
+        ((0, 4, 4), "windows repeats window 4, got (0, 4, 4)"),
+        ((0, 2.5), "window must be an integer, got 2.5")],
+        ids=["no 0", "negative", "repeated", "not an integer"])
     @pytest.mark.parametrize("run", [
         lambda windows: robustness_experiment(TINY_SPEC, [0], windows,
                                               TINY_CONFIG, trials=1,
@@ -618,11 +654,8 @@ class TestSweeps:
         ids=["robustness_experiment", "robustness_sweep"])
     def test_bad_windows_rejected_before_any_work(self, run, windows, message,
                                                   monkeypatch, generated):
-        monkeypatch.setattr(harness, "train",
-                            lambda *args: pytest.fail("trained"))
-        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
-            run(windows)
-        assert generated() == []
+        _rejected_before_any_work(lambda: run(windows), message, monkeypatch,
+                                  generated)
 
     @pytest.mark.parametrize("trials, message", [
         (0, "trials must be >= 1, got 0"), (-1, "trials must be >= 1, got -1"),
@@ -636,11 +669,8 @@ class TestSweeps:
         ids=["robustness_experiment", "robustness_sweep"])
     def test_bad_trials_rejected_before_any_work(self, run, trials, message,
                                                  monkeypatch, generated):
-        monkeypatch.setattr(harness, "train",
-                            lambda *args: pytest.fail("trained"))
-        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
-            run(trials)
-        assert generated() == []
+        _rejected_before_any_work(lambda: run(trials), message, monkeypatch,
+                                  generated)
 
     @pytest.mark.parametrize("seeds, message", [
         ([], "seeds must hold at least one seed"),
@@ -658,11 +688,8 @@ class TestSweeps:
         ids=["ablation_sweep", "robustness_experiment"])
     def test_bad_seeds_rejected_before_any_work(self, run, seeds, message,
                                                 monkeypatch, generated):
-        monkeypatch.setattr(harness, "train",
-                            lambda *args: pytest.fail("trained"))
-        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
-            run(seeds)
-        assert generated() == []
+        _rejected_before_any_work(lambda: run(seeds), message, monkeypatch,
+                                  generated)
 
     def test_check_seeds_returns_ints(self):
         seeds = check_seeds((np.int64(3), 0))
