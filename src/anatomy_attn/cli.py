@@ -137,8 +137,7 @@ def cmd_seg_toy(args, cfg) -> int:
     echo_config(cfg, out)
     s = cfg["seg"]
     batches = gen_seg_batches(size=s["size"], n_annotated=s["n_annotated"],
-                              n_unannotated=s["n_unannotated"],
-                              seed=s["data_seed"] + args.seed)
+                              n_unannotated=s["n_unannotated"], seed=args.seed)
     nets = CycleNets.init(width=s["width"], seed=args.seed)
     _, curves = train_cyclegan_toy(batches, nets, s["steps"], s["lr"])
     path = out / "seg_curves.csv"

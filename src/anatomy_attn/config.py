@@ -28,7 +28,7 @@ DEFAULTS = {
                   if k != "image_size"},
     "train": train_settings({}),
     "seg": {"size": 16, "steps": 500, "lr": 3e-3, "width": 8,
-            "n_annotated": 8, "n_unannotated": 8, "data_seed": 0},
+            "n_annotated": 8, "n_unannotated": 8},
     "robustness": {"windows": (0, 2, 4, 6, 8, 10, 12), "trials": 3},
 }
 
@@ -36,7 +36,6 @@ DEFAULTS = {
 def check_seg(seg: dict) -> None:
     """Raise ValueError naming the first `seg` setting out of range."""
     check_real(seg["lr"], "lr", 0, strict=True)
-    check_int(seg["data_seed"], "data_seed", 0)
     for key in ("steps", "size", "width", "n_annotated", "n_unannotated"):
         check_int(seg[key], key, 1)
 

@@ -393,13 +393,13 @@ def check_robustness(windows, trials) -> None:
     """Raise ValueError unless the cutout `windows` are integers >= 0,
     repeat none and include 0, the reference that degradation is read
     against, and `trials` is an integer >= 1."""
+    for window in windows:
+        check_int(window, "window")
     if 0 not in windows or min(windows) < 0:
         raise ValueError(f"windows must be >= 0 and include 0, got {windows}")
     repeated = repeated_value(windows)
     if repeated is not None:
         raise ValueError(f"windows repeats window {repeated}, got {windows}")
-    for window in windows:
-        check_int(window, "window", 0)
     check_int(trials, "trials", 1)
 
 

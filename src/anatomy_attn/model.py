@@ -130,23 +130,16 @@ class ToyModel:
                    for si, p in sorted(self.pool_gem_p.items())]
                 + [("classifier", self.classifier)])
 
-    def _running_stats(self):
-        """(checkpoint name, BatchNormState, attribute) per running array."""
-        return [(f"{path}.{attr}", bn, attr)
-                for prefix, block in self._blocks()
-                for path, bn in walk(block, prefix, BatchNormState)
-                for attr in ("running_mean", "running_var")]
-
     def parameters(self):
         """(checkpoint name, Tensor) per learnable tensor, fixed order."""
         return [nt for prefix, block in self._blocks()
                 for nt in walk(block, prefix, Tensor)]
 
     def state_arrays(self):
-        """Learnable tensors plus BN running statistics, fixed order."""
+        """Parameter arrays, then BN running statistics, fixed order."""
         return ([(name, t.data) for name, t in self.parameters()]
-                + [(name, getattr(bn, attr))
-                   for name, bn, attr in self._running_stats()])
+                + [na for prefix, block in self._blocks()
+                   for na in walk(block, prefix, np.ndarray)])
 
     def load_state(self, arrays: dict) -> None:
         """Write `arrays` into every array of `state_arrays()` in place;
@@ -164,8 +157,8 @@ class ToyModel:
                                  f"{ref.shape}")
             if not np.isfinite(arrays[name]).all():
                 raise ValueError(f"tensor {name!r} holds non-finite values")
-        for name, _, attr in self._running_stats():
-            if attr == "running_var":
+        for name in expected:
+            if name.endswith(".running_var"):
                 BatchNormState.check_running_var(arrays[name],
                                                  f"tensor {name!r}")
         # in place, so that parameters stay views of an optimizer's store

@@ -53,6 +53,7 @@ class BatchNormState:
     """Per-channel batch normalization state: the affine gamma and beta
     and the running statistics that inference normalizes with.
     Normalization uses the biased 1/N variance estimator plus BN_EPSILON.
+    The running arrays are float64; every update writes into them.
     """
 
     gamma: Tensor
@@ -61,6 +62,8 @@ class BatchNormState:
     running_var: np.ndarray
 
     def __post_init__(self):
+        self.running_mean = np.asarray(self.running_mean, dtype=np.float64)
+        self.running_var = np.asarray(self.running_var, dtype=np.float64)
         self.check_running_var(self.running_var, "running_var")
 
     @staticmethod
@@ -81,10 +84,12 @@ class BatchNormState:
         return self.gamma.shape[-1]
 
     def track(self, mean: np.ndarray, var: np.ndarray) -> None:
-        """Fold one batch's per-channel statistics into the running ones."""
+        """running = (1 - m) * running + m * batch per statistic, in place."""
         m = BN_MOMENTUM
-        self.running_mean = (1 - m) * self.running_mean + m * mean
-        self.running_var = (1 - m) * self.running_var + m * var
+        self.running_mean *= 1 - m
+        self.running_mean += m * mean
+        self.running_var *= 1 - m
+        self.running_var += m * var
 
 
 def walk(block, prefix: str, kind: type):

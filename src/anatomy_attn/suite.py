@@ -94,7 +94,7 @@ def _jitter(tensors, rng):
     kink, where central differences and any subgradient legitimately
     disagree)."""
     for t in tensors:
-        t.data = t.data + _JITTER_SCALE * rng.normal(size=t.data.shape)
+        t.data[...] += _JITTER_SCALE * rng.normal(size=t.data.shape)
 
 
 def _seg(fn, fake_inputs, rng):

@@ -18,12 +18,12 @@ def is_int(value) -> bool:
     return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
 
-def check_int(value, name: str, low) -> int:
+def check_int(value, name: str, low=None) -> int:
     """`value` as an int; raise ValueError naming `name` unless it is an
-    integer (`is_int`) >= `low`."""
+    integer (`is_int`) and, if `low` is given, >= `low`."""
     if not is_int(value):
         raise ValueError(f"{name} must be an integer, got {value!r}")
-    if value < low:
+    if low is not None and value < low:
         raise ValueError(f"{name} must be >= {low}, got {value}")
     return int(value)
 
@@ -95,9 +95,10 @@ class Tensor:
 
     A Tensor is immutable once produced by an op except for its `grad`
     buffer. The graph built by ops is confined to one thread of execution.
-    `Adam.step` writes new values into its leaf parameters' arrays in
-    place, and backward closures read those arrays, so a graph built
-    before a step must not be backpropagated after it.
+    `Adam.step` writes into parameters and a train-mode forward into
+    running statistics in place, and backward closures read those arrays
+    (an eval-mode `_gated_fuse` reads a running mean), so a graph must not
+    be backpropagated after a step or a train-mode forward of its model.
     """
 
     __slots__ = ("data", "requires_grad", "grad", "_parents", "_backward_fn")
@@ -172,9 +173,7 @@ class Tensor:
 
         grads = {id(self): grad}
         for node in reversed(topo):
-            g = grads.pop(id(node), None)
-            if g is None:
-                continue
+            g = grads.pop(id(node))
             if node.requires_grad:
                 node.grad = g.copy() if node.grad is None else node.grad + g
             if node._backward_fn is None:

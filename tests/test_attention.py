@@ -91,6 +91,11 @@ class TestPwap:
         with pytest.raises(ValueError):
             pwap(Tensor(rng.normal(size=(1, 3, 2, 2))), PwapParams.init(4))
 
+    def test_rank3_rejected(self, rng):
+        with pytest.raises(ValueError,
+                           match="^pwap expects a rank-4 feature map$"):
+            pwap(Tensor(rng.normal(size=(3, 2, 2))), PwapParams.init(3))
+
     @pytest.mark.parametrize("other", [None, "before", "after"])
     def test_equals_primitive_chain_bit_for_bit(self, rng, other):
         # `other`: feat also feeds a third consumer, added to the loss
@@ -433,6 +438,19 @@ class TestGatedFuse:
             t for _, t in walk(params.enc, "e", Tensor))
         assert len(logits._parents) == 9
         assert logits._parents[0]._parents  # pooled, built by pwap
+
+    def test_channel_mismatch_rejected(self):
+        feat, att, masks, _ = _tail_case((2, 4, 5, 5), False)
+        p = AaaParams.init(3, 0.5, np.random.default_rng(0))
+        with pytest.raises(ValueError, match="^_gated_fuse: 4 channels vs "
+                           "batch-norm state with 3$"):
+            _gated_fuse(feat, att, masks, p, False)
+
+    def test_one_element_per_channel_rejected(self):
+        feat, att, masks, p = _tail_case((1, 4, 1, 1), False)
+        with pytest.raises(ValueError, match="^_gated_fuse needs >= 2 "
+                           "elements per channel$"):
+            _gated_fuse(feat, att, masks, p, False)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_non_finite_input_names_op_and_keeps_running_stats(self, bad):

@@ -69,6 +69,18 @@ class TestConfig:
         with pytest.raises(ConfigError, match="warmup"):
             load_config(None, ["train.warmup=5"])
 
+    def test_unreadable_config_file_named(self, tmp_path):
+        path = tmp_path / "missing.ini"
+        with pytest.raises(ConfigError, match=re.escape(
+                f"cannot read config file {path}")):
+            load_config(str(path))
+
+    def test_removed_seg_data_seed_is_an_unknown_key(self):
+        # seg-toy seeds its data with --seed alone
+        with pytest.raises(ConfigError, match=re.escape(
+                "unknown config key 'seg.data_seed' (--set)")):
+            load_config(None, ["seg.data_seed=0"])
+
     def test_type_conversion_follows_defaults(self):
         cfg = load_config(None, ["train.lr=0.01", "train.epochs=2"])
         assert cfg["train"]["lr"] == 0.01
@@ -107,9 +119,9 @@ class TestConfig:
         ("robustness", "windows", (0, 4, 4)), ("robustness", "trials", 0),
         ("train", "lr", 0.0), ("train", "lr", -0.1),
         ("train", "lr", float("nan")), ("seg", "lr", 0.0),
-        ("seg", "lr", float("inf")), ("seg", "data_seed", -1),
-        ("seg", "steps", 0), ("seg", "size", 0), ("seg", "width", 0),
-        ("seg", "n_annotated", 0), ("seg", "n_unannotated", 0)])
+        ("seg", "lr", float("inf")), ("seg", "steps", 0), ("seg", "size", 0),
+        ("seg", "width", 0), ("seg", "n_annotated", 0),
+        ("seg", "n_unannotated", 0)])
     def test_bad_value_message_is_the_owners_with_its_section(self, section,
                                                               key, value):
         with pytest.raises(ValueError) as own:
@@ -185,8 +197,7 @@ class TestExitCodes:
         ("seg.size=0", "seg.size must be >= 1"),
         ("seg.width=0", "seg.width must be >= 1"),
         ("seg.n_annotated=0", "seg.n_annotated must be >= 1"),
-        ("seg.n_unannotated=0", "seg.n_unannotated must be >= 1"),
-        ("seg.data_seed=-1", "seg.data_seed must be >= 0, got -1")])
+        ("seg.n_unannotated=0", "seg.n_unannotated must be >= 1")])
     def test_invalid_config_value_exits_2(self, capsys, override, key):
         assert main(["--set", override, "train"]) == 2
         assert key in capsys.readouterr().err

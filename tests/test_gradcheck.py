@@ -108,6 +108,17 @@ class TestGradCheck:
         assert report.passed
         assert report.skipped_kinks == 1
 
+    def test_skips_kink_seen_only_by_the_halved_step(self):
+        # kinks at t = +-a lie inside the probe interval +-1e-5 but outside
+        # the halved one; the one-sided slopes agree, the halved central
+        # difference (0) does not match the full one (0.25); t = 1 is smooth
+        a = 0.75e-5
+        x = Tensor(np.array([0.0, 1.0]))
+        report = grad_check(
+            lambda t: ((t - a).relu() - (-t - a).relu()).sum(), [x])
+        assert report.passed
+        assert report.skipped_kinks == 1
+
     def test_unattainable_tolerance_fails(self, rng):
         x = Tensor(rng.normal(size=4))
         report = grad_check(lambda t: (t.sigmoid() * t).sum(), [x],

@@ -205,6 +205,12 @@ class TestMetricsTable:
         assert t.value("cond", "a") == 60.0
         assert t.value("cond") == 70.0
 
+    def test_missing_value_raises_key_error(self):
+        t = MetricsTable()
+        t.add("cond", "a", 60.0)
+        with pytest.raises(KeyError, match=re.escape("('cond', 'mean')")):
+            t.value("cond")
+
     def test_out_of_range_rejected(self):
         t = MetricsTable()
         with pytest.raises(ValueError):
@@ -640,12 +646,22 @@ class TestSweeps:
         _rejected_before_any_work(lambda: run(spec, train_kwargs), message,
                                   monkeypatch, generated)
 
+    def test_unknown_axis_rejected_before_any_work(self, monkeypatch,
+                                                   generated):
+        _rejected_before_any_work(
+            lambda: ablation_sweep("depth", TINY_CONFIG, TINY_SPEC, [0],
+                                   TINY_TRAIN),
+            "unknown ablation axis 'depth'", monkeypatch, generated)
+
     @pytest.mark.parametrize("windows, message", [
         ((2, 4), "windows must be >= 0 and include 0, got (2, 4)"),
         ((0, -2), "windows must be >= 0 and include 0, got (0, -2)"),
         ((0, 4, 4), "windows repeats window 4, got (0, 4, 4)"),
-        ((0, 2.5), "window must be an integer, got 2.5")],
-        ids=["no 0", "negative", "repeated", "not an integer"])
+        ((0, 2.5), "window must be an integer, got 2.5"),
+        (("a", 0), "window must be an integer, got 'a'"),
+        ((0, None), "window must be an integer, got None")],
+        ids=["no 0", "negative", "repeated", "not an integer", "a string",
+             "None"])
     @pytest.mark.parametrize("run", [
         lambda windows: robustness_experiment(TINY_SPEC, [0], windows,
                                               TINY_CONFIG, trials=1,

@@ -12,6 +12,7 @@ from anatomy_attn.attention import AnatomyMasks
 from anatomy_attn.model import (ModelConfig, ToyModel, batch_masks, bce_loss,
                                 check_train_args, gradcam, load_checkpoint,
                                 predict, save_checkpoint, train)
+from anatomy_attn.optim import Adam
 from anatomy_attn.tensor import DivergenceError, Tensor
 
 
@@ -79,6 +80,8 @@ class TestConfig:
         ({"r": True}, "r must be a real number, got True"),
         ({"r": None}, "r must be a real number, got None"),
         ({"r": 10 ** 400}, "r must be finite and > 0"),
+        ({"backbone_widths": (2, 3, 3)},
+         "backbone_widths must list 4 stage widths"),
         ({"backbone_widths": (2, 3, 3, 65536)},
          "backbone_widths: a stage width is 65536, above 65535"),
         ({"attention_level": "L3", "fusion": "none",
@@ -93,9 +96,9 @@ class TestConfig:
          "r: the AAA hidden width round(3 / r) is inf, above 65535")],
         ids=["size_bool", "size_str", "classes_float", "widths_int",
              "widths_str", "widths_bool", "widths_array", "r_str", "r_bool",
-             "r_none", "r_huge_int", "width_extent", "head_sum_extent",
-             "classes_extent", "hidden_extent", "hidden_huge",
-             "hidden_inf"])
+             "r_none", "r_huge_int", "widths_three", "width_extent",
+             "head_sum_extent", "classes_extent", "hidden_extent",
+             "hidden_huge", "hidden_inf"])
     def test_unbuildable_or_unsavable_config_rejected(self, kw, message):
         with pytest.raises(ValueError, match=re.escape(message)):
             _cfg(**kw)
@@ -363,6 +366,23 @@ class TestTraining:
         for name, arr in model.snapshot().items():
             np.testing.assert_array_equal(arr, before[name])
 
+    def test_one_image_last_batch_is_skipped(self, rng, monkeypatch):
+        # 17 images at batch 16 leave one, too few for train-mode batch
+        # norm, so each epoch takes one step
+        sizes = []
+        forward = ToyModel.forward
+
+        def recording(model, image, masks, train, cache=None):
+            if train:
+                sizes.append(image.shape[0])
+            return forward(model, image, masks, train, cache)
+
+        monkeypatch.setattr(ToyModel, "forward", recording)
+        model = ToyModel(_cfg(attention_level="L0", fusion="none"), seed=0)
+        train(model, self._data(rng, n=17), epochs=2, lr=1e-3, batch=16,
+              seed=0)
+        assert sizes == [16, 16]
+
     @pytest.mark.parametrize("kw, message", [
         ({"epochs": True}, "epochs must be an integer, got True"),
         ({"epochs": 1.5}, "epochs must be an integer, got 1.5"),
@@ -431,6 +451,25 @@ class TestRunningStatistics:
             gradcam(model, Tensor(images), m, class_index=1)
         for a, b in zip(before, _running_stats(model), strict=True):
             assert a.tobytes() == b.tobytes()
+
+    def test_every_state_array_keeps_its_identity(self, rng):
+        # Adam writes into the parameters and a train-mode forward into
+        # the running statistics, so one state_arrays() list stays live
+        model = ToyModel(ModelConfig(), seed=0)
+        opt = Adam([t for _, t in model.parameters()], 1e-2)
+        before = model.state_arrays()
+        snapshot = model.snapshot()
+        probs = model.forward(Tensor(rng.normal(size=(4, 1, 32, 32))),
+                              _masks(rng, 4, 32), True)
+        opt.zero_grad()
+        bce_loss(probs, np.eye(4, 3)).backward()
+        opt.step()
+        after = model.state_arrays()
+        assert len(before) == 58
+        assert [n for n, _ in after] == [n for n, _ in before]
+        for (name, a), (_, b) in zip(before, after):
+            assert a is b, name
+            assert not np.array_equal(a, snapshot[name]), name
 
     def test_training_forward_moves_every_one(self, rng):
         model = _jittered_model(rng)

@@ -1,5 +1,7 @@
 """Neural-net ops: golden values, shape/error contracts, invariances."""
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -21,6 +23,12 @@ class TestFullyConnected:
         out = fully_connected(Tensor([[1.0, 1.0]]), p)
         np.testing.assert_array_equal(out.data, [[4.0, -1.0]])
 
+    def test_width_mismatch_rejected(self, rng):
+        p = LinearParams.init(4, 2, rng)
+        with pytest.raises(ValueError, match=re.escape(
+                "fully_connected: input dim 3 != weight in-dim 4")):
+            fully_connected(Tensor(np.zeros((2, 3))), p)
+
     def test_init_shapes_and_zero_bias(self, rng):
         p = LinearParams.init(6, 4, rng)
         assert p.weight.shape == (4, 6)
@@ -28,6 +36,18 @@ class TestFullyConnected:
 
 
 class TestConv1x1:
+    def test_rank3_input_rejected(self):
+        with pytest.raises(ValueError,
+                           match="conv_1x1 expects a rank-4 input"):
+            conv_1x1(Tensor(np.zeros((2, 3, 4))), Tensor(np.zeros((2, 3))),
+                     Tensor(np.zeros(2)))
+
+    def test_channel_mismatch_rejected(self):
+        with pytest.raises(ValueError, match=re.escape(
+                "conv_1x1: weight in-channels 2 != input channels 3")):
+            conv_1x1(Tensor(np.zeros((1, 3, 2, 2))), Tensor(np.zeros((4, 2))),
+                     Tensor(np.zeros(4)))
+
     def test_equals_channel_matmul(self, rng):
         x = Tensor(rng.normal(size=(2, 3, 4, 4)))
         w = Tensor(rng.normal(size=(5, 3)))
@@ -88,6 +108,11 @@ class TestConv3x3:
         # zero padding: corner sees 4 ones, edge 6, center 9
         np.testing.assert_array_equal(
             out.data[0, 0], [[4, 6, 4], [6, 9, 6], [4, 6, 4]])
+
+    def test_channel_mismatch_rejected(self):
+        with pytest.raises(ValueError, match="conv3x3 channel mismatch"):
+            conv3x3(Tensor(np.zeros((1, 2, 4, 4))),
+                    Tensor(np.zeros((3, 1, 3, 3))), Tensor(np.zeros(3)))
 
     def test_stride2_shape(self, rng):
         x = Tensor(rng.normal(size=(2, 3, 8, 8)))
@@ -283,12 +308,15 @@ class TestBatchNorm:
 
     def test_running_stats_update(self, rng):
         s = BatchNormState.init(2)
+        mean_array, var_array = s.running_mean, s.running_var
         x = rng.normal(size=(8, 2)) * 3 + 5
         batch_norm(Tensor(x), s, True)
         mu = x.mean(axis=0)
         var = x.var(axis=0)
         np.testing.assert_allclose(s.running_mean, 0.9 * 0 + 0.1 * mu)
         np.testing.assert_allclose(s.running_var, 0.9 * 1 + 0.1 * var)
+        # in place, like every update of model state
+        assert s.running_mean is mean_array and s.running_var is var_array
 
     def test_eval_uses_running_stats(self):
         s = BatchNormState.init(1)
@@ -313,6 +341,18 @@ class TestBatchNorm:
         s = BatchNormState.init(2)
         with pytest.raises(ValueError):
             batch_norm(Tensor(np.zeros((4, 3))), s, True)
+
+    def test_integer_running_stats_are_tracked_as_float64(self, rng):
+        s = BatchNormState(Tensor(np.ones(2)), Tensor(np.zeros(2)),
+                           np.zeros(2, dtype=int), np.ones(2, dtype=int))
+        x = rng.normal(size=(4, 2))
+        batch_norm(Tensor(x), s, True)
+        np.testing.assert_array_equal(s.running_mean, 0.1 * x.mean(axis=0))
+
+    def test_empty_batch_rejected(self):
+        with pytest.raises(ValueError, match="^batch_norm needs at least one "
+                           "element per channel$"):
+            batch_norm(Tensor(np.zeros((0, 2))), BatchNormState.init(2), False)
 
 
 class TestSoftmaxPair:

@@ -49,6 +49,17 @@ class TestSegBatch:
             SegBatch(Tensor(np.zeros(cxr)), Tensor(onehot),
                      Tensor(np.zeros(unannotated)))
 
+    @pytest.mark.parametrize("value, message", [
+        (0.5, "annotated_masks must be one-hot binary"),
+        (1.0, "annotated_masks must sum to 1 over classes")],
+        ids=["fractional", "two classes"])
+    def test_masks_that_are_not_one_hot_rejected(self, rng, value, message):
+        masks = _onehot(rng, 2, 6, 6)
+        masks[1, :2, 3, 4] = value
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            SegBatch(Tensor(np.zeros((2, 1, 6, 6))), Tensor(masks),
+                     Tensor(np.zeros((2, 1, 6, 6))))
+
     def test_unannotated_count_may_differ(self, rng):
         batch = SegBatch(Tensor(rng.normal(size=(2, 1, 6, 6))),
                          Tensor(_onehot(rng, 2, 6, 6)),

@@ -280,6 +280,7 @@ class TestNumberRules:
         assert check_int(5, "n", 5) == 5
         value = check_int(np.int32(7), "n", 0)
         assert type(value) is int and value == 7
+        assert check_int(-3, "n") == -3  # no lower bound without `low`
 
     @pytest.mark.parametrize("value, kw, message", [
         (True, {}, "x must be a real number, got True"),
