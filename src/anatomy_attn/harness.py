@@ -295,8 +295,17 @@ def _shared_dataset(spec: SyntheticSpec, image_size: int) -> dict:
     trains on this one copy, which sweep workers inherit from the fork.
     The true masks and lesion maps are dropped to keep the inherited pages
     few. A cell that wrote into the arrays would change the data of every
-    later cell, so a write raises ValueError."""
+    later cell, so a write raises ValueError. Every cell is scored by
+    per-class test AUC, so a test class without a positive or a negative
+    image raises ValueError naming it, before any cell trains."""
     data = gen_synthetic(dc_replace(spec, image_size=image_size))
+    labels = data["test_labels"]
+    for k, name in enumerate(CLASS_NAMES):
+        positives = int(labels[:, k].sum())
+        if positives in (0, len(labels)):
+            raise ValueError(f"test split class {name!r} needs a positive "
+                             f"and a negative image for its AUC, got "
+                             f"{positives} positive of {len(labels)}")
     shared = {f"{split}_{kind}": data[f"{split}_{kind}"]
               for split in ("train", "val", "test")
               for kind in ("images", "lung", "heart", "labels")}
@@ -393,6 +402,8 @@ def check_robustness(windows, trials) -> None:
     """Raise ValueError unless the cutout `windows` are integers >= 0,
     repeat none and include 0, the reference that degradation is read
     against, and `trials` is an integer >= 1."""
+    if not np.iterable(windows):
+        raise ValueError(f"windows must be a sequence, got {windows!r}")
     for window in windows:
         check_int(window, "window")
     if 0 not in windows or min(windows) < 0:
@@ -407,6 +418,8 @@ def check_seeds(seeds) -> list:
     """`seeds` as a list; raise ValueError unless it holds at least one
     integer >= 0, as numpy's generators need, and none twice, which would
     count one trained model twice in a median."""
+    if not np.iterable(seeds):
+        raise ValueError(f"seeds must be a sequence, got {seeds!r}")
     seeds = [check_int(seed, "seed", 0) for seed in seeds]
     if not seeds:
         raise ValueError("seeds must hold at least one seed")

@@ -659,9 +659,10 @@ class TestSweeps:
         ((0, 4, 4), "windows repeats window 4, got (0, 4, 4)"),
         ((0, 2.5), "window must be an integer, got 2.5"),
         (("a", 0), "window must be an integer, got 'a'"),
-        ((0, None), "window must be an integer, got None")],
+        ((0, None), "window must be an integer, got None"),
+        (5, "windows must be a sequence, got 5")],
         ids=["no 0", "negative", "repeated", "not an integer", "a string",
-             "None"])
+             "None", "an int"])
     @pytest.mark.parametrize("run", [
         lambda windows: robustness_experiment(TINY_SPEC, [0], windows,
                                               TINY_CONFIG, trials=1,
@@ -694,7 +695,8 @@ class TestSweeps:
         ((2, 1, 2), "seed 2 is repeated in [2, 1, 2]"),
         ([0, -1], "seed must be >= 0, got -1"),
         ([0, 1.0], "seed must be an integer, got 1.0"),
-        ([True], "seed must be an integer, got True")])
+        ([True], "seed must be an integer, got True"),
+        (5, "seeds must be a sequence, got 5")])
     @pytest.mark.parametrize("run", [
         lambda seeds: ablation_sweep("pooling", TINY_CONFIG, TINY_SPEC,
                                      seeds, TINY_TRAIN),
@@ -706,6 +708,27 @@ class TestSweeps:
                                                 monkeypatch, generated):
         _rejected_before_any_work(lambda: run(seeds), message, monkeypatch,
                                   generated)
+
+    @pytest.mark.parametrize("n_test, message", [
+        (1, "test split class 'lung_lesion' needs a positive and a negative "
+            "image for its AUC, got 0 positive of 1"),
+        (3, "test split class 'heart_lesion' needs a positive and a "
+            "negative image for its AUC, got 0 positive of 3")])
+    @pytest.mark.parametrize("run", [
+        lambda spec: ablation_sweep("pooling", TINY_CONFIG, spec, [0],
+                                    TINY_TRAIN),
+        lambda spec: robustness_experiment(spec, [0], (0, 2), TINY_CONFIG,
+                                           trials=1, train_kwargs=TINY_TRAIN)],
+        ids=["ablation_sweep", "robustness_experiment"])
+    def test_single_label_test_class_rejected_before_any_training(
+            self, run, n_test, message, monkeypatch):
+        # the labels are known only once the data is drawn, so the check
+        # runs after gen_synthetic but before any cell starts
+        for name in ("train", "parallel_map"):
+            monkeypatch.setattr(harness, name,
+                                lambda *args, name=name: pytest.fail(name))
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            run(replace(TINY_SPEC, n_test=n_test))
 
     def test_check_seeds_returns_ints(self):
         seeds = check_seeds((np.int64(3), 0))

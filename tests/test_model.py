@@ -9,7 +9,9 @@ import pytest
 
 from anatomy_attn import model as model_module
 from anatomy_attn.attention import AnatomyMasks
-from anatomy_attn.model import (ModelConfig, ToyModel, batch_masks, bce_loss,
+from anatomy_attn.harness import SyntheticSpec, gen_synthetic
+from anatomy_attn.model import (ATTENTION_LEVELS, FUSION_TYPES, POOLING_TYPES,
+                                ModelConfig, ToyModel, batch_masks, bce_loss,
                                 check_train_args, gradcam, load_checkpoint,
                                 predict, save_checkpoint, train)
 from anatomy_attn.optim import Adam
@@ -420,6 +422,27 @@ class TestTraining:
         model = ToyModel(_cfg(attention_level="L0", fusion="none"), seed=0)
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             predict(model, data["val_images"], None, None, batch=batch)
+
+
+@pytest.fixture(scope="module")
+def tiny_data():
+    return gen_synthetic(SyntheticSpec(image_size=16, n_train=4, n_val=4,
+                                       n_test=0))
+
+
+@pytest.mark.parametrize("fusion", FUSION_TYPES)
+@pytest.mark.parametrize("pooling", POOLING_TYPES)
+@pytest.mark.parametrize("level", ATTENTION_LEVELS)
+def test_every_configuration_trains_every_parameter(level, pooling, fusion,
+                                                    tiny_data):
+    # Adam.step raises on a parameter without a gradient, so an epoch of
+    # two steps completes only if the loss reaches every parameter
+    config = ModelConfig(image_size=16, mask_size=4,
+                         backbone_widths=(2, 3, 3, 4), attention_level=level,
+                         pooling=pooling, fusion=fusion)
+    _, history = train(ToyModel(config, seed=0), tiny_data, epochs=1,
+                       lr=1e-3, batch=2, seed=0)
+    assert len(history) == 1 and np.isfinite(history[0][1])
 
 
 def _running_stats(model):

@@ -1,6 +1,6 @@
-"""Adam: the bias-corrected update, parameters without a gradient,
-non-finite gradients, bad arguments, and the flat store that the
-parameters view."""
+"""Adam: the bias-corrected update, the one update path that every
+parameter takes, a missing or non-finite gradient, bad arguments, and
+the flat store that the parameters view."""
 
 import re
 
@@ -14,15 +14,13 @@ from anatomy_attn.tensor import NonFiniteError, Tensor
 
 def _per_tensor_steps(values, grads_per_step, lr):
     """The per-tensor update that the flat store replaced: the parameter
-    values after each step, skipping a parameter without a gradient."""
+    values after each step."""
     values = [v.copy() for v in values]
     m = [np.zeros_like(v) for v in values]
     v2 = [np.zeros_like(v) for v in values]
     after = []
     for t, grads in enumerate(grads_per_step, start=1):
         for i, g in enumerate(grads):
-            if g is None:
-                continue
             m[i] = BETA1 * m[i] + (1 - BETA1) * g
             v2[i] = BETA2 * v2[i] + (1 - BETA2) * g * g
             m_hat = m[i] / (1 - BETA1 ** t)
@@ -52,16 +50,22 @@ def test_two_steps_match_hand_computed_update():
         np.testing.assert_allclose(p.data, expected, rtol=0, atol=1e-15)
 
 
-def test_parameter_without_gradient_is_unchanged():
-    # its moments from the first step would move it if Adam did not skip it
-    p = Tensor([1.0, 2.0], requires_grad=True)
-    opt = Adam([p], lr=0.1)
-    p.grad = np.array([0.5, -0.5])
+def test_missing_gradient_raises_before_any_change():
+    # the gradient of parameter 1 is missing: parameter 0, whose gradient
+    # is there, must not move either
+    p, q = Tensor([1.0, 2.0], requires_grad=True), Tensor([[3.0, 4.0]])
+    opt = Adam([p, q], lr=0.1)
+    p.grad, q.grad = np.array([0.5, -0.5]), np.array([[0.25, -1.0]])
     opt.step()
-    after_first = p.data.copy()
+    state = [a.copy() for a in (opt._store, opt._m, opt._v)]
     opt.zero_grad()
-    opt.step()
-    np.testing.assert_array_equal(p.data, after_first)
+    p.grad = np.array([0.5, -0.5])
+    with pytest.raises(ValueError, match=r"^parameter 1 \(1, 2\) has no "
+                                         r"gradient$"):
+        opt.step()
+    assert opt.t == 1
+    for a, b in zip(state, (opt._store, opt._m, opt._v), strict=True):
+        assert a.tobytes() == b.tobytes()
 
 
 @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
@@ -81,16 +85,15 @@ def test_non_finite_gradient_raises_before_any_change(bad):
 
 
 def test_steps_match_the_per_tensor_update_bit_for_bit():
-    # mixed shapes, gradients over ten decades (eps matters at the small
-    # end), and parameter 1 without a gradient on every other step
+    # mixed shapes and gradients over ten decades (eps matters at the
+    # small end)
     rng = np.random.default_rng(0)
     shapes = [(3, 4), (5,), (), (2, 1, 3, 3), (1,)]
     values = [rng.normal(size=shape) for shape in shapes]
     grads_per_step = [
-        [None if (i == 1 and t % 2) else
-         rng.normal(size=shape) * 10.0 ** rng.uniform(-9, 1, size=shape)
-         for i, shape in enumerate(shapes)]
-        for t in range(7)]
+        [rng.normal(size=shape) * 10.0 ** rng.uniform(-9, 1, size=shape)
+         for shape in shapes]
+        for _ in range(7)]
     lr = 3e-3
     params = [Tensor(v, requires_grad=True) for v in values]
     opt = Adam(params, lr)
@@ -98,7 +101,7 @@ def test_steps_match_the_per_tensor_update_bit_for_bit():
     for grads, want in zip(grads_per_step, expected, strict=True):
         opt.zero_grad()
         for p, g in zip(params, grads):
-            p.grad = None if g is None else g.copy()
+            p.grad = g.copy()
         opt.step()
         for p, w in zip(params, want, strict=True):
             assert p.shape == w.shape

@@ -200,6 +200,19 @@ class TestTrainingLoop:
                  + trained.discriminator_parameters())
         assert [p.data.tobytes() for p in after] == before
 
+    def test_every_parameter_gets_a_gradient_every_step(self):
+        # Adam.step raises on a parameter without a gradient, so the steps
+        # complete only if each loss reaches every parameter of its
+        # optimizer; each one then moves
+        nets = CycleNets.init(width=4, seed=0)
+        params = nets.generator_parameters() + nets.discriminator_parameters()
+        before = [p.data.copy() for p in params]
+        batches = gen_seg_batches(size=8, n_annotated=2, n_unannotated=2,
+                                  seed=0)
+        train_cyclegan_toy(batches, nets, steps=3, lr=1e-3)
+        assert all(not np.array_equal(p.data, b)
+                   for p, b in zip(params, before, strict=True))
+
     def test_divergence_is_the_model_error(self):
         # one DivergenceError class: a model-side handler catches seg's too
         nets = CycleNets.init(width=4, seed=0)
