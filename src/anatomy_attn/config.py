@@ -21,9 +21,11 @@ class ConfigError(ValueError):
 
 
 # synthetic.image_size is left out: every command generates its data at
-# the model's image size
+# the model's image size. model.n_classes is too: the labels always have
+# len(harness.CLASS_NAMES) classes
 DEFAULTS = {
-    "model": asdict(ModelConfig()),
+    "model": {k: v for k, v in asdict(ModelConfig()).items()
+              if k != "n_classes"},
     "synthetic": {k: v for k, v in asdict(SyntheticSpec()).items()
                   if k != "image_size"},
     "train": train_settings({}),

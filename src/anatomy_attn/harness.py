@@ -379,7 +379,7 @@ def robustness_sweep(models: dict, data: dict, windows, trials: int,
     rows are the uncorrupted reference. Bad `windows` or `trials` raise
     first.
     """
-    check_robustness(windows, trials)
+    windows = check_robustness(windows, trials)
     table = MetricsTable()
     for name, model in models.items():
         for window in windows:
@@ -398,20 +398,20 @@ def repeated_value(values):
     return next((v for i, v in enumerate(values) if v in values[:i]), None)
 
 
-def check_robustness(windows, trials) -> None:
-    """Raise ValueError unless the cutout `windows` are integers >= 0,
-    repeat none and include 0, the reference that degradation is read
-    against, and `trials` is an integer >= 1."""
+def check_robustness(windows, trials) -> tuple:
+    """`windows` as a tuple; raise ValueError unless the cutout `windows`
+    are integers >= 0, repeat none and include 0, the reference that
+    degradation is read against, and `trials` is an integer >= 1."""
     if not np.iterable(windows):
         raise ValueError(f"windows must be a sequence, got {windows!r}")
-    for window in windows:
-        check_int(window, "window")
+    windows = tuple(check_int(window, "window") for window in windows)
     if 0 not in windows or min(windows) < 0:
         raise ValueError(f"windows must be >= 0 and include 0, got {windows}")
     repeated = repeated_value(windows)
     if repeated is not None:
         raise ValueError(f"windows repeats window {repeated}, got {windows}")
     check_int(trials, "trials", 1)
+    return windows
 
 
 def check_seeds(seeds) -> list:
@@ -436,7 +436,7 @@ def robustness_experiment(spec: SyntheticSpec, seeds, windows,
     sweep cutout windows, and report the median AUC over seeds per
     (model, window). Bad `windows`, `trials`, `seeds`, `train_kwargs` or
     split sizes raise first."""
-    check_robustness(windows, trials)
+    windows = check_robustness(windows, trials)
     seeds = check_seeds(seeds)
     train_kwargs = train_settings(train_kwargs)
     check_train_args(spec.n_train, spec.n_val, train_kwargs["epochs"],

@@ -255,7 +255,7 @@ def predict(model: ToyModel, images: np.ndarray, lung: np.ndarray | None,
             heart: np.ndarray | None, batch: int = 32) -> np.ndarray:
     """Inference probabilities for a stack of images, `batch` at a time."""
     check_int(batch, "batch", 1)
-    outs = []
+    outs = [np.empty((0, model.config.n_classes))]  # [0, n_classes] if none
     for lo in range(0, len(images), batch):
         idx = slice(lo, lo + batch)
         masks = batch_masks(model.config, lung, heart, idx)

@@ -195,7 +195,7 @@ class Tensor:
         return _binary(other, self, "add")
 
     def __neg__(self):
-        return Tensor._from_op(-self.data, (self,), lambda g: (-g,), "neg")
+        return _unary(self, "neg")
 
     def __sub__(self, other):
         return _binary(self, other, "sub")
@@ -215,70 +215,27 @@ class Tensor:
     def __rtruediv__(self, other):
         return _binary(other, self, "div")
 
-    @ignore_fp_errors
     def __pow__(self, exponent: float):
-        out_data = self.data ** exponent
+        return _unary(self, "pow", exponent)
 
-        def bwd(g):
-            return (g * exponent * self.data ** (exponent - 1),)
-
-        return Tensor._from_op(out_data, (self,), bwd, "pow")
-
-    @ignore_fp_errors
     def exp(self):
-        out_data = np.exp(self.data)
+        return _unary(self, "exp")
 
-        def bwd(g):
-            return (g * out_data,)
-
-        return Tensor._from_op(out_data, (self,), bwd, "exp")
-
-    @ignore_fp_errors
     def log(self):
-        out_data = np.log(self.data)
-
-        def bwd(g):
-            return (g / self.data,)
-
-        return Tensor._from_op(out_data, (self,), bwd, "log")
+        return _unary(self, "log")
 
     def relu(self):
-        mask = self.data > 0.0
-
-        def bwd(g):
-            return (g * mask,)
-
-        return Tensor._from_op(self.data * mask, (self,), bwd, "relu")
+        return _unary(self, "relu")
 
     def sigmoid(self):
-        out_data = logistic(self.data)
-
-        def bwd(g):
-            return (g * out_data * (1.0 - out_data),)
-
-        return Tensor._from_op(out_data, (self,), bwd, "sigmoid")
+        return _unary(self, "sigmoid")
 
     def abs(self):
-        sign = np.sign(self.data)
-
-        def bwd(g):
-            return (g * sign,)
-
-        return Tensor._from_op(np.abs(self.data), (self,), bwd, "abs")
+        return _unary(self, "abs")
 
     def clamp(self, lo=None, hi=None):
         """Clip values; gradient passes through only inside [lo, hi]."""
-        out_data = np.clip(self.data, lo, hi)
-        inside = np.ones_like(self.data, dtype=bool)
-        if lo is not None:
-            inside &= self.data >= lo
-        if hi is not None:
-            inside &= self.data <= hi
-
-        def bwd(g):
-            return (g * inside,)
-
-        return Tensor._from_op(out_data, (self,), bwd, "clamp")
+        return _unary(self, "clamp", lo, hi)
 
     # -- reductions -----------------------------------------------------------
 
@@ -329,6 +286,35 @@ class Tensor:
             return (g.reshape(src_shape),)
 
         return Tensor._from_op(self.data.reshape(shape), (self,), bwd, "reshape")
+
+
+# forward of each unary op given the operand array x and the op's constant
+# arguments, then its partial given the output gradient g, x, the output y
+# and those arguments
+_UNARY_OPS = {
+    "neg": (lambda x: -x, lambda g, x, y: -g),
+    "pow": (lambda x, e: x ** e, lambda g, x, y, e: g * e * x ** (e - 1)),
+    "exp": (np.exp, lambda g, x, y: g * y),
+    "log": (np.log, lambda g, x, y: g / x),
+    "relu": (lambda x: x * (x > 0.0), lambda g, x, y: g * (x > 0.0)),
+    "sigmoid": (logistic, lambda g, x, y: g * y * (1.0 - y)),
+    "abs": (np.abs, lambda g, x, y: g * np.sign(x)),
+    "clamp": (np.clip, lambda g, x, y, lo, hi: g * (
+        (lo is None or x >= lo) & (hi is None or x <= hi))),
+}
+
+
+@ignore_fp_errors
+def _unary(x: Tensor, op: str, *args) -> Tensor:
+    """`op` of `x` with the constant arguments `args`, as one node."""
+    forward, partial = _UNARY_OPS[op]
+    xd = x.data
+    yd = forward(xd, *args)
+
+    def bwd(g):
+        return (partial(g, xd, yd, *args),)
+
+    return Tensor._from_op(yd, (x,), bwd, op)
 
 
 # forward of each binary op, then its partials with respect to the left and

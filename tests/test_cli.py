@@ -96,7 +96,9 @@ class TestConfig:
         assert DEFAULTS["synthetic"] == spec
 
     def test_model_defaults_are_the_model_config_defaults(self):
-        assert DEFAULTS["model"] == asdict(ModelConfig())
+        model = asdict(ModelConfig())
+        del model["n_classes"]  # the labels always have three classes
+        assert DEFAULTS["model"] == model
 
     def test_synthetic_image_size_is_not_a_key(self):
         with pytest.raises(ConfigError, match="synthetic.image_size"):
@@ -112,7 +114,7 @@ class TestConfig:
         ("synthetic", "lesion_amplitude", float("-inf")),
         ("model", "attention_level", "L9"), ("model", "pooling", "median"),
         ("model", "fusion", "soft"), ("model", "image_size", 0),
-        ("model", "mask_size", 0), ("model", "n_classes", 0),
+        ("model", "mask_size", 0),
         ("model", "backbone_widths", (0, 1, 1, 1)),
         ("model", "r", float("nan")), ("model", "r", float("inf")),
         ("robustness", "windows", (2, 4)), ("robustness", "windows", (0, -2)),
@@ -225,6 +227,15 @@ class TestExitCodes:
         out = tmp_path / "run"
         assert main(["--out", str(out), "--set", override, "train"]) == 2
         assert key in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_class_count_is_not_a_key(self, tmp_path, capsys):
+        # the labels always have len(CLASS_NAMES) classes
+        out = tmp_path / "run"
+        assert main(["--out", str(out), "--set", "model.n_classes=2",
+                     "train"]) == 2
+        assert ("unknown config key 'model.n_classes'"
+                in capsys.readouterr().err)
         assert not out.exists()
 
     @pytest.mark.parametrize("overrides, message", [

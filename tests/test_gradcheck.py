@@ -10,28 +10,27 @@ import numpy as np
 import pytest
 
 import anatomy_attn
-from anatomy_attn import suite
+from anatomy_attn import suite, tensor
 from anatomy_attn.gradcheck import grad_check
 from anatomy_attn.tensor import NonFiniteError, Tensor
 
 # op names that are not literals, expanded to every value the package
-# uses: an f-string, and the `op` that `_binary` passes on to `_from_op`,
-# whose values are read from the `_binary` calls themselves
+# uses: an f-string, and the `op` that `_binary` and `_unary` pass on to
+# `_from_op`, whose values are the keys of their op tables
 _OP_NAME_EXPANSIONS = {"f'resize_{method}'": ("resize_bilinear",
                                               "resize_nearest"),
                        "op": ()}
 
 
 def _core_op_names() -> set:
-    """Every op name passed to `_from_op` or `_binary` in tensor.py, ops.py
-    and attention.py."""
-    names = set()
+    """Every op name passed to `_from_op` in tensor.py, ops.py and
+    attention.py, and every row of tensor.py's two op tables."""
+    names = set(tensor._UNARY_OPS) | set(tensor._BINARY_OPS)
     for module in ("tensor.py", "ops.py", "attention.py"):
         path = Path(anatomy_attn.__file__).parent / module
         for node in ast.walk(ast.parse(path.read_text())):
             if (isinstance(node, ast.Call)
-                    and ast.unparse(node.func).split(".")[-1]
-                    in ("_from_op", "_binary")):
+                    and ast.unparse(node.func).split(".")[-1] == "_from_op"):
                 op = node.args[-1]
                 if isinstance(op, ast.Constant):
                     names.add(op.value)

@@ -674,6 +674,21 @@ class TestSweeps:
         _rejected_before_any_work(lambda: run(windows), message, monkeypatch,
                                   generated)
 
+    @pytest.mark.parametrize("run", [
+        lambda windows: robustness_experiment(TINY_SPEC, [0], windows,
+                                              TINY_CONFIG, trials=1,
+                                              train_kwargs=TINY_TRAIN),
+        lambda windows: robustness_sweep({"aaa": None}, {}, windows, 1, 0)],
+        ids=["robustness_experiment", "robustness_sweep"])
+    def test_windows_may_be_a_one_shot_iterator(self, run, monkeypatch):
+        # the windows are checked, then swept, then read for degradation
+        monkeypatch.setattr(harness, "train_condition", lambda *args: None)
+        monkeypatch.setattr(harness, "evaluate_with_cutout",
+                            lambda model, data, window, *args: 90.0 - window)
+        rows = run(iter([0, 2])).rows
+        assert rows == run((0, 2)).rows
+        assert ("aaa_degradation", "mean", 2.0) in rows
+
     @pytest.mark.parametrize("trials, message", [
         (0, "trials must be >= 1, got 0"), (-1, "trials must be >= 1, got -1"),
         (1.0, "trials must be an integer, got 1.0"),

@@ -430,6 +430,14 @@ def tiny_data():
                                        n_test=0))
 
 
+def test_predict_of_zero_images_has_one_column_per_class(tiny_data):
+    model = ToyModel(ModelConfig(image_size=16, mask_size=4,
+                                 backbone_widths=(2, 3, 3, 4)), seed=0)
+    probs = predict(model, tiny_data["test_images"], tiny_data["test_lung"],
+                    tiny_data["test_heart"])
+    assert probs.shape == (0, 3) and probs.dtype == np.float64
+
+
 @pytest.mark.parametrize("fusion", FUSION_TYPES)
 @pytest.mark.parametrize("pooling", POOLING_TYPES)
 @pytest.mark.parametrize("level", ATTENTION_LEVELS)
