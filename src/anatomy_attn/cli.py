@@ -10,9 +10,9 @@ import sys
 from pathlib import Path
 
 from .config import ConfigError, echo_config, load_config, parse_int_list
-from .harness import (ABLATION_AXES, SyntheticSpec, ablation_sweep,
-                      check_seeds, gen_seg_batches, gen_synthetic,
-                      robustness_experiment)
+from .harness import (ABLATION_AXES, SingleLabelError, SyntheticSpec,
+                      ablation_sweep, check_seeds, gen_seg_batches,
+                      gen_synthetic, robustness_experiment)
 from .model import (ModelConfig, ToyModel, batch_masks, gradcam,
                     gradcam_stage, load_checkpoint, save_checkpoint,
                     write_history, train)
@@ -228,7 +228,11 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    return args.func(args, cfg)
+    try:
+        return args.func(args, cfg)
+    except SingleLabelError as exc:  # raised by the sweeps before training
+        print(f"{args.command}: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

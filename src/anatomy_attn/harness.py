@@ -8,6 +8,7 @@ import functools
 from dataclasses import dataclass, replace as dc_replace
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .attention import AnatomyMasks
 from .metrics import MetricsTable, auc
@@ -66,101 +67,130 @@ def _ellipse(h: int, w: int, ci, cj, ri, rj) -> np.ndarray:
 
 # (centre row, centre column, row radius, column radius) of the two lung
 # ellipses and the heart, as fractions of the image size
-_ANATOMY_LAYOUT = ((0.45, 0.28, 0.30, 0.16), (0.45, 0.72, 0.30, 0.16),
-                   (0.62, 0.52, 0.18, 0.14))
+_ANATOMY_LAYOUT = np.array(((0.45, 0.28, 0.30, 0.16),
+                            (0.45, 0.72, 0.30, 0.16),
+                            (0.62, 0.52, 0.18, 0.14)))
+# bounds of the uniform draw that moves each of those four numbers: a
+# centre shift in pixels at size 32, then a radius factor
+_DRAW_LOW = np.array((-2.0, -2.0, 0.8, 0.8))
+_DRAW_SPAN = np.array((2.0, 2.0, 1.2, 1.2)) - _DRAW_LOW
 
 
-def _sample_anatomy(size: int, rng: np.random.Generator):
-    """Two lung ellipses plus a heart ellipse carved out of the lung.
+def _sample_anatomy(size: int, rng: np.random.Generator) -> np.ndarray:
+    """Boolean [3, size, size] stack of the lung, the heart and the rest:
+    two lung ellipses with the heart ellipse carved out of them. Each
+    ellipse's centre and radii move by one `rng.random(12)`, mapped as
+    `low + (high - low) * u`, which is how `rng.uniform(low, high)` maps
+    its draw.
 
     The whole complex is translated by a shared uniform wrap-around shift
     per sample, so a pixel's absolute position says nothing about which
     region it falls in; only the masks reveal that. The shift is applied by
     drawing the ellipses on shifted index grids, which gives the pixels of
     `np.roll` applied to the unshifted masks."""
-    s = size / 32.0
-    params = [(size * ci + rng.uniform(-2, 2) * s,
-               size * cj + rng.uniform(-2, 2) * s,
-               size * ri * rng.uniform(0.8, 1.2),
-               size * rj * rng.uniform(0.8, 1.2))
-              for ci, cj, ri, rj in _ANATOMY_LAYOUT]
-    di, dj = rng.integers(0, size, size=2)
+    draws = _DRAW_LOW + _DRAW_SPAN * rng.random(12).reshape(3, 4)
+    params = size * _ANATOMY_LAYOUT
+    params[:, :2] += draws[:, :2] * (size / 32.0)
+    params[:, 2:] *= draws[:, 2:]
+    di, dj = rng.integers(0, size), rng.integers(0, size)
     index = np.arange(size)
-    ii, jj = ((index - di) % size)[:, None], (index - dj) % size
-    left, right, heart = (_ellipse_on(ii, jj, *p) for p in params)
-    lung = (left | right) & ~heart
-    return lung.astype(np.float64), heart.astype(np.float64)
+    # one [3, size, size] stack (left lung, right lung, heart): each
+    # parameter as a [3, 1, 1] column against the shared index grids
+    regions = _ellipse_on(((index - di) % size)[:, None], (index - dj) % size,
+                          *params.T[:, :, None, None])
+    lungs = regions[0] | regions[1]
+    np.logical_and(lungs, ~regions[2], out=regions[0])
+    regions[1] = regions[2]
+    np.logical_not(lungs | regions[1], out=regions[2])
+    return regions
 
 
-# nonzero offsets of the 3x3 cross, scipy.ndimage's
+# per-row half-widths of the 3x3 cross, scipy.ndimage's
 # generate_binary_structure(2, 1)
-_CROSS = ((-1, 0), (0, -1), (0, 0), (0, 1), (1, 0))
+_CROSS = (0, 1, 0)
 
 
-def _morph(mask: np.ndarray, offsets, iterations: int = 1,
+def _morph(mask: np.ndarray, half_widths, iterations: int = 1,
            dilate: bool = False) -> np.ndarray:
-    """Binary erosion (or dilation) of the boolean `mask`, `iterations`
-    times, by the structure whose nonzero offsets from its centre are
-    `offsets`; pixels outside the image count as false. For a structure
-    symmetric about its centre this is scipy.ndimage's binary_erosion
-    (binary_dilation) at the default origin and border value."""
-    h, w = mask.shape
-    reach = max(map(max, offsets))  # offsets are symmetric about 0
-    padded = np.zeros((h + 2 * reach, w + 2 * reach), dtype=bool)
+    """Binary erosion (or dilation) of each [h, w] slice of the boolean
+    `mask` [..., h, w], `iterations` times, by the structure whose row i
+    spans the columns -half_widths[i] .. half_widths[i] about its centre;
+    its centre row is half_widths[len(half_widths) // 2]. Pixels outside
+    the image count as false. Such a structure is symmetric about its
+    centre, so this is scipy.ndimage's binary_erosion (binary_dilation)
+    at the default origin and border value.
+
+    Separable: each run of columns comes from the next narrower one by
+    two shifted ANDs (ORs) and the rows then combine by one each, so a
+    disk of radius r costs 4r of them, not one per disk pixel."""
+    h, w = mask.shape[-2:]
+    reach, wide = len(half_widths) // 2, max(half_widths)
+    padded = np.zeros((*mask.shape[:-2], h + 2 * reach, w + 2 * wide),
+                      dtype=bool)
     combine = np.logical_or if dilate else np.logical_and
     out = mask
     for _ in range(iterations):
-        padded[reach:reach + h, reach:reach + w] = out
-        out = combine.reduce([
-            padded[reach + di:reach + di + h, reach + dj:reach + dj + w]
-            for di, dj in offsets])
+        padded[..., reach:reach + h, wide:wide + w] = out
+        # runs[k]: the padded rows combined over columns j - k .. j + k
+        runs = [padded[..., wide:wide + w]]
+        for k in range(1, wide + 1):
+            run = combine(runs[-1], padded[..., wide - k:wide - k + w])
+            runs.append(combine(run, padded[..., wide + k:wide + k + w],
+                                out=run))
+        out = runs[half_widths[0]][..., :h, :].copy()
+        for i, k in enumerate(half_widths[1:], 1):
+            combine(out, runs[k][..., i:i + h, :], out=out)
     return out
-
-
-def _jitter_mask(mask: np.ndarray, amount: int,
-                 rng: np.random.Generator) -> np.ndarray:
-    """Shift plus boundary erosion/dilation, emulating semi-supervised
-    segmentation imperfection."""
-    if amount == 0:
-        return mask.copy()
-    out = np.roll(mask, (rng.integers(-amount, amount + 1),
-                         rng.integers(-amount, amount + 1)), axis=(0, 1))
-    op = rng.integers(3)
-    if op == 1:
-        out = _morph(out > 0, _CROSS, amount, dilate=True)
-    elif op == 2:
-        out = _morph(out > 0, _CROSS, amount)
-    return out.astype(np.float64)
 
 
 @functools.cache
 def _disk(radius: int):
     """Read-only footprint of the lesion disk of `radius`, a
-    [2 * radius + 1]^2 boolean array, and its nonzero offsets from the
-    centre in row-major order."""
+    [2 * radius + 1]^2 boolean array, and its per-row half-widths for
+    `_morph`: each row of the disk is an interval about the centre
+    column."""
     footprint = _ellipse(2 * radius + 1, 2 * radius + 1,
                          radius, radius, radius + 0.5, radius + 0.5)
     footprint.flags.writeable = False
-    offsets = tuple((int(i) - radius, int(j) - radius)
-                    for i, j in np.argwhere(footprint))
-    return footprint, offsets
+    return footprint, tuple(int(n) // 2 for n in footprint.sum(axis=1))
 
 
-def _place_lesion(region: np.ndarray, radius: int,
-                  rng: np.random.Generator) -> np.ndarray | None:
-    """Disk of `radius` fully contained in `region`, or None if it cannot
-    fit."""
-    h, w = region.shape
-    footprint, offsets = _disk(radius)
-    centers = np.flatnonzero(_morph(region > 0, offsets))
-    if len(centers) == 0:
-        return None
-    # the erosion keeps only centres whose whole disk lies in the image
-    ci, cj = divmod(int(centers[rng.integers(len(centers))]), w)
-    lesion = np.zeros((h, w))
-    lesion[ci - radius:ci + radius + 1,
-           cj - radius:cj + radius + 1] = footprint
-    return lesion
+def _noisy_masks(anatomy: np.ndarray, jitters: np.ndarray,
+                 amount: int) -> tuple:
+    """The noisy lung and heart masks, [n, 1, h, w] booleans, of the
+    [n, 2, h, w] boolean stack `anatomy` (lung, heart).
+
+    Each noisy mask emulates the imperfection of semi-supervised
+    segmentation. Its `jitters` entry (row shift, column shift, op), each
+    shift at most `amount`, rolls its true mask as `np.roll` does; op 1
+    then dilates it and op 2 erodes it by the cross, `amount` times. The
+    noisy lung then loses the noisy heart's pixels, as binarization keeps
+    the masks disjoint."""
+    n, _, _, size = anatomy.shape
+    # np.roll by d takes the [size, size] window at (pad - d) % size of the
+    # masks wrapped by pad on each side; pad <= size // 2 bounds the copy
+    # for any jitter
+    pad = min(amount, size // 2)
+    wrapped = np.pad(anatomy, ((0, 0), (0, 0), (pad, pad), (pad, pad)),
+                     mode="wrap")
+    start = (pad - jitters[..., :2]) % size
+    # the view is only read; writeable=True skips numpy marking it
+    # read-only, which left allocations behind on every call (tracemalloc)
+    noisy = sliding_window_view(wrapped, (size, size), axis=(2, 3),
+                                writeable=True)[
+        np.arange(n)[:, None], (0, 1), start[..., 0], start[..., 1]]
+    for op, dilate in ((1, True), (2, False)):
+        chosen = jitters[..., 2] == op
+        noisy[chosen] = _morph(noisy[chosen], _CROSS, amount, dilate)
+    return noisy[:, :1] & ~noisy[:, 1:], noisy[:, 1:]
+
+
+# pixels per block of samples in the mask work after the draws: its
+# temporaries stay near 64 KB, under glibc's default 128 KB mmap
+# threshold. Whole-dataset temporaries (several MB) stayed resident as
+# freed heap after a sweep's data was made, and its forked workers
+# inherited them: sweep-levels peak RSS +4%
+_BLOCK_PIXELS = 2 ** 15
 
 
 def gen_synthetic(spec: SyntheticSpec) -> dict:
@@ -169,52 +199,81 @@ def gen_synthetic(spec: SyntheticSpec) -> dict:
     Labels follow the three archetypes in CLASS_NAMES; each lesion is
     present independently with probability 0.5 and is contained in its
     archetype region by construction.
+
+    One loop over the samples makes every draw, per sample in this order:
+    the anatomy (`_sample_anatomy`), the noise field, then per region
+    (lung, heart, outside) one `random()` and, if it is below 0.5 and the
+    region holds a centre for the lesion disk, one `integers` that picks
+    the centre; then, when `mask_jitter` > 0, per noisy mask (lung, heart)
+    two shift integers and one op integer (`_noisy_masks`). The loop does
+    only the array work a draw depends on, the anatomy and the erosion
+    that finds the centres; the rest runs after it, on the whole arrays or
+    on blocks of samples.
     """
     rng = np.random.default_rng(spec.seed)
     n = spec.n_train + spec.n_val + spec.n_test
-    size = spec.image_size
-    images = np.zeros((n, 1, size, size))
-    lung_t = np.zeros((n, 1, size, size))
-    heart_t = np.zeros((n, 1, size, size))
-    lung_n = np.zeros((n, 1, size, size))
-    heart_n = np.zeros((n, 1, size, size))
-    labels = np.zeros((n, 3))
-    lesions = np.zeros((n, 3, size, size))
+    size, radius, jitter = (spec.image_size, spec.lesion_radius,
+                            spec.mask_jitter)
+    footprint, half_widths = _disk(radius)
+    arrays = {kind: np.zeros((n, 1, size, size)) for kind in
+              ("images", "lung_true", "heart_true", "lung", "heart")}
+    labels = arrays["labels"] = np.zeros((n, 3))
+    lesions = arrays["lesions"] = np.zeros((n, 3, size, size))
+    images, lung, heart = (arrays[kind] for kind in
+                           ("images", "lung_true", "heart_true"))
+    placed = ([], [], [])  # per region: (sample, flat index of the centre)
+    jitters = np.zeros((n, 2, 3), dtype=np.int64)  # see _noisy_masks
 
     for s in range(n):
-        lung, heart = _sample_anatomy(size, rng)
-        outside = 1.0 - np.maximum(lung, heart)
-        img = rng.normal(0.0, spec.noise, size=(size, size))
-        img += spec.anatomy_contrast * (lung - heart)
-        for k, region in enumerate((lung, heart, outside)):
+        regions = _sample_anatomy(size, rng)
+        lung[s, 0], heart[s, 0] = regions[:2]
+        images[s, 0] = rng.normal(0.0, spec.noise, size=(size, size))
+        # the erosion keeps only centres whose whole disk lies in the image
+        centres = _morph(regions, half_widths)
+        for k in range(3):
             if rng.random() < 0.5:
-                blob = _place_lesion(region, spec.lesion_radius, rng)
-                if blob is None:
-                    continue
-                labels[s, k] = 1.0
-                lesions[s, k] = blob
-                img += spec.lesion_amplitude * blob
-        images[s, 0] = img
-        lung_t[s, 0], heart_t[s, 0] = lung, heart
-        ln = _jitter_mask(lung, spec.mask_jitter, rng)
-        hn = _jitter_mask(heart, spec.mask_jitter, rng)
-        ln *= 1.0 - hn  # binarization keeps the masks disjoint
-        lung_n[s, 0], heart_n[s, 0] = ln, hn
+                found = np.flatnonzero(centres[k])
+                if len(found):
+                    placed[k].append((s, found[rng.integers(len(found))]))
+        if jitter:
+            for m in range(2):
+                jitters[s, m] = (rng.integers(-jitter, jitter + 1),
+                                 rng.integers(-jitter, jitter + 1),
+                                 rng.integers(3))
+
+    # Each pixel starts as a drawn normal, 0.0 + noise * z, which is never
+    # -0.0, and no sum of such a pixel and another number is -0.0, so
+    # adding +-0.0 never changes one. So contrast * (lung - heart) is added
+    # where it is nonzero only, and each lesion stamp to its window only.
+    step = max(1, _BLOCK_PIXELS // (size * size))
+    for lo in range(0, n, step):
+        block = slice(lo, lo + step)
+        anatomy = np.concatenate((lung[block] > 0, heart[block] > 0), axis=1)
+        np.add(images[block], spec.anatomy_contrast, out=images[block],
+               where=anatomy[:, :1])
+        np.subtract(images[block], spec.anatomy_contrast, out=images[block],
+                    where=anatomy[:, 1:])
+        arrays["lung"][block], arrays["heart"][block] = _noisy_masks(
+            anatomy, jitters[block], jitter)
+    window = np.arange(-radius, radius + 1)
+    for k, found in enumerate(placed):
+        sample, centre = np.array(found, dtype=np.int64).reshape(-1, 2).T
+        rows, cols = divmod(centre, size)
+        labels[sample, k] = 1.0
+        # each disk's window, [lesions, 2r + 1, 2r + 1] by broadcasting
+        sample = sample[:, None, None]
+        rows = (rows[:, None] + window)[:, :, None]
+        cols = (cols[:, None] + window)[:, None, :]
+        lesions[sample, k, rows, cols] = footprint
+        images[sample, 0, rows, cols] += spec.lesion_amplitude * footprint
 
     splits = {}
     bounds = {"train": (0, spec.n_train),
               "val": (spec.n_train, spec.n_train + spec.n_val),
               "test": (spec.n_train + spec.n_val, n)}
     for name, (lo, hi) in bounds.items():
-        splits.update({
-            f"{name}_images": images[lo:hi],
-            f"{name}_lung_true": lung_t[lo:hi],
-            f"{name}_heart_true": heart_t[lo:hi],
-            f"{name}_lung": lung_n[lo:hi],
-            f"{name}_heart": heart_n[lo:hi],
-            f"{name}_labels": labels[lo:hi],
-            f"{name}_lesions": lesions[lo:hi],
-        })
+        splits.update({f"{name}_{kind}": array[lo:hi]
+                       for kind, array in arrays.items()})
     return splits
 
 
@@ -228,15 +287,14 @@ def gen_seg_batches(size: int, n_annotated: int, n_unannotated: int,
     rng = np.random.default_rng(seed)
 
     def make(n):
-        cxr = np.zeros((n, 1, size, size))
-        masks = np.zeros((n, 3, size, size))
+        regions = np.empty((n, 3, size, size), dtype=bool)
+        noise = np.empty((n, 1, size, size))
         for s in range(n):
-            lung, heart = _sample_anatomy(size, rng)
-            bg = 1.0 - np.maximum(lung, heart)
-            masks[s] = np.stack([bg, lung, heart])
-            cxr[s, 0] = (0.2 * bg + 0.8 * lung + 0.5 * heart
-                         + rng.normal(0.0, SEG_NOISE, size=(size, size)))
-        return cxr, masks
+            regions[s] = _sample_anatomy(size, rng)
+            noise[s, 0] = rng.normal(0.0, SEG_NOISE, size=(size, size))
+        lung, heart, bg = regions[:, :1], regions[:, 1:2], regions[:, 2:]
+        masks = np.concatenate((bg, lung, heart), axis=1).astype(np.float64)
+        return 0.2 * bg + 0.8 * lung + 0.5 * heart + noise, masks
 
     while True:
         cxr_l, masks_l = make(n_annotated)
@@ -287,6 +345,11 @@ def train_condition(config: ModelConfig, data: dict, seed: int,
     return model
 
 
+class SingleLabelError(ValueError):
+    """A test split class without a positive or a negative image, which no
+    AUC can score; the labels, and so this error, come with the data."""
+
+
 def _shared_dataset(spec: SyntheticSpec, image_size: int) -> dict:
     """The arrays of the spec's dataset at `image_size` that training and
     test evaluation read (images, noisy masks, labels), made read-only.
@@ -297,15 +360,16 @@ def _shared_dataset(spec: SyntheticSpec, image_size: int) -> dict:
     few. A cell that wrote into the arrays would change the data of every
     later cell, so a write raises ValueError. Every cell is scored by
     per-class test AUC, so a test class without a positive or a negative
-    image raises ValueError naming it, before any cell trains."""
+    image raises SingleLabelError naming it, before any cell trains."""
     data = gen_synthetic(dc_replace(spec, image_size=image_size))
     labels = data["test_labels"]
     for k, name in enumerate(CLASS_NAMES):
         positives = int(labels[:, k].sum())
         if positives in (0, len(labels)):
-            raise ValueError(f"test split class {name!r} needs a positive "
-                             f"and a negative image for its AUC, got "
-                             f"{positives} positive of {len(labels)}")
+            raise SingleLabelError(
+                f"test split class {name!r} needs a positive and a negative "
+                f"image for its AUC, got {positives} positive of "
+                f"{len(labels)}")
     shared = {f"{split}_{kind}": data[f"{split}_{kind}"]
               for split in ("train", "val", "test")
               for kind in ("images", "lung", "heart", "labels")}

@@ -8,7 +8,7 @@ from dataclasses import asdict
 import numpy as np
 import pytest
 
-from anatomy_attn import cli, suite
+from anatomy_attn import cli, harness, suite
 from anatomy_attn.cli import main
 from anatomy_attn.config import (CHECKERS, ConfigError, DEFAULTS, echo_config,
                                  load_config)
@@ -228,6 +228,36 @@ class TestExitCodes:
         assert main(["--out", str(out), "--set", override, "train"]) == 2
         assert key in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize("command", [
+        ["ablate", "--axis", "pooling", "--seeds", "0"],
+        ["robustness", "--seeds", "0"]], ids=["ablate", "robustness"])
+    def test_single_label_test_class_exits_2_before_training(
+            self, tmp_path, capsys, monkeypatch, command):
+        # the labels come with the data, so the check runs once the sweep
+        # has drawn it, after config.ini is written
+        monkeypatch.setattr(harness, "train",
+                            lambda *args: pytest.fail("trained"))
+        out = tmp_path / "run"
+        assert main(["--out", str(out), "--set", "synthetic.n_test=1",
+                     *command]) == 2
+        assert capsys.readouterr().err.splitlines() == [
+            f"{command[0]}: test split class 'lung_lesion' needs a positive "
+            f"and a negative image for its AUC, got 1 positive of 1"]
+        assert [p.name for p in out.iterdir()] == ["config.ini"]
+
+    @pytest.mark.parametrize("command", [
+        ["ablate", "--axis", "pooling", "--seeds", "0"],
+        ["robustness", "--seeds", "0"]], ids=["ablate", "robustness"])
+    def test_value_error_in_training_still_propagates(
+            self, tmp_path, monkeypatch, command):
+        def train(*args):
+            raise ValueError("raised inside training")
+
+        monkeypatch.delenv("ANATOMY_ATTN_THREADS", raising=False)
+        monkeypatch.setattr(harness, "train", train)
+        with pytest.raises(ValueError, match="^raised inside training$"):
+            main(["--out", str(tmp_path / "run"), *FAST, *command])
 
     def test_class_count_is_not_a_key(self, tmp_path, capsys):
         # the labels always have len(CLASS_NAMES) classes

@@ -18,9 +18,9 @@ from scipy import ndimage
 from scipy.stats import rankdata
 
 from anatomy_attn import DivergenceError, harness
-from anatomy_attn.harness import (ABLATION_AXES, CLASS_NAMES, MetricsTable,
-                                  SyntheticSpec, ablation_sweep, auc,
-                                  check_seeds, evaluate_with_cutout,
+from anatomy_attn.harness import (ABLATION_AXES, CLASS_NAMES, SEG_NOISE,
+                                  MetricsTable, SyntheticSpec, ablation_sweep,
+                                  auc, check_seeds, evaluate_with_cutout,
                                   gen_seg_batches, gen_synthetic, parallel_map,
                                   robustness_experiment, robustness_sweep,
                                   train_condition, _ellipse, _test_aucs)
@@ -46,9 +46,12 @@ def _brute_force_auc(scores, labels):
     return wins / (len(pos) * len(neg)) * 100.0
 
 
-# The scipy-based data generators that the numpy ones replaced, kept as
-# their oracle: each must draw the same numbers and return the same arrays.
-# They draw through `harness._ellipse`, so a test can swap its formula.
+# The scipy-based data generator that the numpy one replaced, kept whole as
+# its oracle: the per-sample loop, with scipy.ndimage morphology, that makes
+# every draw as the package once made it (12 `rng.uniform` calls per
+# anatomy, the shift integers as one sized call). The package must draw the
+# same numbers and return the same arrays. Ellipses are drawn through
+# `harness._ellipse`, so a test can swap its formula.
 
 
 def _scipy_sample_anatomy(size, rng):
@@ -101,20 +104,84 @@ def _scipy_place_lesion(region, radius, rng):
     return lesion
 
 
-def _use_scipy_oracle(monkeypatch):
-    monkeypatch.setattr(harness, "_sample_anatomy", _scipy_sample_anatomy)
-    monkeypatch.setattr(harness, "_jitter_mask", _scipy_jitter_mask)
-    monkeypatch.setattr(harness, "_place_lesion", _scipy_place_lesion)
+def _scipy_gen_synthetic(spec):
+    rng = np.random.default_rng(spec.seed)
+    n = spec.n_train + spec.n_val + spec.n_test
+    size = spec.image_size
+    images = np.zeros((n, 1, size, size))
+    lung_t = np.zeros((n, 1, size, size))
+    heart_t = np.zeros((n, 1, size, size))
+    lung_n = np.zeros((n, 1, size, size))
+    heart_n = np.zeros((n, 1, size, size))
+    labels = np.zeros((n, 3))
+    lesions = np.zeros((n, 3, size, size))
+    for s in range(n):
+        lung, heart = _scipy_sample_anatomy(size, rng)
+        outside = 1.0 - np.maximum(lung, heart)
+        img = rng.normal(0.0, spec.noise, size=(size, size))
+        img += spec.anatomy_contrast * (lung - heart)
+        for k, region in enumerate((lung, heart, outside)):
+            if rng.random() < 0.5:
+                blob = _scipy_place_lesion(region, spec.lesion_radius, rng)
+                if blob is None:
+                    continue
+                labels[s, k] = 1.0
+                lesions[s, k] = blob
+                img += spec.lesion_amplitude * blob
+        images[s, 0] = img
+        lung_t[s, 0], heart_t[s, 0] = lung, heart
+        ln = _scipy_jitter_mask(lung, spec.mask_jitter, rng)
+        hn = _scipy_jitter_mask(heart, spec.mask_jitter, rng)
+        ln *= 1.0 - hn
+        lung_n[s, 0], heart_n[s, 0] = ln, hn
+    bounds = {"train": (0, spec.n_train),
+              "val": (spec.n_train, spec.n_train + spec.n_val),
+              "test": (spec.n_train + spec.n_val, n)}
+    return {f"{name}_{kind}": array[lo:hi]
+            for name, (lo, hi) in bounds.items()
+            for kind, array in (("images", images), ("lung_true", lung_t),
+                                ("heart_true", heart_t), ("lung", lung_n),
+                                ("heart", heart_n), ("labels", labels),
+                                ("lesions", lesions))}
+
+
+def _scipy_seg_batches(size, n_annotated, n_unannotated, seed):
+    rng = np.random.default_rng(seed)
+
+    def make(n):
+        cxr = np.zeros((n, 1, size, size))
+        masks = np.zeros((n, 3, size, size))
+        for s in range(n):
+            lung, heart = _scipy_sample_anatomy(size, rng)
+            bg = 1.0 - np.maximum(lung, heart)
+            masks[s] = np.stack([bg, lung, heart])
+            cxr[s, 0] = (0.2 * bg + 0.8 * lung + 0.5 * heart
+                         + rng.normal(0.0, SEG_NOISE, size=(size, size)))
+        return cxr, masks
+
+    while True:
+        (cxr_l, masks_l), (cxr_u, _) = make(n_annotated), make(n_unannotated)
+        yield {"annotated_cxr": cxr_l, "annotated_masks": masks_l,
+               "unannotated_cxr": cxr_u}
+
+
+def _assert_same_arrays(got: dict, want: dict):
+    assert got.keys() == want.keys()
+    for key in want:
+        assert got[key].dtype == want[key].dtype, key
+        np.testing.assert_array_equal(got[key], want[key], err_msg=key)
 
 
 @st.composite
 def _bool_masks(draw):
-    """h x w boolean masks, 1 <= h, w <= 40: all false, all true, or random
-    at a density high enough for many to touch the border."""
+    """h x w boolean masks, 1 <= h, w <= 40, alone or as a stack of 1 to 3:
+    all false, all true, or random at a density high enough for many to
+    touch the border."""
+    stack = draw(st.sampled_from([(), (1,), (2,), (3,)]))
     h, w = draw(st.integers(1, 40)), draw(st.integers(1, 40))
     density = draw(st.sampled_from([0.0, 0.5, 0.8, 0.95, 1.0]))
     seed = draw(st.integers(0, 2 ** 32 - 1))
-    return np.random.default_rng(seed).random((h, w)) < density
+    return np.random.default_rng(seed).random((*stack, h, w)) < density
 
 
 class TestAuc:
@@ -350,36 +417,58 @@ class TestSyntheticData:
         spec = SyntheticSpec(image_size=size, n_train=12, n_val=4, n_test=4,
                              seed=size)
         data = gen_synthetic(spec)
-        _use_scipy_oracle(monkeypatch)
         monkeypatch.setattr(harness, "_ellipse", self._mgrid_ellipse)
-        want = gen_synthetic(spec)
-        assert data.keys() == want.keys()
-        for key in want:
-            np.testing.assert_array_equal(data[key], want[key], err_msg=key)
+        _assert_same_arrays(data, _scipy_gen_synthetic(spec))
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_anatomy_draws_equal_the_calls_the_oracle_makes(self, seed):
+        # one random(12) mapped as low + (high - low) * u is 12 uniform
+        # calls, and two scalar integers are one sized call, bit for bit,
+        # with other draws in between; a numpy that changes either fails
+        # here by name, not only in the dataset comparisons
+        ours, theirs = (np.random.default_rng(seed) for _ in range(2))
+        for size in (1, 7, 32, 48):
+            mapped = (harness._DRAW_LOW
+                      + harness._DRAW_SPAN * ours.random(12).reshape(3, 4))
+            calls = [[theirs.uniform(-2, 2), theirs.uniform(-2, 2),
+                      theirs.uniform(0.8, 1.2), theirs.uniform(0.8, 1.2)]
+                     for _ in range(3)]
+            assert mapped.tolist() == calls
+            assert ([ours.integers(0, size), ours.integers(0, size)]
+                    == theirs.integers(0, size, size=2).tolist())
+            assert ours.normal(size=3).tolist() == theirs.normal(
+                size=3).tolist()
+            assert ours.integers(5) == theirs.integers(5)
 
     @given(mask=_bool_masks(), dilate=st.booleans(),
            structure=st.one_of(st.tuples(st.just("cross"), st.integers(1, 3)),
-                               st.tuples(st.just("disk"), st.integers(0, 4))))
-    @settings(max_examples=60, deadline=None)
+                               st.tuples(st.just("disk"), st.integers(0, 6))))
+    @settings(max_examples=80, deadline=None)
     def test_morph_equals_scipy(self, mask, dilate, structure):
+        # a stack is eroded (dilated) slice by slice, each slice equal to
+        # its own 2-D result
         kind, n = structure
         if kind == "cross":
             footprint = ndimage.generate_binary_structure(2, 1)
-            offsets, iterations = harness._CROSS, n
+            half_widths, iterations = harness._CROSS, n
         else:
             footprint, iterations = _scipy_footprint(n), 1
-            offsets = harness._disk(n)[1]
+            half_widths = harness._disk(n)[1]
         oracle = ndimage.binary_dilation if dilate else ndimage.binary_erosion
-        want = oracle(mask, structure=footprint, iterations=iterations)
-        got = harness._morph(mask, offsets, iterations, dilate=dilate)
-        assert got.dtype == bool
-        np.testing.assert_array_equal(got, want)
+        got = harness._morph(mask, half_widths, iterations, dilate=dilate)
+        assert got.dtype == bool and got.shape == mask.shape
+        for index in np.ndindex(mask.shape[:-2]):
+            want = oracle(mask[index], structure=footprint,
+                          iterations=iterations)
+            np.testing.assert_array_equal(got[index], want)
+            np.testing.assert_array_equal(got[index], harness._morph(
+                mask[index], half_widths, iterations, dilate=dilate))
 
     def test_disk_footprint_is_cached_and_read_only(self):
-        footprint, offsets = harness._disk(2)
+        footprint, half_widths = harness._disk(2)
         assert harness._disk(2)[0] is footprint
         np.testing.assert_array_equal(footprint, _scipy_footprint(2))
-        assert len(offsets) == footprint.sum() == 21
+        assert half_widths == (1, 2, 2, 2, 1)
         with pytest.raises(ValueError, match="read-only"):
             footprint[0, 0] = True
 
@@ -393,30 +482,40 @@ class TestSyntheticData:
         SyntheticSpec(image_size=6, n_train=8, n_val=2, n_test=2, seed=3,
                       lesion_radius=1),
         SyntheticSpec(image_size=10, n_train=8, n_val=2, n_test=2, seed=4,
-                      mask_jitter=12)],
+                      mask_jitter=12),
+        # sizes down to 3, radii up to 6 (wider than some images), jitter
+        # up to 40 (wider than every image), and empty splits
+        *(SyntheticSpec(image_size=size, n_train=10, n_val=3, n_test=3,
+                        seed=20 + i, mask_jitter=jitter, lesion_radius=radius)
+          for i, (size, jitter, radius) in enumerate((
+              (3, 0, 0), (3, 40, 1), (4, 2, 0), (5, 1, 6), (7, 5, 1),
+              (12, 40, 2), (16, 3, 4), (20, 7, 5), (40, 1, 6), (48, 40, 6),
+              (48, 2, 3)))),
+        SyntheticSpec(n_train=0, n_val=0, n_test=0, seed=40),
+        SyntheticSpec(image_size=9, n_train=0, n_val=5, n_test=0, seed=41,
+                      mask_jitter=4),
+        # zero and negative noise, contrast and amplitude, where a pixel
+        # could meet a signed zero
+        SyntheticSpec(image_size=16, n_train=10, n_val=3, n_test=3, seed=42,
+                      noise=0.0, anatomy_contrast=-0.5,
+                      lesion_amplitude=-1.0),
+        SyntheticSpec(image_size=16, n_train=10, n_val=3, n_test=3, seed=43,
+                      noise=0.0, anatomy_contrast=0.0,
+                      lesion_amplitude=0.0)],
         ids=lambda s: (f"size{s.image_size}-seed{s.seed}-"
                        f"jitter{s.mask_jitter}-radius{s.lesion_radius}"))
-    def test_dataset_equals_the_scipy_oracle(self, spec, monkeypatch):
-        data = gen_synthetic(spec)
-        _use_scipy_oracle(monkeypatch)
-        want = gen_synthetic(spec)
-        assert data.keys() == want.keys()
-        for key in want:
-            assert data[key].dtype == want[key].dtype
-            np.testing.assert_array_equal(data[key], want[key], err_msg=key)
+    def test_dataset_equals_the_scipy_oracle(self, spec):
+        _assert_same_arrays(gen_synthetic(spec), _scipy_gen_synthetic(spec))
 
-    def test_seg_batch_equals_the_scipy_oracle(self, monkeypatch):
-        def first_batch():
-            return next(gen_seg_batches(size=12, n_annotated=4,
-                                        n_unannotated=3, seed=5))
-
-        got = first_batch()
-        _use_scipy_oracle(monkeypatch)
-        want = first_batch()
-        for field in ("annotated_cxr", "annotated_masks", "unannotated_cxr"):
-            np.testing.assert_array_equal(getattr(got, field).data,
-                                          getattr(want, field).data,
-                                          err_msg=field)
+    def test_seg_batch_equals_the_scipy_oracle(self):
+        # the first three batches, at a small size and at the seg-toy
+        # defaults
+        for args in ((12, 4, 3, 5), (16, 8, 8, 0)):
+            got, want = gen_seg_batches(*args), _scipy_seg_batches(*args)
+            for _ in range(3):
+                batch, expected = next(got), next(want)
+                _assert_same_arrays({field: getattr(batch, field).data
+                                     for field in expected}, expected)
 
     def test_seg_batches_are_deterministic(self):
         a = next(iter(gen_seg_batches(size=8, n_annotated=8,
@@ -742,7 +841,9 @@ class TestSweeps:
         for name in ("train", "parallel_map"):
             monkeypatch.setattr(harness, name,
                                 lambda *args, name=name: pytest.fail(name))
-        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        # its own ValueError subclass, which the CLI reports with exit 2
+        with pytest.raises(harness.SingleLabelError,
+                           match=f"^{re.escape(message)}$"):
             run(replace(TINY_SPEC, n_test=n_test))
 
     def test_check_seeds_returns_ints(self):

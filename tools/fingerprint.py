@@ -9,6 +9,12 @@ an AUC, an error), so a moved digest shows how far it moved:
 - the `train-l2`, `predict-l2` and `sweep-levels` unit outputs at input
   seeds 0-7, each through the workload's own `setup` and `unit` in
   `perfbench/workloads.py`, which is imported and left as it is;
+- every array `gen_synthetic` returns for the default `SyntheticSpec` and
+  for the `predict-l2` spec (`n_train=0, n_val=0, n_test=512`) at seeds
+  0-7, and for the default spec at image sizes 24 and 48, so the arrays
+  no workload reads (`*_lung_true`, `*_heart_true`, `*_lesions`) are
+  covered too; and the first `gen_seg_batches` batch at the `seg-toy`
+  defaults;
 - every `run_gradcheck_suite()` report (name, `max_rel_err.hex()`, kinks,
   coordinates probed);
 - `history.csv` and `checkpoint/weights.bin` from
@@ -94,6 +100,30 @@ def _workload_entries(workloads) -> dict:
     return entries
 
 
+def _generator_entries() -> dict:
+    from anatomy_attn.harness import (SyntheticSpec, gen_seg_batches,
+                                      gen_synthetic)
+
+    specs = {**{f"default-seed{seed}": {"seed": seed}
+                for seed in INPUT_SEEDS},
+             **{f"predict-seed{seed}": {"seed": seed, "n_train": 0,
+                                        "n_val": 0, "n_test": 512}
+                for seed in INPUT_SEEDS},
+             **{f"size{size}": {"image_size": size} for size in (24, 48)}}
+    entries = {}
+    for name, fields in specs.items():
+        for key, array in gen_synthetic(SyntheticSpec(**fields)).items():
+            entries[f"gen_synthetic/{name}/{key}"] = _entry(
+                array, float(array.sum()))
+    batch = next(gen_seg_batches(size=16, n_annotated=8, n_unannotated=8,
+                                 seed=0))
+    arrays = [batch.annotated_cxr.data, batch.annotated_masks.data,
+              batch.unannotated_cxr.data]
+    entries["gen_seg_batches/batch1"] = _entry(arrays,
+                                               float(arrays[0].sum()))
+    return entries
+
+
 def _gradcheck_entries() -> dict:
     from anatomy_attn.suite import run_gradcheck_suite
 
@@ -146,6 +176,7 @@ def collect(src: Path) -> dict:
     with tempfile.TemporaryDirectory() as workdir:
         for name, section in (
                 ("workloads", lambda: _workload_entries(workloads)),
+                ("generator", _generator_entries),
                 ("gradcheck", _gradcheck_entries),
                 ("cli", lambda: _cli_entries(Path(workdir)))):
             try:
