@@ -61,8 +61,8 @@ class AttentionEncoderParams:
     def init(cls, channels: int, r: float, rng: np.random.Generator):
         hidden = max(1, round(channels / r))
         # encoder by encoder, fc1 before fc2: three separate encoders' draws
-        rows = [(LinearParams.init(channels, hidden, rng),
-                 LinearParams.init(hidden, channels, rng)) for _ in range(3)]
+        rows = [(LinearParams.init((hidden, channels), rng),
+                 LinearParams.init((channels, hidden), rng)) for _ in range(3)]
 
         def stack(fcs):
             return LinearParams(
@@ -192,14 +192,11 @@ def encode_attention(pooled: Tensor, enc: AttentionEncoderParams,
     track their batch statistics once the output has passed the
     finiteness check.
     """
-    n, c = pooled.shape
+    _, c = pooled.shape
     width = enc.fc1.weight.shape[2]
     if width != c:
         raise ValueError(f"encode_attention: pooled width {c} != encoder "
                          f"input width {width}")
-    if train and n < 2:
-        raise ValueError("train-mode batch_norm needs >= 2 elements "
-                         "per channel for the variance")
 
     v, saved, parents, tracked = pooled.data, [], (pooled,), []
     for fc, bn in ((enc.fc1, enc.bn1), (enc.fc2, enc.bn2)):

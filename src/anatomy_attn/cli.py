@@ -49,9 +49,10 @@ def _seed_list(raw: str) -> list:
     return _usage(check_seeds, parse_int_list(raw))
 
 
-def _out_dir(args) -> Path:
-    """The --out directory, made if missing. A path that names a file, or
-    lies under one, is a usage error: exit 2, as argparse does."""
+def _out_dir(args, cfg) -> Path:
+    """The --out directory, made if missing, with `cfg` written to its
+    config.ini. A path that names a file, or lies under one, is a usage
+    error: exit 2, as argparse does."""
     out = Path(args.out)
     try:
         out.mkdir(parents=True, exist_ok=True)
@@ -59,6 +60,7 @@ def _out_dir(args) -> Path:
         print(f"anatomy-attn: error: argument --out: cannot make directory "
               f"{out}: {exc.strerror}", file=sys.stderr)
         raise SystemExit(2) from exc
+    echo_config(cfg, out)
     return out
 
 
@@ -83,8 +85,7 @@ def cmd_gradcheck(args, cfg) -> int:
 
 
 def cmd_train(args, cfg) -> int:
-    out = _out_dir(args)
-    echo_config(cfg, out)
+    out = _out_dir(args, cfg)
     mcfg = ModelConfig(**cfg["model"])
     data = gen_synthetic(SyntheticSpec(**cfg["synthetic"],
                                        image_size=mcfg.image_size))
@@ -107,8 +108,7 @@ def cmd_train(args, cfg) -> int:
 
 
 def cmd_ablate(args, cfg) -> int:
-    out = _out_dir(args)
-    echo_config(cfg, out)
+    out = _out_dir(args, cfg)
     table = ablation_sweep(args.axis, ModelConfig(**cfg["model"]),
                            SyntheticSpec(**cfg["synthetic"]), args.seeds,
                            train_kwargs=cfg["train"])
@@ -119,8 +119,7 @@ def cmd_ablate(args, cfg) -> int:
 
 
 def cmd_robustness(args, cfg) -> int:
-    out = _out_dir(args)
-    echo_config(cfg, out)
+    out = _out_dir(args, cfg)
     table = robustness_experiment(SyntheticSpec(**cfg["synthetic"]),
                                   args.seeds, cfg["robustness"]["windows"],
                                   ModelConfig(**cfg["model"]),
@@ -133,8 +132,7 @@ def cmd_robustness(args, cfg) -> int:
 
 
 def cmd_seg_toy(args, cfg) -> int:
-    out = _out_dir(args)
-    echo_config(cfg, out)
+    out = _out_dir(args, cfg)
     s = cfg["seg"]
     batches = gen_seg_batches(size=s["size"], n_annotated=s["n_annotated"],
                               n_unannotated=s["n_unannotated"], seed=args.seed)
@@ -154,8 +152,7 @@ def cmd_gradcam(args, cfg) -> int:
     except (OSError, ValueError) as exc:
         print(f"gradcam: {exc}", file=sys.stderr)
         return 2
-    out = _out_dir(args)
-    echo_config(cfg, out)
+    out = _out_dir(args, cfg)
     data = gen_synthetic(SyntheticSpec(**cfg["synthetic"],
                                        image_size=model.config.image_size))
     n = min(args.num_images, len(data["test_images"]))

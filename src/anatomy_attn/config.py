@@ -120,9 +120,7 @@ def echo_config(cfg: dict, out_dir) -> None:
         parser[section] = {
             k: ",".join(map(str, v)) if isinstance(v, tuple) else str(v)
             for k, v in sorted(cfg[section].items())}
-    out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    with open(out_dir / "config.ini", "w") as fh:
+    with open(Path(out_dir) / "config.ini", "w") as fh:
         parser.write(fh)
 
 

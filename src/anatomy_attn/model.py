@@ -14,8 +14,8 @@ import numpy as np
 
 from .attention import AaaParams, AnatomyMasks, PwapParams, aaa_forward, pwap
 from .metrics import auc, write_csv
-from .ops import (BatchNormState, ConvParams, LinearParams, conv3x3,
-                  fully_connected, resample, resize, walk)
+from .ops import (BatchNormState, LinearParams, conv3x3, fully_connected,
+                  resample, resize, walk)
 from .optim import Adam
 from .serialize import MAX_EXTENT, load_tensors, save_tensors
 from .tensor import (DivergenceError, NonFiniteError, Tensor, check_int,
@@ -101,7 +101,7 @@ class ToyModel:
         self.config = config
         rng = np.random.default_rng(seed)
         widths = (1,) + config.backbone_widths
-        self.stages = [ConvParams.init(cin, cout, rng)
+        self.stages = [LinearParams.init((cout, cin, 3, 3), rng)
                        for cin, cout in zip(widths[:-1], widths[1:])]
 
         self.aaa = {}
@@ -117,7 +117,8 @@ class ToyModel:
                 self.pool_pwap[si] = PwapParams.init(c)
             elif config.pooling == "gem":
                 self.pool_gem_p[si] = Tensor(np.array([3.0]), requires_grad=True)
-        self.classifier = LinearParams.init(sum(head_dims), config.n_classes, rng)
+        self.classifier = LinearParams.init(
+            (config.n_classes, sum(head_dims)), rng)
 
     # -- parameter plumbing ---------------------------------------------------
 

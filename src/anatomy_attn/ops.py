@@ -20,32 +20,20 @@ BN_MOMENTUM = 0.1
 
 @dataclass
 class LinearParams:
-    """Affine map parameters: out x in weight plus out bias."""
+    """A layer's weight and bias: weight [out, in] for a fully connected
+    layer or [out, in, 3, 3] for a 3x3 convolution, plus bias [out]."""
 
     weight: Tensor
     bias: Tensor
 
     @classmethod
-    def init(cls, in_dim: int, out_dim: int, rng: np.random.Generator):
-        bound = 1.0 / np.sqrt(in_dim)
-        w = rng.uniform(-bound, bound, size=(out_dim, in_dim))
-        return cls(Tensor(w, requires_grad=True),
-                   Tensor(np.zeros(out_dim), requires_grad=True))
-
-
-@dataclass
-class ConvParams:
-    """3x3 convolution parameters: out x in x 3 x 3 weight plus out bias."""
-
-    weight: Tensor
-    bias: Tensor
-
-    @classmethod
-    def init(cls, cin: int, cout: int, rng: np.random.Generator):
-        bound = 1.0 / np.sqrt(cin * 9)
-        w = rng.uniform(-bound, bound, size=(cout, cin, 3, 3))
-        return cls(Tensor(w, requires_grad=True),
-                   Tensor(np.zeros(cout), requires_grad=True))
+    def init(cls, shape: tuple, rng: np.random.Generator):
+        """Weight of `shape` drawn from U(-b, b), b = 1/sqrt(fan_in) with
+        fan_in the product of shape[1:], and a zero bias of shape[0]."""
+        bound = 1.0 / np.sqrt(math.prod(shape[1:]))
+        return cls(Tensor(rng.uniform(-bound, bound, size=shape),
+                          requires_grad=True),
+                   Tensor(np.zeros(shape[0]), requires_grad=True))
 
 
 @dataclass
@@ -277,10 +265,14 @@ def bn_arrays(x: np.ndarray, axes: tuple, gamma: np.ndarray,
     (Ioffe & Szegedy 2015): with g_hat = g * gamma,
     dx = (g_hat - mean(g_hat) - x_hat * mean(g_hat * x_hat)) / std.
     With `running`, mean and var are None and the statistics are
-    constants: dx = g_hat / std. A non-finite batch variance raises
-    NonFiniteError naming `op`.
+    constants: dx = g_hat / std. Fewer than 2 elements per channel for
+    the batch variance raise ValueError, and a non-finite batch variance
+    NonFiniteError, each naming `op`.
     """
     if running is None:
+        if math.prod(x.shape[a] for a in axes) < 2:
+            raise ValueError(f"train-mode {op} needs >= 2 elements per "
+                             f"channel for the variance")
         mean = x.mean(axis=axes, keepdims=True)
         xm = x - mean
         var = (xm * xm).mean(axis=axes, keepdims=True)
@@ -323,12 +315,8 @@ def batch_norm(x: Tensor, s: BatchNormState, train: bool) -> Tensor:
     if x.shape[1] != s.channels:
         raise ValueError(f"batch_norm: {x.shape[1]} channels vs state "
                          f"with {s.channels}")
-    count = math.prod(x.shape[a] for a in axes)
-    if count < 1:
+    if math.prod(x.shape[a] for a in axes) < 1:
         raise ValueError("batch_norm needs at least one element per channel")
-    if train and count < 2:
-        raise ValueError("train-mode batch_norm needs >= 2 elements "
-                         "per channel for the variance")
 
     running = None if train else (s.running_mean.reshape(param_shape),
                                   s.running_var.reshape(param_shape))

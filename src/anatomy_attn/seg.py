@@ -12,7 +12,7 @@ import numpy as np
 
 from .attention import AnatomyMasks
 from .metrics import write_csv
-from .ops import ConvParams, conv3x3, softmax_channels
+from .ops import LinearParams, conv3x3, softmax_channels
 from .optim import Adam
 from .tensor import DivergenceError, NonFiniteError, Tensor, check_int
 
@@ -55,7 +55,7 @@ class ConvStack:
     """Stride-1 stack of 3x3 convs with ReLU between layers."""
 
     def __init__(self, widths, rng: np.random.Generator):
-        self.layers = [ConvParams.init(cin, cout, rng)
+        self.layers = [LinearParams.init((cout, cin, 3, 3), rng)
                        for cin, cout in zip(widths[:-1], widths[1:])]
 
     def __call__(self, x: Tensor) -> Tensor:

@@ -294,8 +294,8 @@ class TestAaaForward:
         # encoder 1, then of encoder 2, then of encoder 3
         stacked_rng, rng = np.random.default_rng(7), np.random.default_rng(7)
         enc = AttentionEncoderParams.init(4, 0.5, stacked_rng)
-        rows = [(LinearParams.init(4, 8, rng), LinearParams.init(8, 4, rng))
-                for _ in range(3)]
+        rows = [(LinearParams.init((8, 4), rng),
+                 LinearParams.init((4, 8), rng)) for _ in range(3)]
         for k, (fc1, fc2) in enumerate(rows):
             for stacked, row in ((enc.fc1, fc1), (enc.fc2, fc2)):
                 for field in ("weight", "bias"):

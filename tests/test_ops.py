@@ -24,15 +24,22 @@ class TestFullyConnected:
         np.testing.assert_array_equal(out.data, [[4.0, -1.0]])
 
     def test_width_mismatch_rejected(self, rng):
-        p = LinearParams.init(4, 2, rng)
+        p = LinearParams.init((2, 4), rng)
         with pytest.raises(ValueError, match=re.escape(
                 "fully_connected: input dim 3 != weight in-dim 4")):
             fully_connected(Tensor(np.zeros((2, 3))), p)
 
-    def test_init_shapes_and_zero_bias(self, rng):
-        p = LinearParams.init(6, 4, rng)
-        assert p.weight.shape == (4, 6)
-        np.testing.assert_array_equal(p.bias.data, np.zeros(4))
+    def test_init_shapes_and_zero_bias(self):
+        # one block builds fully connected and 3x3 conv layers alike: the
+        # weight is U(-b, b) with b = 1/sqrt(fan_in), fan_in = prod(shape[1:])
+        for shape, fan_in in (((4, 6), 6), ((5, 3, 3, 3), 27)):
+            p = LinearParams.init(shape, np.random.default_rng(3))
+            b = 1 / np.sqrt(fan_in)
+            np.testing.assert_array_equal(
+                p.weight.data,
+                np.random.default_rng(3).uniform(-b, b, size=shape))
+            np.testing.assert_array_equal(p.bias.data, np.zeros(shape[0]))
+            assert p.weight.requires_grad and p.bias.requires_grad
 
 
 class TestConv1x1:

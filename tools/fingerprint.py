@@ -17,8 +17,11 @@ an AUC, an error), so a moved digest shows how far it moved:
   defaults;
 - every `run_gradcheck_suite()` report (name, `max_rel_err.hex()`, kinks,
   coordinates probed);
-- `history.csv` and `checkpoint/weights.bin` from
+- `history.csv`, `checkpoint/weights.bin` and `config.ini` from
   `anatomy-attn --set train.epochs=2 train`;
+- `robustness.csv` from `anatomy-attn --set train.epochs=1 --set
+  robustness.windows=0,4 --set robustness.trials=1 robustness --seeds
+  0,1`, the one entry that reaches `robustness_experiment`;
 - the first 50 rows of the `seg-toy` curves (`--set seg.steps=50`).
 
 Floats are hashed through `float.hex()` and arrays through their bytes, so
@@ -147,13 +150,22 @@ def _cli_entries(workdir: Path) -> dict:
     _cli(["--set", "train.epochs=2", "train"], workdir / "train")
     history = (workdir / "train" / "history.csv").read_bytes()
     weights = (workdir / "train" / "checkpoint" / "weights.bin").read_bytes()
+    config = (workdir / "train" / "config.ini").read_bytes()
     last = list(csv.reader(io.StringIO(history.decode())))[-1]
+    _cli(["--set", "train.epochs=1", "--set", "robustness.windows=0,4",
+          "--set", "robustness.trials=1", "robustness", "--seeds", "0,1"],
+         workdir / "robustness")
+    robustness = (workdir / "robustness" / "robustness.csv").read_bytes()
+    robust_last = list(csv.reader(io.StringIO(robustness.decode())))[-1]
     _cli(["--set", f"seg.steps={SEG_ROWS}", "seg-toy"], workdir / "seg")
     with open(workdir / "seg" / "seg_curves.csv", newline="") as fh:
         rows = list(csv.reader(fh))[:SEG_ROWS + 1]  # the header, then rows
     return {
         "cli-train/history.csv": _entry(history, float(last[1])),
         "cli-train/weights.bin": _entry(weights, len(weights)),
+        "cli-train/config.ini": _entry(config, len(config)),
+        "cli-robustness/robustness.csv": _entry(robustness,
+                                                float(robust_last[-1])),
         f"seg-toy/rows1-{SEG_ROWS}": _entry(rows, float(rows[-1][-1])),
     }
 
